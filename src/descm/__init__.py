@@ -6,16 +6,8 @@ from .assembly import (
     CollocationMatrix,
     CollocationOverflowError,
     assemble_collocation_matrix,
-    assemble_generalized_pair,
 )
-from .de_map import (
-    TransformedProblem,
-    map_derivative,
-    map_value,
-    transformed_potential,
-    transformed_potential_general,
-    transformed_potential_scaled,
-)
+from .de_map import transformed_potential, transformed_potential_scaled
 from .eigensolver import EigenDecomposition, EigenSolveError, eigen_symmetric
 from .mesh import (
     MeshStrategy,
@@ -32,10 +24,9 @@ from .potential import (
     PotentialSpecError,
     analytic_catalog,
     chebyshev_well,
-    evaluate,
     parse_potential,
 )
-from .sinc_basis import SincWeights, second_derivative_weight, sinc, sinc_basis_eval
+from .sinc_basis import SincWeights
 from .solver import (
     ConvergenceRecord,
     ConvergenceTrace,
@@ -63,28 +54,19 @@ __all__ = [
     "SincWeights",
     "SpectrumResult",
     "TraceMinimumNotFound",
-    "TransformedProblem",
     "analytic_catalog",
     "assemble_collocation_matrix",
-    "assemble_generalized_pair",
     "chebyshev_well",
     "collocation_trace",
     "converge",
     "eigen_symmetric",
-    "evaluate",
     "lambert_w0",
-    "map_derivative",
-    "map_value",
     "mesh_size_for",
     "optimal_mesh_size",
     "parse_potential",
     "reconstruct_wavefunction",
-    "second_derivative_weight",
-    "sinc",
-    "sinc_basis_eval",
     "solve",
     "trace_minimized_mesh_size",
     "transformed_potential",
-    "transformed_potential_general",
     "transformed_potential_scaled",
 ]

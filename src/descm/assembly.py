@@ -1,4 +1,4 @@
-"""Assembly of the dense symmetric collocation matrices.
+"""Assembly of the dense symmetric collocation matrix.
 
 The reduced matrix acting on z = cosh(kh) v(kh) has entries
 
@@ -6,9 +6,8 @@ The reduced matrix acting on z = cosh(kh) v(kh) has entries
     A[k,k] = (pi^2/3) / (h^2 cosh(kh)^2) + W(kh)/cosh(kh)^2,
 
 with W the transformed potential. The generalized pair (stiffness matrix,
-diagonal weight) it was reduced from is assembled separately as a test
-oracle only; solving goes through the reduced matrix directly, which is
-exactly symmetric by construction.
+diagonal weight) it was reduced from is never formed; solving goes through
+the reduced matrix directly, which is exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .de_map import transformed_potential, transformed_potential_scaled
+from .de_map import transformed_potential_scaled
 from .potential import EvenPolynomialPotential
 from .sinc_basis import SincWeights
 
@@ -44,18 +43,8 @@ class CollocationMatrix:
     def size(self) -> int:
         return 2 * self.half_width + 1
 
-    def entry(self, j: int, k: int) -> float:
-        """Entry addressed by signed collocation indices j, k in [-N, N]."""
-        return float(self.entries[j + self.half_width, k + self.half_width])
-
     def trace(self) -> float:
         return float(np.trace(self.entries))
-
-    def dump(self) -> str:
-        """Plain-text dump, one row per line, 17 significant digits."""
-        return "\n".join(
-            " ".join(format(v, ".16e") for v in row) for row in self.entries
-        )
 
 
 def _collocation_points(half_width: int, h: float) -> np.ndarray:
@@ -88,21 +77,3 @@ def assemble_collocation_matrix(
         )
     return CollocationMatrix(half_width=half_width, mesh=h, entries=entries)
 
-
-def assemble_generalized_pair(
-    potential: EvenPolynomialPotential, half_width: int, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The unreduced pair: symmetric stiffness matrix and diagonal weights.
-
-    Returns (H, d) where H[j,k] = -delta2(k-j)/h^2 + W(kh) delta0(k-j) and
-    d[k] = cosh(kh)^2 > 0 is the diagonal of the weight matrix. Conjugating
-    H by d^(-1/2) reproduces the reduced matrix; kept as an oracle for that
-    identity, not used on the solve path.
-    """
-    points = _collocation_points(half_width, h)
-    weights = SincWeights.second_derivative(half_width)
-    stiffness = -weights.offset_matrix(half_width) / (h * h)
-    idx = np.arange(2 * half_width + 1)
-    stiffness[idx, idx] += transformed_potential(potential, points)
-    diagonal = np.cosh(points) ** 2
-    return stiffness, diagonal

@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from ._parallel import run_ordered, thread_limit
 from .assembly import CollocationOverflowError
 from .eigensolver import EigenSolveError
 from .mesh import (
@@ -81,9 +81,20 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _cell(value) -> str:
+    """CSV text of one value: floats at 17 significant digits, a missing one as nan."""
+    if value is None:
+        return "nan"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
+
+
 def _csv(header: str, rows, comments=()) -> str:
     lines = [header]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
     lines.extend(f"# {c}" for c in comments)
     return "\n".join(lines) + "\n"
 
@@ -189,8 +200,7 @@ def cmd_solve(args) -> int:
         }
         _emit(_json_dump(payload) + "\n", args.output)
     else:
-        rows = [(str(i), _fmt(v)) for i, v in enumerate(result.eigenvalues)]
-        _emit(_csv("level,E", rows), args.output)
+        _emit(_csv("level,E", enumerate(result.eigenvalues)), args.output)
     return 0
 
 
@@ -222,11 +232,7 @@ def cmd_converge(args) -> int:
         }
         _emit(_json_dump(payload) + "\n", args.output)
     else:
-        rows = [
-            (str(r.half_width), _fmt(r.h), _fmt(r.energy),
-             "nan" if r.delta is None else _fmt(r.delta))
-            for r in trace.records
-        ]
+        rows = [(r.half_width, r.h, r.energy, r.delta) for r in trace.records]
         _emit(_csv("N,h,E_n,eps_n", rows), args.output)
     if not trace.converged:
         print(
@@ -260,9 +266,8 @@ def cmd_trace_scan(args) -> int:
         }
         _emit(_json_dump(payload) + "\n", args.output)
     else:
-        rows = [(_fmt(h), _fmt(t)) for h, t in zip(grid, traces)]
         comments = (f"h_optimal = {_fmt(h_opt)}", f"h_trace_min = {_fmt(h_min_trace)}")
-        _emit(_csv("h,trace", rows, comments), args.output)
+        _emit(_csv("h,trace", zip(grid, traces), comments), args.output)
     return 0
 
 
@@ -275,6 +280,25 @@ _VALIDATE_TOLERANCES = {
 }
 
 
+class _ValidateRow(NamedTuple):
+    """One validate outcome, in CSV column order; the JSON emitter reads it too."""
+
+    case: str
+    level: int
+    mesh: str
+    N: int
+    h: float
+    energy: float
+    exact: float
+    error: float
+    tolerance: float
+    status: str
+
+
+_VALIDATE_JSON_FIELDS = ("case", "level", "mesh", "energy", "exact", "error", "tolerance",
+                         "status")
+
+
 def cmd_validate(args) -> int:
     catalog = analytic_catalog()
     if args.N < 1:
@@ -283,51 +307,33 @@ def cmd_validate(args) -> int:
         if not 0 <= args.case < len(catalog):
             raise ValueError(f"--case must lie in [0, {len(catalog) - 1}]")
         catalog = (catalog[args.case],)
-    strategies = (MeshStrategy.optimal(), MeshStrategy.trace_minimized())
-    jobs = [(case, strategy) for case in catalog for strategy in strategies]
-
-    def run(job):
-        case, strategy = job
-        problem = DescmProblem(case.potential, strategy=strategy,
-                               levels_requested=case.level_index + 1)
-        result = solve(problem, args.N)
-        error = abs(float(result.spectrum[case.level_index]) - case.exact_energy)
-        tol = _VALIDATE_TOLERANCES[case.name][0 if strategy.kind == "optimal" else 1]
-        return case, strategy, result, error, tol
-
-    outcomes = run_ordered(run, jobs)
     rows = []
-    all_pass = True
-    for case, strategy, result, error, tol in outcomes:
-        ok = error <= tol
-        all_pass &= ok
-        rows.append(
-            (case.name, str(case.level_index), strategy.kind, str(args.N),
-             _fmt(result.h_used), _fmt(result.spectrum[case.level_index]),
-             _fmt(case.exact_energy), _fmt(error), _fmt(tol),
-             "pass" if ok else "FAIL")
-        )
+    for case in catalog:
+        for strategy in (MeshStrategy.optimal(), MeshStrategy.trace_minimized()):
+            problem = DescmProblem(case.potential, strategy=strategy,
+                                   levels_requested=case.level_index + 1)
+            result = solve(problem, args.N)
+            energy = result.spectrum[case.level_index]
+            error = abs(float(energy) - case.exact_energy)
+            tol = _VALIDATE_TOLERANCES[case.name][0 if strategy.kind == "optimal" else 1]
+            rows.append(_ValidateRow(case.name, case.level_index, strategy.kind, args.N,
+                                     result.h_used, energy, case.exact_energy, error, tol,
+                                     "pass" if error <= tol else "FAIL"))
+    failing = [r for r in rows if r.status != "pass"]
     if args.format == "json":
         payload = {
             "command": "validate",
             "N": args.N,
-            "results": [
-                {"case": r[0], "level": int(r[1]), "mesh": r[2], "energy": float(r[5]),
-                 "exact": float(r[6]), "error": float(r[7]), "tolerance": float(r[8]),
-                 "status": r[9]}
-                for r in rows
-            ],
-            "all_pass": all_pass,
+            "results": [{k: getattr(r, k) for k in _VALIDATE_JSON_FIELDS} for r in rows],
+            "all_pass": not failing,
         }
         _emit(_json_dump(payload) + "\n", args.output)
     else:
-        _emit(_csv("case,level,mesh,N,h,energy,exact,error,tolerance,status", rows),
-              args.output)
-    passed = sum(1 for r in rows if r[9] == "pass")
-    print(f"validate: {passed}/{len(rows)} passed", file=sys.stderr)
-    if not all_pass:
-        failing = ", ".join(f"{r[0]}/{r[2]}" for r in rows if r[9] != "pass")
-        print(f"validate: failing: {failing}", file=sys.stderr)
+        _emit(_csv(",".join(_ValidateRow._fields), rows), args.output)
+    print(f"validate: {len(rows) - len(failing)}/{len(rows)} passed", file=sys.stderr)
+    if failing:
+        print(f"validate: failing: {', '.join(f'{r.case}/{r.mesh}' for r in failing)}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -355,28 +361,17 @@ def cmd_table(args) -> int:
         coeffs = (-1.0, 3.0, -2.0, 0.0, 0.1) if args.name == 1 else (1.0, 0.0, 0.0, 100.0)
         problem = DescmProblem(parse_potential("poly:" + ",".join(map(str, coeffs))),
                                strategy=strategy, levels_requested=3)
-        ns = list(range(5, 51, 5))
-        results = run_ordered(lambda n: solve(problem, n), ns)
-        rows = [(str(n), _fmt(r.eigenvalues[0]), _fmt(r.eigenvalues[1]), _fmt(r.eigenvalues[2]))
-                for n, r in zip(ns, results)]
+        rows = [(n, *solve(problem, n).eigenvalues) for n in range(5, 51, 5)]
         _emit(_csv("N,E_0,E_1,E_2", rows), args.output)
         return 0
     presets = _TABLE_ROWS[args.name]
-    m = len(presets[0])
-
-    def run(coeffs):
+    rows = []
+    for coeffs in presets:
         problem = DescmProblem(parse_potential("poly:" + ",".join(map(str, coeffs))),
                                strategy=strategy)
-        return converge(problem, level=0, tolerance=5e-12, n_max=100)
-
-    traces = run_ordered(run, presets)
-    rows = []
-    for coeffs, trace in zip(presets, traces):
-        final = trace.final
-        rows.append(tuple(_fmt(c) for c in coeffs)
-                    + (str(final.half_width), _fmt(final.energy),
-                       "nan" if final.delta is None else _fmt(final.delta)))
-    header = ",".join(f"c{i + 1}" for i in range(m)) + ",N,E_0,eps_0"
+        final = converge(problem, level=0, tolerance=5e-12, n_max=100).final
+        rows.append((*map(float, coeffs), final.half_width, final.energy, final.delta))
+    header = ",".join(f"c{i + 1}" for i in range(len(presets[0]))) + ",N,E_0,eps_0"
     _emit(_csv(header, rows), args.output)
     return 0
 
@@ -397,7 +392,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        thread_limit()  # fail fast on a malformed DESCM_THREADS
         return _DISPATCH[args.command](args)
     except (PotentialSpecError, ValueError) as exc:
         print(f"descm: {exc}", file=sys.stderr)

@@ -8,15 +8,12 @@ Substituting psi(x) = v(t)/sqrt((d/dx) asinh x) with x = sinh(t) turns
     W(t) = 1/4 - (3/4) sech(t)^2 + cosh(t)^2 * V(sinh t).
 
 Both W and the scaled variant W/cosh^2 (the diagonal contribution of the
-reduced collocation matrix) are provided, along with a finite-difference
-evaluation of the general change-of-variable formula used as a cross-check
-of the closed form.
+reduced collocation matrix) are provided.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,43 +26,6 @@ _LOG2 = math.log(2.0)
 _DIRECT_CUTOFF = 20.0
 # sech^2 is below 4e-305 long before cosh itself overflows near |t| ~ 710.
 _SECH_FLUSH = 350.0
-
-
-@dataclass(frozen=True)
-class TransformedProblem:
-    """A potential together with the decay data of its transformed solution.
-
-    After the sinh substitution the solution decays like
-    exp(-B exp(gamma |t|)) with gamma = m + 1 and
-    B = sqrt(c_m) / ((m + 1) 2^(m+1)); these constants feed the closed-form
-    mesh size selection.
-    """
-
-    potential: EvenPolynomialPotential
-    map_kind: str = "sinh"
-    decay_rate: float = 0.0
-    decay_amplitude: float = 0.0
-
-    @classmethod
-    def for_potential(cls, potential: EvenPolynomialPotential) -> "TransformedProblem":
-        m = potential.degree_parameter
-        gamma = float(m + 1)
-        amplitude = math.sqrt(potential.leading_coefficient) / ((m + 1) * 2.0 ** (m + 1))
-        return cls(potential=potential, decay_rate=gamma, decay_amplitude=amplitude)
-
-
-def map_value(x):
-    """The conformal map itself: sinh(x)."""
-    return np.sinh(x)
-
-
-def map_derivative(x):
-    """First derivative of the map: cosh(x) >= 1."""
-    return np.cosh(x)
-
-
-def _as_potential(problem) -> EvenPolynomialPotential:
-    return problem.potential if isinstance(problem, TransformedProblem) else problem
 
 
 def _poly_sinh_large(p: EvenPolynomialPotential, ax: float, cosh_power: int) -> float:
@@ -97,8 +57,7 @@ def _poly_sinh_large(p: EvenPolynomialPotential, ax: float, cosh_power: int) -> 
     return acc * math.exp(top)
 
 
-def _transformed(problem, x, scaled: bool):
-    p = _as_potential(problem)
+def _transformed(p: EvenPolynomialPotential, x, scaled: bool):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -127,64 +86,20 @@ def _transformed(problem, x, scaled: bool):
     return float(out[0]) if scalar else out
 
 
-def transformed_potential(problem, x):
+def transformed_potential(potential: EvenPolynomialPotential, x):
     """W(x) = 1/4 - (3/4) sech(x)^2 + cosh(x)^2 * V(sinh x).
 
-    ``problem`` may be a :class:`TransformedProblem` or a bare potential.
     The constant term of the potential participates inside V and is thus
     amplified by cosh^2, exactly as the change of variable dictates.
     """
-    return _transformed(problem, x, scaled=False)
+    return _transformed(potential, x, scaled=False)
 
 
-def transformed_potential_scaled(problem, x):
+def transformed_potential_scaled(potential: EvenPolynomialPotential, x):
     """W(x)/cosh(x)^2, the potential part of the reduced-matrix diagonal.
 
     Algebraically (1/4) sech^2 - (3/4) sech^4 + V(sinh x); this is the form
     shared by the matrix diagonal and the closed-form trace so the two agree
     bit for bit.
     """
-    return _transformed(problem, x, scaled=True)
-
-
-def transformed_potential_general(potential, map_fn, x, map_derivative_fn=None):
-    """Finite-difference evaluation of the general change-of-variable potential
-
-        -sqrt(f) d/dx [ (1/f) d/dx sqrt(f) ] + f^2 V(map(x)),   f = map'(x)
-
-    for an arbitrary map. The derivative term is built from nested central
-    differences; pass ``map_derivative_fn`` to keep the algebraic f^2 V term
-    exact (omitting it differentiates the map numerically as well). Exists to
-    validate the closed-form sinh specialization.
-    """
-    x = float(x)
-    scale = 1.0 + abs(x)
-    if map_derivative_fn is None:
-        # Differentiating the map numerically injects noise that the nested
-        # differences below amplify, so the whole ladder widens.
-        d0, inner_step, outer_step = 1e-3 * scale, 1e-4 * scale, 1e-3 * scale
-
-        def fprime(t):
-            return (map_fn(t + d0) - map_fn(t - d0)) / (2.0 * d0)
-    else:
-        inner_step, outer_step = 1e-5 * scale, 1e-4 * scale
-        fprime = map_derivative_fn
-    if x + outer_step == x or x + inner_step == x:
-        raise FloatingPointError(f"finite-difference step underflow at x = {x}")
-
-    def sqrt_f(t):
-        return math.sqrt(fprime(t))
-
-    def ratio(t):
-        # (1/f) d/dx sqrt(f), inner central difference
-        return (sqrt_f(t + inner_step) - sqrt_f(t - inner_step)) / (2.0 * inner_step * fprime(t))
-
-    try:
-        derivative_term = (
-            -sqrt_f(x) * (ratio(x + outer_step) - ratio(x - outer_step)) / (2.0 * outer_step)
-        )
-    except OverflowError as exc:
-        raise FloatingPointError(f"finite-difference stencil overflowed at x = {x}") from exc
-    if not math.isfinite(derivative_term):
-        raise FloatingPointError(f"finite-difference stencil lost precision at x = {x}")
-    return derivative_term + fprime(x) ** 2 * potential(map_fn(x))
+    return _transformed(potential, x, scaled=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .de_map import transformed_potential_scaled
 from .potential import EvenPolynomialPotential
-from .sinc_basis import second_derivative_weight
+from .sinc_basis import D2_DIAGONAL
 
 _E = math.e
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -139,7 +139,7 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int, h: fl
     # dominates, so the overflow is expected rather than an error
     with np.errstate(over="ignore"):
         cosh2 = np.cosh(points) ** 2
-        kinetic = -second_derivative_weight(0) / (h * h * cosh2)
+        kinetic = -D2_DIAGONAL / (h * h * cosh2)
         return float(np.sum(kinetic + transformed_potential_scaled(potential, points)))
 
 

@@ -77,11 +77,6 @@ class AnalyticCase:
     exact_energy: float
 
 
-def evaluate(potential: EvenPolynomialPotential, x):
-    """Functional form of :meth:`EvenPolynomialPotential.__call__`."""
-    return potential(x)
-
-
 def chebyshev_well(degree: int, shift: float = 0.0) -> EvenPolynomialPotential:
     """Monomial expansion of T_degree(x) + shift as an even potential.
 

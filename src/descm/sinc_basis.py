@@ -1,10 +1,10 @@
-"""Sinc basis functions and the collocation weight arrays.
+"""Sinc second-derivative collocation weights.
 
 The shifted basis function is S(j,h)(x) = sinc((x - jh)/h) with
-sinc(z) = sin(pi z)/(pi z). Enforcing a second-order equation at the
-collocation points x = kh only ever needs the scaled derivative values
+sinc(z) = sin(pi z)/(pi z), numpy's ``np.sinc``. Enforcing a second-order
+equation at the collocation points x = kh only ever needs the scaled second
+derivative values
 
-    delta0(r) = 1 if r == 0 else 0            (Kronecker delta)
     delta2(r) = -pi^2/3 if r == 0 else -2(-1)^r / r^2
 
 where r = k - j is the offset between collocation point and basis center.
@@ -16,39 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this |z| the direct quotient loses digits to 0/0 cancellation.
-_TAYLOR_CUTOFF = 1e-4
-
-
-def sinc(z):
-    """sin(pi z)/(pi z) with the removable singularity filled by 1.
-
-    Accepts scalars or arrays. Near z = 0 a short Taylor series
-    1 - (pi z)^2/6 + (pi z)^4/120 is used instead of the quotient.
-    """
-    z = np.asarray(z, dtype=float)
-    pz = np.pi * z
-    small = np.abs(z) < _TAYLOR_CUTOFF
-    safe = np.where(small, 1.0, pz)
-    direct = np.sin(pz) / safe
-    pz2 = pz * pz
-    taylor = 1.0 - pz2 / 6.0 * (1.0 - pz2 / 20.0)
-    out = np.where(small, taylor, direct)
-    return float(out) if out.ndim == 0 else out
-
-
-def sinc_basis_eval(j: int, h: float, x):
-    """Shifted basis function S(j,h)(x) = sinc((x - jh)/h); requires h > 0."""
-    if h <= 0.0:
-        raise ValueError(f"mesh size must be positive, got {h}")
-    return sinc((x - j * h) / h)
-
-
-def second_derivative_weight(r: int) -> float:
-    """Scaled second derivative of the basis at integer offset r."""
-    if r == 0:
-        return -(np.pi**2) / 3.0
-    return -2.0 * (-1.0) ** r / (r * r)
+# delta2(0). The closed-form trace reads this same constant, so it and the
+# assembled diagonal agree bit for bit.
+D2_DIAGONAL = -(np.pi**2) / 3.0
 
 
 @dataclass(frozen=True)
@@ -59,20 +29,11 @@ class SincWeights:
     a single length-(4N+1) array serves every row.
     """
 
-    order: int
     half_width: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.order not in (0, 2):
-            raise ValueError(f"only derivative orders 0 and 2 are used, got {self.order}")
         self.values.setflags(write=False)
-
-    @classmethod
-    def kronecker(cls, half_width: int) -> "SincWeights":
-        values = np.zeros(4 * half_width + 1)
-        values[2 * half_width] = 1.0
-        return cls(order=0, half_width=half_width, values=values)
 
     @classmethod
     def second_derivative(cls, half_width: int) -> "SincWeights":
@@ -80,13 +41,8 @@ class SincWeights:
         values = np.empty(off.shape)
         nz = off != 0
         values[nz] = -2.0 * (-1.0) ** off[nz] / (off[nz] * off[nz])
-        values[2 * half_width] = second_derivative_weight(0)
-        return cls(order=2, half_width=half_width, values=values)
-
-    def value(self, offset: int) -> float:
-        if abs(offset) > 2 * self.half_width:
-            raise IndexError(f"offset {offset} outside [-2N, 2N]")
-        return float(self.values[offset + 2 * self.half_width])
+        values[2 * half_width] = D2_DIAGONAL
+        return cls(half_width=half_width, values=values)
 
     def offset_matrix(self, n_points_half: int) -> np.ndarray:
         """Dense (2M+1)x(2M+1) matrix of values at offsets k - j."""

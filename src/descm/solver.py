@@ -13,12 +13,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import sinc
 
 from .assembly import assemble_collocation_matrix
 from .eigensolver import eigen_symmetric
 from .mesh import MeshStrategy, mesh_size_for
 from .potential import EvenPolynomialPotential
-from .sinc_basis import sinc
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,79 @@
+"""Reference implementations that tests compare the package against.
+
+Neither runs on the solve path: one evaluates the transformed potential of an
+arbitrary change of variable by nested finite differences, the other builds
+the unreduced collocation pair whose conjugation gives the solved matrix.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from descm.assembly import _collocation_points
+from descm.de_map import transformed_potential
+from descm.potential import EvenPolynomialPotential
+from descm.sinc_basis import SincWeights
+
+
+def transformed_potential_general(potential, map_fn, x, map_derivative_fn=None):
+    """Finite-difference evaluation of the general change-of-variable potential
+
+        -sqrt(f) d/dx [ (1/f) d/dx sqrt(f) ] + f^2 V(map(x)),   f = map'(x)
+
+    for an arbitrary map. The derivative term is built from nested central
+    differences; pass ``map_derivative_fn`` to keep the algebraic f^2 V term
+    exact (omitting it differentiates the map numerically as well). Exists to
+    validate the closed-form sinh specialization.
+    """
+    x = float(x)
+    scale = 1.0 + abs(x)
+    if map_derivative_fn is None:
+        # Differentiating the map numerically injects noise that the nested
+        # differences below amplify, so the whole ladder widens.
+        d0, inner_step, outer_step = 1e-3 * scale, 1e-4 * scale, 1e-3 * scale
+
+        def fprime(t):
+            return (map_fn(t + d0) - map_fn(t - d0)) / (2.0 * d0)
+    else:
+        inner_step, outer_step = 1e-5 * scale, 1e-4 * scale
+        fprime = map_derivative_fn
+    if x + outer_step == x or x + inner_step == x:
+        raise FloatingPointError(f"finite-difference step underflow at x = {x}")
+
+    def sqrt_f(t):
+        return math.sqrt(fprime(t))
+
+    def ratio(t):
+        # (1/f) d/dx sqrt(f), inner central difference
+        return (sqrt_f(t + inner_step) - sqrt_f(t - inner_step)) / (2.0 * inner_step * fprime(t))
+
+    try:
+        derivative_term = (
+            -sqrt_f(x) * (ratio(x + outer_step) - ratio(x - outer_step)) / (2.0 * outer_step)
+        )
+    except OverflowError as exc:
+        raise FloatingPointError(f"finite-difference stencil overflowed at x = {x}") from exc
+    if not math.isfinite(derivative_term):
+        raise FloatingPointError(f"finite-difference stencil lost precision at x = {x}")
+    return derivative_term + fprime(x) ** 2 * potential(map_fn(x))
+
+
+def assemble_generalized_pair(
+    potential: EvenPolynomialPotential, half_width: int, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unreduced pair: symmetric stiffness matrix and diagonal weights.
+
+    Returns (H, d) where H[j,k] = -delta2(k-j)/h^2 + W(kh) delta0(k-j) and
+    d[k] = cosh(kh)^2 > 0 is the diagonal of the weight matrix. Conjugating
+    H by d^(-1/2) reproduces the reduced matrix; kept as an oracle for that
+    identity, not used on the solve path.
+    """
+    points = _collocation_points(half_width, h)
+    weights = SincWeights.second_derivative(half_width)
+    stiffness = -weights.offset_matrix(half_width) / (h * h)
+    idx = np.arange(2 * half_width + 1)
+    stiffness[idx, idx] += transformed_potential(potential, points)
+    diagonal = np.cosh(points) ** 2
+    return stiffness, diagonal

@@ -17,14 +17,12 @@ from descm import (
     converge,
     eigen_symmetric,
     lambert_w0,
-    second_derivative_weight,
-    sinc_basis_eval,
     solve,
     trace_minimized_mesh_size,
 )
 from conftest import random_potential
 from test_eigensolver import characteristic_roots_by_bisection
-from test_sinc_basis import fd_second_derivative
+from test_sinc_basis import d2_weights, fd_second_derivative, sinc_basis
 
 OPTIMAL = MeshStrategy.optimal()
 TRACE_MIN = MeshStrategy.trace_minimized()
@@ -209,10 +207,11 @@ def test_criterion_8_property_suites(rng):
     details = []
     # scaled second-derivative weights against a five-point stencil
     h = 0.5
+    weights = d2_weights(10)
     worst = max(
         abs(
-            h * h * fd_second_derivative(lambda t: sinc_basis_eval(0, h, t), r * h, 5e-4 * h)
-            - second_derivative_weight(r)
+            h * h * fd_second_derivative(lambda t: sinc_basis(0, h, t), r * h, 5e-4 * h)
+            - weights[r]
         )
         for r in range(-10, 11)
     )

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -9,13 +8,12 @@ from descm import (
     EvenPolynomialPotential,
     analytic_catalog,
     assemble_collocation_matrix,
-    assemble_generalized_pair,
     collocation_trace,
     optimal_mesh_size,
 )
 from conftest import random_potential
-from test_sinc_basis import fd_second_derivative
-from descm import sinc_basis_eval
+from oracles import assemble_generalized_pair
+from test_sinc_basis import fd_second_derivative, sinc_basis
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 V1 = analytic_catalog()[0].potential
@@ -23,20 +21,20 @@ V1 = analytic_catalog()[0].potential
 
 class TestEntries:
     def test_center_entry(self):
-        k = assemble_collocation_matrix(QUARTIC, 1, 1.0)
-        assert k.entry(0, 0) == pytest.approx(math.pi**2 / 3.0 - 0.5, rel=1e-15)
-        assert k.entry(0, 0) == pytest.approx(2.7898681336964524, rel=1e-14)
+        center = assemble_collocation_matrix(QUARTIC, 1, 1.0).entries[1, 1]
+        assert center == pytest.approx(math.pi**2 / 3.0 - 0.5, rel=1e-15)
+        assert center == pytest.approx(2.7898681336964524, rel=1e-14)
 
     def test_corner_entry_against_difference_oracle(self):
         # offset 2 between the points -h and +h; the scaled second
         # derivative there is recomputed from a five-point stencil
         h = 1.0
-        k = assemble_collocation_matrix(QUARTIC, 1, h)
-        weight = h * h * fd_second_derivative(lambda t: sinc_basis_eval(-1, h, t), h, 5e-4)
+        corner = assemble_collocation_matrix(QUARTIC, 1, h).entries[0, 2]  # j = -1, k = +1
+        weight = h * h * fd_second_derivative(lambda t: sinc_basis(-1, h, t), h, 5e-4)
         expected = -weight / (h * h * math.cosh(-h) * math.cosh(h))
-        assert k.entry(-1, 1) == pytest.approx(expected, abs=1e-7)
-        assert k.entry(-1, 1) == pytest.approx(0.5 / math.cosh(1.0) ** 2, rel=1e-14)
-        assert k.entry(-1, 1) == pytest.approx(0.20998717080701304, rel=1e-12)
+        assert corner == pytest.approx(expected, abs=1e-7)
+        assert corner == pytest.approx(0.5 / math.cosh(1.0) ** 2, rel=1e-14)
+        assert corner == pytest.approx(0.20998717080701304, rel=1e-12)
 
     def test_shape_and_mesh_recorded(self):
         k = assemble_collocation_matrix(QUARTIC, 7, 0.21)
@@ -111,20 +109,6 @@ class TestShiftedPositiveDefiniteness:
             smallest = np.linalg.eigvalsh(k.entries)[0]
             shifts = [2.0**j for j in range(11)]
             assert any(smallest > -shift for shift in shifts)
-
-
-class TestDump:
-    def test_round_trips_exactly(self):
-        k = assemble_collocation_matrix(V1, 3, 0.4)
-        parsed = np.loadtxt(io.StringIO(k.dump()))
-        assert np.array_equal(parsed, k.entries)
-
-    def test_format(self):
-        k = assemble_collocation_matrix(QUARTIC, 1, 1.0)
-        lines = k.dump().splitlines()
-        assert len(lines) == 3
-        assert all(len(line.split()) == 3 for line in lines)
-        assert "e" in lines[0].split()[0]
 
 
 class TestOverflowGuards:

@@ -237,25 +237,6 @@ class TestTableCommand:
         assert code == 2
 
 
-class TestThreadCap:
-    def test_threaded_output_identical(self, capsys, monkeypatch):
-        _, sequential, _ = run(capsys, "validate")
-        monkeypatch.setenv("DESCM_THREADS", "4")
-        _, threaded, _ = run(capsys, "validate")
-        assert sequential == threaded
-
-    def test_zero_means_sequential(self, capsys, monkeypatch):
-        monkeypatch.setenv("DESCM_THREADS", "0")
-        code, _, _ = run(capsys, "validate", "--case", "0")
-        assert code == 0
-
-    def test_malformed_cap_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("DESCM_THREADS", "many")
-        code, _, err = run(capsys, "validate")
-        assert code == 2
-        assert "DESCM_THREADS" in err
-
-
 @pytest.mark.extended
 class TestTenWellExtended:
     def test_converge_ten_well_with_trace_minimized_mesh(self, capsys):

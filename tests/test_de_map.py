@@ -5,46 +5,15 @@ import pytest
 
 from descm import (
     EvenPolynomialPotential,
-    TransformedProblem,
     analytic_catalog,
-    map_derivative,
-    map_value,
     transformed_potential,
-    transformed_potential_general,
     transformed_potential_scaled,
 )
 from conftest import random_potential
+from oracles import transformed_potential_general
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 HARMONIC = EvenPolynomialPotential((1.0,))
-
-
-class TestMap:
-    def test_origin(self):
-        assert map_value(0.0) == 0.0
-        assert map_derivative(0.0) == 1.0
-
-    def test_log_two(self):
-        assert map_value(math.log(2.0)) == pytest.approx(0.75, rel=1e-15)
-        assert map_derivative(math.log(2.0)) == pytest.approx(1.25, rel=1e-15)
-
-    def test_derivative_at_least_one(self, rng):
-        xs = rng.uniform(-30.0, 30.0, size=100)
-        assert np.all(map_derivative(xs) >= 1.0)
-
-
-class TestTransformedProblem:
-    def test_decay_constants(self):
-        tp = TransformedProblem.for_potential(QUARTIC)
-        assert tp.map_kind == "sinh"
-        assert tp.decay_rate == 3.0
-        assert tp.decay_amplitude == pytest.approx(1.0 / 24.0, rel=1e-15)
-
-    def test_positive_for_valid_potentials(self, rng):
-        for _ in range(20):
-            tp = TransformedProblem.for_potential(random_potential(rng))
-            assert tp.decay_rate > 0.0
-            assert tp.decay_amplitude > 0.0
 
 
 class TestTransformedPotential:
@@ -57,10 +26,6 @@ class TestTransformedPotential:
         expected = 0.25 - 0.75 / 1.5625 + 1.5625 * 0.5625
         assert expected == 0.64890625
         assert transformed_potential(HARMONIC, math.log(2.0)) == pytest.approx(expected, rel=1e-12)
-
-    def test_accepts_transformed_problem(self):
-        tp = TransformedProblem.for_potential(QUARTIC)
-        assert transformed_potential(tp, 0.7) == transformed_potential(QUARTIC, 0.7)
 
     def test_positive_far_out_for_catalog(self):
         for case in analytic_catalog():

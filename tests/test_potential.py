@@ -9,7 +9,6 @@ from descm import (
     PotentialSpecError,
     analytic_catalog,
     chebyshev_well,
-    evaluate,
     parse_potential,
 )
 from conftest import random_potential
@@ -25,7 +24,7 @@ def sympy_chebyshev_coefficients(degree):
 
 class TestEvaluate:
     def test_origin_kills_all_powers(self):
-        assert evaluate(EvenPolynomialPotential((1.0, 1.0)), 0.0) == 0.0
+        assert EvenPolynomialPotential((1.0, 1.0))(0.0) == 0.0
 
     def test_coefficient_sum_at_one(self):
         v1 = EvenPolynomialPotential((1.0, -4.0, 1.0))

@@ -120,6 +120,20 @@ class TestConverge:
         b = converge(DescmProblem(QUARTIC), level=0)
         assert a.records == b.records
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="closed-form sweep stops early: poly:1.87,7.34 reports converged at N=11 "
+        "with eps 1.5e-12, but that energy is 4.8e-9 away from a solve at N=21, which "
+        "agrees with N=31 to 9.3e-14; the stopping rule stays as the published stop "
+        "truncations pin it",
+    )
+    def test_converged_energy_matches_larger_truncation(self):
+        problem = DescmProblem(EvenPolynomialPotential((1.87, 7.34)))
+        trace = converge(problem, level=0, tolerance=5e-12)
+        assert trace.converged
+        reference = float(solve(problem, trace.final.half_width + 10).spectrum[0])
+        assert abs(trace.final.energy - reference) <= 1e-10
+
     def test_validation(self):
         with pytest.raises(ValueError):
             converge(DescmProblem(QUARTIC), tolerance=0.0)
