@@ -7,7 +7,7 @@ from .assembly import (
     CollocationOverflowError,
     assemble_collocation_matrix,
 )
-from .de_map import transformed_potential, transformed_potential_scaled
+from .de_map import transformed_potential_scaled
 from .eigensolver import EigenDecomposition, EigenSolveError, eigen_symmetric
 from .mesh import (
     MeshStrategy,
@@ -67,6 +67,5 @@ __all__ = [
     "reconstruct_wavefunction",
     "solve",
     "trace_minimized_mesh_size",
-    "transformed_potential",
     "transformed_potential_scaled",
 ]

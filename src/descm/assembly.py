@@ -67,9 +67,11 @@ def assemble_collocation_matrix(
     points = _collocation_points(half_width, h)
     c = np.cosh(points)
     weights = SincWeights.second_derivative(half_width)
-    entries = -weights.offset_matrix(half_width) / (h * h * np.outer(c, c))
-    idx = np.arange(2 * half_width + 1)
-    entries[idx, idx] += transformed_potential_scaled(potential, points)
+    # an overflow here leaves a non-finite entry, which the check below reports
+    with np.errstate(over="ignore"):
+        entries = -weights.offset_matrix(half_width) / (h * h * np.outer(c, c))
+        idx = np.arange(2 * half_width + 1)
+        entries[idx, idx] += transformed_potential_scaled(potential, points)
     if not np.isfinite(entries).all():
         k = int(np.argmax(~np.isfinite(np.diagonal(entries)))) - half_width
         raise CollocationOverflowError(

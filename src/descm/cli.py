@@ -361,18 +361,28 @@ def cmd_table(args) -> int:
         coeffs = (-1.0, 3.0, -2.0, 0.0, 0.1) if args.name == 1 else (1.0, 0.0, 0.0, 100.0)
         problem = DescmProblem(parse_potential("poly:" + ",".join(map(str, coeffs))),
                                strategy=strategy, levels_requested=3)
+        header = "N,E_0,E_1,E_2"
         rows = [(n, *solve(problem, n).eigenvalues) for n in range(5, 51, 5)]
-        _emit(_csv("N,E_0,E_1,E_2", rows), args.output)
-        return 0
-    presets = _TABLE_ROWS[args.name]
-    rows = []
-    for coeffs in presets:
-        problem = DescmProblem(parse_potential("poly:" + ",".join(map(str, coeffs))),
-                               strategy=strategy)
-        final = converge(problem, level=0, tolerance=5e-12, n_max=100).final
-        rows.append((*map(float, coeffs), final.half_width, final.energy, final.delta))
-    header = ",".join(f"c{i + 1}" for i in range(len(presets[0]))) + ",N,E_0,eps_0"
-    _emit(_csv(header, rows), args.output)
+    else:
+        presets = _TABLE_ROWS[args.name]
+        rows = []
+        for coeffs in presets:
+            problem = DescmProblem(parse_potential("poly:" + ",".join(map(str, coeffs))),
+                                   strategy=strategy)
+            final = converge(problem, level=0, tolerance=5e-12, n_max=100).final
+            rows.append((*map(float, coeffs), final.half_width, final.energy, final.delta))
+        header = ",".join(f"c{i + 1}" for i in range(len(presets[0]))) + ",N,E_0,eps_0"
+    if args.format == "json":
+        columns = header.split(",")
+        payload = {
+            "command": "table",
+            "name": args.name,
+            "mesh": strategy.kind,
+            "rows": [dict(zip(columns, row)) for row in rows],
+        }
+        _emit(_json_dump(payload) + "\n", args.output)
+    else:
+        _emit(_csv(header, rows), args.output)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Reference implementations that tests compare the package against.
 
-Neither runs on the solve path: one evaluates the transformed potential of an
-arbitrary change of variable by nested finite differences, the other builds
-the unreduced collocation pair whose conjugation gives the solved matrix.
+None runs on the solve path: the transformed potential W of the sinh map in
+the paper's closed form, the transformed potential of an arbitrary change of
+variable by nested finite differences, and the unreduced collocation pair
+whose conjugation gives the solved matrix.
 """
 
 from __future__ import annotations
@@ -12,9 +13,19 @@ import math
 import numpy as np
 
 from descm.assembly import _collocation_points
-from descm.de_map import transformed_potential
 from descm.potential import EvenPolynomialPotential
 from descm.sinc_basis import SincWeights
+
+
+def transformed_potential(potential: EvenPolynomialPotential, t):
+    """W(t) = 1/4 - (3/4) sech(t)^2 + cosh(t)^2 * V(sinh t), the unscaled form.
+
+    The constant term of the potential sits inside V and is thus amplified by
+    cosh^2, exactly as the change of variable dictates.
+    """
+    with np.errstate(over="ignore"):
+        sech2 = 1.0 / np.cosh(t) ** 2
+        return 0.25 - 0.75 * sech2 + np.cosh(t) ** 2 * potential(np.sinh(t))
 
 
 def transformed_potential_general(potential, map_fn, x, map_derivative_fn=None):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ class TestOverflowGuards:
         deep = EvenPolynomialPotential((0.0,) * 9 + (1.0,))
         with pytest.raises(CollocationOverflowError):
             assemble_collocation_matrix(deep, 11, 6.0)
+
+    def test_overflowing_entries_raise_without_numpy_warnings(self):
+        # cosh(690)^2 overflows the kinetic denominator and V the diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CollocationOverflowError):
+                assemble_collocation_matrix(QUARTIC, 300, 2.3)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

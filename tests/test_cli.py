@@ -232,6 +232,25 @@ class TestTableCommand:
         assert abs(float(by_n[20][1]) - 3.18865434649856) <= 1e-9
         assert abs(float(by_n[50][3]) - 26.0334583212516) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["1", "3"])
+    def test_json_values_equal_csv_values(self, capsys, name):
+        code, out, _ = run(capsys, "table", "--name", name)
+        assert code == 0
+        header, rows = csv_rows(out)
+        code, out, _ = run(capsys, "table", "--name", name, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["command"], payload["name"], payload["mesh"]) == ("table", int(name),
+                                                                         "optimal")
+        assert len(payload["rows"]) == len(rows)
+        for cells, record in zip(rows, payload["rows"]):
+            assert list(record) == header
+            for cell, value in zip(cells, record.values()):
+                if cell == "nan":
+                    assert value is None
+                else:
+                    assert value == float(cell)
+
     def test_unknown_table_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--name", "9")
         assert code == 2

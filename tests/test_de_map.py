@@ -1,16 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from descm import (
     EvenPolynomialPotential,
     analytic_catalog,
-    transformed_potential,
+    parse_potential,
     transformed_potential_scaled,
 )
 from conftest import random_potential
-from oracles import transformed_potential_general
+from oracles import transformed_potential, transformed_potential_general
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 HARMONIC = EvenPolynomialPotential((1.0,))
@@ -19,29 +20,34 @@ HARMONIC = EvenPolynomialPotential((1.0,))
 class TestTransformedPotential:
     def test_at_origin(self):
         # sinh(0) = 0 and sech(0) = 1 leave 1/4 - 3/4
-        assert transformed_potential(QUARTIC, 0.0) == -0.5
+        assert transformed_potential_scaled(QUARTIC, 0.0) == -0.5
 
     def test_at_log_two(self):
-        # 1/4 - 0.75/1.5625 + 1.5625 * 0.5625 for the harmonic well
-        expected = 0.25 - 0.75 / 1.5625 + 1.5625 * 0.5625
-        assert expected == 0.64890625
-        assert transformed_potential(HARMONIC, math.log(2.0)) == pytest.approx(expected, rel=1e-12)
+        # cosh^2 = 1.5625 and sinh^2 = 0.5625 at log 2, for the harmonic well
+        expected = 0.25 / 1.5625 - 0.75 / 1.5625**2 + 0.5625
+        assert expected == 0.4153
+        assert transformed_potential_scaled(HARMONIC, math.log(2.0)) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     def test_positive_far_out_for_catalog(self):
         for case in analytic_catalog():
-            assert transformed_potential(case.potential, 10.0) > 0.0
+            assert transformed_potential_scaled(case.potential, 10.0) > 0.0
 
     def test_even(self, rng):
         xs = rng.uniform(-25.0, 25.0, size=200)
         for _ in range(5):
             p = random_potential(rng, with_constant=True)
-            assert np.array_equal(transformed_potential(p, xs), transformed_potential(p, -xs))
+            assert np.array_equal(
+                transformed_potential_scaled(p, xs), transformed_potential_scaled(p, -xs)
+            )
 
     def test_growth_at_infinity(self, rng):
         cases = [case.potential for case in analytic_catalog()]
         cases += [random_potential(rng) for _ in range(10)]
         for p in cases:
-            v4, v8 = transformed_potential(p, 4.0), transformed_potential(p, 8.0)
+            v4 = transformed_potential_scaled(p, 4.0)
+            v8 = transformed_potential_scaled(p, 8.0)
             assert v8 > v4 > 0.0
 
     def test_ratio_growth(self):
@@ -59,33 +65,54 @@ class TestTransformedPotential:
             assert np.allclose(scaled, plain, rtol=1e-11, atol=1e-13)
 
     def test_constant_term_is_amplified(self):
+        # W carries the constant times cosh^2, so W/cosh^2 carries it as is
         p = EvenPolynomialPotential((1.0,), constant=2.0)
         x = 1.3
-        base = transformed_potential(EvenPolynomialPotential((1.0,)), x)
-        assert transformed_potential(p, x) == pytest.approx(
-            base + 2.0 * math.cosh(x) ** 2, rel=1e-13
-        )
+        base = transformed_potential_scaled(EvenPolynomialPotential((1.0,)), x)
+        assert transformed_potential_scaled(p, x) == pytest.approx(base + 2.0, rel=1e-13)
 
-    def test_log_space_branch_continuity(self):
-        # direct and exponent-arithmetic branches must join smoothly
-        for p in (QUARTIC, analytic_catalog()[2].potential):
-            below = transformed_potential(p, 19.9999)
-            above = transformed_potential(p, 20.0001)
-            mid = math.sqrt(below * above)
-            assert below < above
-            assert transformed_potential(p, 20.0) == pytest.approx(mid, rel=1e-3)
-            s_below = transformed_potential_scaled(p, 19.9999)
-            s_above = transformed_potential_scaled(p, 20.0001)
-            assert s_below < s_above
+    def test_matches_mpmath_beyond_twenty(self, rng):
+        # Horner's rule in sinh^2 stays within a few ulp where the trace scan
+        # reaches, against a 50-digit evaluation at the same float arguments
+        cases = [case.potential for case in analytic_catalog()]
+        cases.append(parse_potential("cheb:20;shift=-1"))
+        cases += [random_potential(rng, with_constant=True) for _ in range(10)]
+        half = np.linspace(20.0, 60.0, 161)[1:]
+        ts = np.concatenate([half, -half])
+        worst = 0.0
+        with mpmath.workdps(50):
+            for p in cases:
+                coeffs = [mpmath.mpf(c) for c in p.coefficients]
+                got = transformed_potential_scaled(p, ts)
+                for t, value in zip(ts, got):
+                    s2 = mpmath.sinh(mpmath.mpf(t)) ** 2
+                    sech2 = 1 / mpmath.cosh(mpmath.mpf(t)) ** 2
+                    poly = mpmath.mpf(0)
+                    for c in reversed(coeffs):
+                        poly = (poly + c) * s2
+                    exact = sech2 / 4 - 3 * sech2**2 / 4 + poly + mpmath.mpf(p.constant)
+                    if abs(exact) < 1.7e308:
+                        worst = max(worst, float(abs(value - exact) / abs(exact)))
+        assert worst <= 1e-14
+
+    def test_finite_up_to_float_max_and_never_nan(self):
+        # finite up to the float maximum (e^700 < 1.13e305), and far out +inf, never NaN
+        assert transformed_potential_scaled(HARMONIC, 351.9) == pytest.approx(
+            1.1334343549431738e305, rel=1e-14
+        )
+        ts = np.linspace(-1e4, 1e4, 20001)
+        cases = [case.potential for case in analytic_catalog()]
+        cases.append(parse_potential("poly:-10,-10,-10,-10,10"))
+        for p in cases:
+            assert not np.isnan(transformed_potential_scaled(p, ts)).any()
 
     def test_overflow_is_signed_infinity_not_nan(self):
         deep = EvenPolynomialPotential((-10.0, -10.0, -10.0, -10.0, 10.0))
-        big = transformed_potential(deep, 400.0)
+        big = transformed_potential_scaled(deep, 400.0)
         assert math.isinf(big) and big > 0.0
-        assert not math.isnan(transformed_potential_scaled(deep, 400.0))
 
     def test_sech_flush_region(self):
-        # past the flush threshold only the polynomial part remains
+        # cosh^2 and sinh^2 both overflow here: sech^2 is 0 and V is +inf
         val = transformed_potential_scaled(HARMONIC, 360.0)
         assert math.isinf(val) or val > 0.0
         assert not math.isnan(val)
