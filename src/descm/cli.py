@@ -236,7 +236,7 @@ def cmd_converge(args) -> int:
         _emit(_csv("N,h,E_n,eps_n", rows), args.output)
     if not trace.converged:
         print(
-            f"converge: tolerance {args.tolerance:g} not met by N = {args.n_max}",
+            f"converge: tolerance {args.tolerance:g} not met by N = {trace.final.half_width}",
             file=sys.stderr,
         )
         return 3
@@ -250,7 +250,7 @@ def cmd_trace_scan(args) -> int:
     if args.points < 2 or not (0.0 < args.h_min < args.h_max):
         raise ValueError("need --points >= 2 and 0 < h-min < h-max")
     grid = np.exp(np.linspace(math.log(args.h_min), math.log(args.h_max), args.points))
-    traces = [collocation_trace(potential, args.N, h) for h in grid]
+    traces = collocation_trace(potential, args.N, grid)
     h_opt = optimal_mesh_size(potential, args.N)
     strategy = MeshStrategy.trace_minimized(bracket=tuple(args.bracket),
                                             tolerance=args.mesh_tolerance)

@@ -13,7 +13,7 @@ form requiring no matrix assembly:
     Tr(h) = (pi^2/3h^2) sum_k sech(kh)^2 + sum_k W(kh)/cosh(kh)^2,
 
 which diverges at both h -> 0+ and h -> infinity, so an interior minimizer
-exists for every truncation N >= 1.
+exists for every truncation N >= 1; repeated grid scans of the trace find it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .potential import EvenPolynomialPotential
 from .sinc_basis import D2_DIAGONAL
 
 _E = math.e
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _DEFAULT_BRACKET = (1e-3, 5.0)
 _SCAN_POINTS = 64
@@ -65,10 +64,10 @@ class MeshStrategy:
         if self.kind not in ("optimal", "trace-min", "fixed"):
             raise ValueError(f"unknown mesh strategy {self.kind!r}")
         lo, hi = self.bracket
-        if not (0.0 < lo < hi):
-            raise ValueError(f"bracket must satisfy 0 < low < high, got {self.bracket}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < lo < hi < math.inf):
+            raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {self.bracket}")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.kind == "fixed":
             if self.fixed_h is None or self.fixed_h <= 0.0:
                 raise ValueError("fixed strategy needs a positive mesh size")
@@ -123,24 +122,28 @@ def optimal_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> fl
     return lambert_w0(arg) / ((m + 1) * half_width)
 
 
-def collocation_trace(potential: EvenPolynomialPotential, half_width: int, h: float) -> float:
+def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
+                      h: float | np.ndarray) -> float | np.ndarray:
     """Trace of the reduced collocation matrix, without assembling it.
 
-    Matches the assembled-matrix trace bit for bit up to summation order:
-    both paths evaluate the identical per-point diagonal expression.
+    ``h`` may be an array of mesh sizes, each trace bit for bit the scalar
+    call's. Matches the assembled-matrix trace bit for bit up to summation
+    order: both paths evaluate the identical per-point diagonal expression.
     """
     if half_width < 0:
         raise ValueError(f"truncation half-width must be >= 0, got {half_width}")
-    if h <= 0.0:
+    h = np.asarray(h, dtype=float)
+    if not np.all(h > 0.0):
         raise ValueError(f"mesh size must be positive, got {h}")
-    points = np.arange(-half_width, half_width + 1) * h
+    points = np.multiply.outer(h, np.arange(-half_width, half_width + 1))
     # cosh^2 may overflow to inf for scan points far outside the window; the
     # kinetic term then correctly flushes to zero and the potential part
     # dominates, so the overflow is expected rather than an error
     with np.errstate(over="ignore"):
         cosh2 = np.cosh(points) ** 2
-        kinetic = -D2_DIAGONAL / (h * h * cosh2)
-        return float(np.sum(kinetic + transformed_potential_scaled(potential, points)))
+        kinetic = -D2_DIAGONAL / ((h * h)[..., np.newaxis] * cosh2)
+        trace = np.sum(kinetic + transformed_potential_scaled(potential, points), axis=-1)
+    return float(trace) if trace.ndim == 0 else trace
 
 
 def trace_minimized_mesh_size(
@@ -150,11 +153,12 @@ def trace_minimized_mesh_size(
 ) -> float:
     """Mesh size minimizing the collocation trace inside the strategy bracket.
 
-    A coarse log-spaced scan locates the best bracketing triple (ties broken
-    toward smaller h), then golden-section refinement narrows it to the
-    requested relative tolerance. No unimodality is assumed beyond what the
-    scan resolves. Raises :class:`TraceMinimumNotFound` when the scan minimum
-    sits on a bracket endpoint.
+    A log-spaced scan locates the best bracketing triple (ties broken toward
+    smaller h); linear scans across the best triple narrow it to the requested
+    relative tolerance, or until it stops shrinking, and its midpoint is
+    returned. No unimodality is assumed beyond what each scan resolves.
+    Raises :class:`TraceMinimumNotFound` when the first scan's minimum sits
+    on a bracket endpoint.
     """
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
@@ -162,7 +166,7 @@ def trace_minimized_mesh_size(
         strategy = MeshStrategy.trace_minimized()
     lo, hi = strategy.bracket
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
-    values = np.array([collocation_trace(potential, half_width, h) for h in grid])
+    values = collocation_trace(potential, half_width, grid)
     best = int(np.argmin(values))
     if best == 0 or best == _SCAN_POINTS - 1:
         raise TraceMinimumNotFound(
@@ -172,19 +176,13 @@ def trace_minimized_mesh_size(
             scan_trace=values,
         )
     a, b = grid[best - 1], grid[best + 1]
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = collocation_trace(potential, half_width, c)
-    fd = collocation_trace(potential, half_width, d)
-    while b - a > strategy.tolerance * a:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = collocation_trace(potential, half_width, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = collocation_trace(potential, half_width, d)
+    width = math.inf  # a triple a few ulp wide stops shrinking, whatever the tolerance
+    while width > b - a > strategy.tolerance * a:
+        width = b - a
+        grid = np.linspace(a, b, _SCAN_POINTS)
+        best = int(np.argmin(collocation_trace(potential, half_width, grid)))
+        best = min(max(best, 1), _SCAN_POINTS - 2)
+        a, b = grid[best - 1], grid[best + 1]
     return 0.5 * (a + b)
 
 

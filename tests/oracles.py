@@ -2,8 +2,9 @@
 
 None runs on the solve path: the transformed potential W of the sinh map in
 the paper's closed form, the transformed potential of an arbitrary change of
-variable by nested finite differences, and the unreduced collocation pair
-whose conjugation gives the solved matrix.
+variable by nested finite differences, the unreduced collocation pair whose
+conjugation gives the solved matrix, and the earlier trace-minimized mesh
+search (a log-spaced scan refined by golden section).
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import math
 import numpy as np
 
 from descm.assembly import _collocation_points
+from descm.mesh import _SCAN_POINTS, MeshStrategy, TraceMinimumNotFound, collocation_trace
 from descm.potential import EvenPolynomialPotential
 from descm.sinc_basis import SincWeights
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def transformed_potential(potential: EvenPolynomialPotential, t):
@@ -88,3 +92,48 @@ def assemble_generalized_pair(
     stiffness[idx, idx] += transformed_potential(potential, points)
     diagonal = np.cosh(points) ** 2
     return stiffness, diagonal
+
+
+def golden_section_mesh_size(
+    potential: EvenPolynomialPotential,
+    half_width: int,
+    strategy: MeshStrategy | None = None,
+) -> float:
+    """Mesh size minimizing the collocation trace inside the strategy bracket.
+
+    A coarse log-spaced scan locates the best bracketing triple (ties broken
+    toward smaller h), then golden-section refinement narrows it to the
+    requested relative tolerance. No unimodality is assumed beyond what the
+    scan resolves. Raises :class:`TraceMinimumNotFound` when the scan minimum
+    sits on a bracket endpoint.
+    """
+    if half_width < 1:
+        raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
+    if strategy is None:
+        strategy = MeshStrategy.trace_minimized()
+    lo, hi = strategy.bracket
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
+    values = np.array([collocation_trace(potential, half_width, h) for h in grid])
+    best = int(np.argmin(values))
+    if best == 0 or best == _SCAN_POINTS - 1:
+        raise TraceMinimumNotFound(
+            f"no interior trace minimum in bracket [{lo}, {hi}] at N={half_width}; "
+            f"scan minimum sits at h={grid[best]:.6g}",
+            scan_mesh=grid,
+            scan_trace=values,
+        )
+    a, b = grid[best - 1], grid[best + 1]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc = collocation_trace(potential, half_width, c)
+    fd = collocation_trace(potential, half_width, d)
+    while b - a > strategy.tolerance * a:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = collocation_trace(potential, half_width, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = collocation_trace(potential, half_width, d)
+    return 0.5 * (a + b)

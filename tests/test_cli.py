@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,37 @@ class TestSolveCommand:
         _, second, _ = run(capsys, "solve", "--potential", "cheb:10;shift=-1", "--N", "12")
         assert first == second
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--mesh-tolerance", "nan"),
+            ("--mesh-tolerance", "inf"),
+            ("--bracket", "1e-3", "inf"),
+        ],
+    )
+    def test_non_finite_mesh_settings_exit_2(self, capsys, flags):
+        code, out, err = run(
+            capsys, "solve", "--potential", "poly:1,1", "--N", "5", "--mesh", "trace-min", *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert "descm:" in err and "numerical failure" not in err
+
+    @pytest.mark.parametrize("tolerance", ["1e-16", "1e-300"])
+    def test_mesh_tolerance_below_float_resolution_returns(self, tolerance):
+        # run in a child process so that a search that never stops fails the
+        # test instead of hanging the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "descm.cli", "solve", "--potential", "poly:1,1", "--N", "5",
+             "--mesh", "trace-min", "--mesh-tolerance", tolerance],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["h"] == pytest.approx(0.31487893412611534, rel=1e-9)
+
 
 class TestConvergeCommand:
     def test_shallow_quartic(self, capsys):
@@ -137,6 +172,16 @@ class TestConvergeCommand:
         assert header == ["N", "h", "E_n", "eps_n"]
         assert len(rows) == 4  # N = 2..5
         assert "not met" in err
+
+    def test_unconverged_message_names_last_truncation_solved(self, capsys):
+        code, out, err = run(
+            capsys, "converge", "--potential", "poly:1,1", "--N-step", "5", "--N-max", "30",
+            "--tolerance", "1e-20",
+        )
+        assert code == 3
+        _, rows = csv_rows(out)
+        assert rows[-1][0] == "27"  # N = 2, 7, ..., 27
+        assert "not met by N = 27" in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "converge", "--potential", "poly:1,1")

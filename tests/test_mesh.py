@@ -7,6 +7,7 @@ from descm import (
     EvenPolynomialPotential,
     MeshStrategy,
     TraceMinimumNotFound,
+    analytic_catalog,
     assemble_collocation_matrix,
     chebyshev_well,
     collocation_trace,
@@ -16,6 +17,7 @@ from descm import (
     trace_minimized_mesh_size,
 )
 from conftest import random_potential
+from oracles import golden_section_mesh_size
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 TRIPLE_WELL = EvenPolynomialPotential((4.0, -6.0, 1.0))
@@ -128,6 +130,16 @@ class TestTrace:
         with pytest.raises(ValueError):
             collocation_trace(QUARTIC, 3, 0.0)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_array_of_mesh_sizes_matches_scalar_calls_bit_for_bit(self, n):
+        # h = 40 and 800 put points where cosh^2 and V(sinh t) overflow to inf
+        hs = np.array([[1e-3, 0.05, 0.3], [1.0, 40.0, 800.0]])
+        for potential in (QUARTIC, TRIPLE_WELL, chebyshev_well(20, -1.0)):
+            traces = collocation_trace(potential, n, hs)
+            assert traces.shape == hs.shape
+            scalar = [collocation_trace(potential, n, float(h)) for h in hs.ravel()]
+            assert traces.ravel().tobytes() == np.array(scalar).tobytes()
+
 
 class TestTraceMinimized:
     def test_below_closed_form_trace(self):
@@ -178,6 +190,40 @@ class TestTraceMinimized:
         assert info.value.scan_mesh.shape == info.value.scan_trace.shape
         assert info.value.scan_mesh[0] == pytest.approx(3.0)
 
+    def test_edge_minimum_profile_is_the_log_scan(self):
+        strategy = MeshStrategy.trace_minimized(bracket=(3.0, 5.0))
+        with pytest.raises(TraceMinimumNotFound) as new:
+            trace_minimized_mesh_size(QUARTIC, 10, strategy)
+        with pytest.raises(TraceMinimumNotFound) as old:
+            golden_section_mesh_size(QUARTIC, 10, strategy)
+        assert new.value.scan_mesh.tobytes() == old.value.scan_mesh.tobytes()
+        assert new.value.scan_trace.tobytes() == old.value.scan_trace.tobytes()
+
+    @pytest.mark.parametrize(
+        "potential",
+        [pytest.param(case.potential, id=case.name) for case in analytic_catalog()]
+        + [
+            pytest.param(EvenPolynomialPotential((-20.0, 1.0)), id="poly:-20,1"),
+            pytest.param(chebyshev_well(10, -1.0), id="cheb:10;shift=-1"),
+            pytest.param(chebyshev_well(20, -1.0), id="cheb:20;shift=-1"),
+            pytest.param(chebyshev_well(40, -1.0), id="cheb:40;shift=-1"),
+        ],
+    )
+    def test_trace_no_worse_than_golden_section(self, potential):
+        eps = np.finfo(float).eps
+        for n in (1, 2, 5, 10, 20, 50, 100):
+            oracle = collocation_trace(potential, n, golden_section_mesh_size(potential, n))
+            got = collocation_trace(potential, n, trace_minimized_mesh_size(potential, n))
+            assert got <= oracle + 4 * eps * abs(oracle), n
+
+    def test_finds_lower_trace_than_golden_section_on_a_rough_well(self):
+        # at N=1 the trace of cheb:20;shift=-1 has more than one dip inside the
+        # scan's best triple, which golden section does not resolve
+        potential = chebyshev_well(20, -1.0)
+        oracle = collocation_trace(potential, 1, golden_section_mesh_size(potential, 1))
+        got = collocation_trace(potential, 1, trace_minimized_mesh_size(potential, 1))
+        assert got < oracle
+
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             trace_minimized_mesh_size(QUARTIC, 0)
@@ -202,3 +248,17 @@ class TestMeshStrategy:
             MeshStrategy.trace_minimized(tolerance=0.0)
         with pytest.raises(ValueError):
             MeshStrategy(kind="optimal", fixed_h=0.5)
+
+    @pytest.mark.parametrize(
+        "bracket,tolerance",
+        [
+            ((1e-3, math.inf), 1e-10),
+            ((math.nan, 5.0), 1e-10),
+            ((1e-3, math.nan), 1e-10),
+            ((1e-3, 5.0), math.nan),
+            ((1e-3, 5.0), math.inf),
+        ],
+    )
+    def test_validation_rejects_non_finite_settings(self, bracket, tolerance):
+        with pytest.raises(ValueError):
+            MeshStrategy.trace_minimized(bracket=bracket, tolerance=tolerance)
