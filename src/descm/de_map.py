@@ -27,6 +27,12 @@ def transformed_potential_scaled(potential: EvenPolynomialPotential, x):
     ever forming inf - inf or inf * 0; a NaN never appears.
     """
     with np.errstate(over="ignore"):
-        sech2 = 1.0 / np.cosh(x) ** 2
-        value = 0.25 * sech2 - 0.75 * sech2 * sech2 + potential(np.sinh(x))
+        cosh2 = np.cosh(x)
+        cosh2 **= 2
+        sech2 = 1.0 / cosh2
+        value = 0.25 * sech2
+        sech4 = 0.75 * sech2
+        sech4 *= sech2
+        value -= sech4
+        value += potential(np.sinh(x))
     return float(value) if np.ndim(value) == 0 else value

@@ -52,12 +52,20 @@ class EvenPolynomialPotential:
         return self.coefficients[-1]
 
     def __call__(self, x):
-        """Evaluate c0 + sum_i c_i x^(2i); accepts scalars or numpy arrays."""
+        """Evaluate c0 + sum_i c_i x^(2i); accepts scalars or numpy arrays.
+
+        Horner's rule in x^2 from the leading coefficient, accumulated in one
+        buffer; on a Python float the in-place operators rebind, so a float
+        comes back.
+        """
         x2 = x * x
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = (acc + c) * x2
-        return acc + self.constant
+        *inner, leading = self.coefficients
+        acc = leading * x2
+        for c in reversed(inner):
+            acc += c
+            acc *= x2
+        acc += self.constant
+        return acc
 
     def spec_string(self) -> str:
         """Canonical ``poly:...`` form accepted by :func:`parse_potential`."""

@@ -154,7 +154,11 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     The collocation eigenvector is rescaled so that h * sum z_k^2 = 1, the
     discrete analogue of unit L2 norm of the original wavefunction under the
     sinh substitution, and its overall sign is fixed so the value at the
-    collocation point carrying the largest weight is positive.
+    collocation point k >= 0 carrying the largest weight is positive. Only
+    k >= 0 is searched: an odd level has v[-k] = -v[k] up to rounding, so a
+    search over both sides would let rounding pick the sign. Near-degenerate
+    doublets such as those of ``poly:-20,1`` still come back from LAPACK as
+    arbitrary mixtures of the even and odd state, which no sign rule fixes.
     """
     if result.eigenvectors is None:
         raise ValueError("solve(..., want_vectors=True) is required for reconstruction")
@@ -163,7 +167,7 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     z = result.eigenvectors[:, level] / math.sqrt(h)
     k = np.arange(-n, n + 1)
     v = z / np.cosh(k * h)
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
+    if v[n + int(np.argmax(np.abs(v[n:])))] < 0.0:
         v = -v
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0

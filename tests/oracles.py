@@ -3,8 +3,10 @@
 None runs on the solve path: the transformed potential W of the sinh map in
 the paper's closed form, the transformed potential of an arbitrary change of
 variable by nested finite differences, the unreduced collocation pair whose
-conjugation gives the solved matrix, and the earlier trace-minimized mesh
-search (a log-spaced scan refined by golden section).
+conjugation gives the solved matrix, the earlier trace-minimized mesh search
+(a log-spaced scan refined by golden section), the collocation trace summed
+over the full grid k = -N..N, and the potential and W/cosh^2 written as plain
+expressions that allocate a new array at every step.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 import numpy as np
 
 from descm.assembly import _collocation_points
+from descm.de_map import transformed_potential_scaled
 from descm.mesh import _SCAN_POINTS, MeshStrategy, TraceMinimumNotFound, collocation_trace
 from descm.potential import EvenPolynomialPotential
-from descm.sinc_basis import SincWeights
+from descm.sinc_basis import D2_DIAGONAL, SincWeights
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -137,3 +140,44 @@ def golden_section_mesh_size(
             d = a + _INV_PHI * (b - a)
             fd = collocation_trace(potential, half_width, d)
     return 0.5 * (a + b)
+
+
+def full_grid_collocation_trace(potential: EvenPolynomialPotential, half_width: int,
+                                h: float | np.ndarray) -> float | np.ndarray:
+    """Trace of the reduced collocation matrix, without assembling it.
+
+    ``h`` may be an array of mesh sizes, each trace bit for bit the scalar
+    call's. Matches the assembled-matrix trace bit for bit up to summation
+    order: both paths evaluate the identical per-point diagonal expression.
+    """
+    if half_width < 0:
+        raise ValueError(f"truncation half-width must be >= 0, got {half_width}")
+    h = np.asarray(h, dtype=float)
+    if not np.all(h > 0.0):
+        raise ValueError(f"mesh size must be positive, got {h}")
+    points = np.multiply.outer(h, np.arange(-half_width, half_width + 1))
+    # cosh^2 may overflow to inf for scan points far outside the window; the
+    # kinetic term then correctly flushes to zero and the potential part
+    # dominates, so the overflow is expected rather than an error
+    with np.errstate(over="ignore"):
+        cosh2 = np.cosh(points) ** 2
+        kinetic = -D2_DIAGONAL / ((h * h)[..., np.newaxis] * cosh2)
+        trace = np.sum(kinetic + transformed_potential_scaled(potential, points), axis=-1)
+    return float(trace) if trace.ndim == 0 else trace
+
+
+def horner_potential(potential: EvenPolynomialPotential, x):
+    """c0 + sum_i c_i x^(2i) by Horner's rule in x^2, a new array per step."""
+    x2 = x * x
+    acc = 0.0
+    for c in reversed(potential.coefficients):
+        acc = (acc + c) * x2
+    return acc + potential.constant
+
+
+def transformed_potential_scaled_expression(potential: EvenPolynomialPotential, x):
+    """W(x)/cosh(x)^2 = (1/4) sech^2 - (3/4) sech^4 + V(sinh x), one expression."""
+    with np.errstate(over="ignore"):
+        sech2 = 1.0 / np.cosh(x) ** 2
+        value = 0.25 * sech2 - 0.75 * sech2 * sech2 + horner_potential(potential, np.sinh(x))
+    return float(value) if np.ndim(value) == 0 else value

@@ -11,7 +11,11 @@ from descm import (
     transformed_potential_scaled,
 )
 from conftest import random_potential
-from oracles import transformed_potential, transformed_potential_general
+from oracles import (
+    transformed_potential,
+    transformed_potential_general,
+    transformed_potential_scaled_expression,
+)
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 HARMONIC = EvenPolynomialPotential((1.0,))
@@ -63,6 +67,23 @@ class TestTransformedPotential:
             plain = transformed_potential(p, xs)
             scaled = transformed_potential_scaled(p, xs) * np.cosh(xs) ** 2
             assert np.allclose(scaled, plain, rtol=1e-11, atol=1e-13)
+
+    def test_matches_plain_expression_bit_for_bit(self, rng):
+        cases = [case.potential for case in analytic_catalog()]
+        cases += [parse_potential("cheb:40;shift=-1")]
+        cases += [random_potential(rng, with_constant=True) for _ in range(5)]
+        ts = np.concatenate(
+            [rng.uniform(-30.0, 30.0, 300), rng.uniform(-800.0, 800.0, 50), [0.0, 351.9, 710.0]]
+        )
+        before = ts.copy()
+        for p in cases:
+            got = transformed_potential_scaled(p, ts)
+            assert got.tobytes() == transformed_potential_scaled_expression(p, ts).tobytes()
+            assert ts.tobytes() == before.tobytes()
+            for t in (0.0, 0.7, -3.0, 400.0):
+                value = transformed_potential_scaled(p, t)
+                assert type(value) is float
+                assert value == transformed_potential_scaled_expression(p, t)
 
     def test_constant_term_is_amplified(self):
         # W carries the constant times cosh^2, so W/cosh^2 carries it as is

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from descm import (
     lambert_w0,
     mesh_size_for,
     optimal_mesh_size,
+    parse_potential,
     trace_minimized_mesh_size,
 )
 from conftest import random_potential
-from oracles import golden_section_mesh_size
+from oracles import full_grid_collocation_trace, golden_section_mesh_size
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 TRIPLE_WELL = EvenPolynomialPotential((4.0, -6.0, 1.0))
@@ -108,13 +110,12 @@ class TestTrace:
             assert collocation_trace(QUARTIC, 0, h) == pytest.approx(expected, rel=1e-14)
 
     def test_matches_assembled_trace(self, rng):
-        for _ in range(20):
+        # the same diagonal in the same summation order as np.trace
+        for _ in range(200):
             p = random_potential(rng, with_constant=True)
-            n = int(rng.integers(1, 16))
-            h = float(rng.uniform(0.05, 1.0))
-            closed = collocation_trace(p, n, h)
-            assembled = assemble_collocation_matrix(p, n, h).trace()
-            assert closed == pytest.approx(assembled, rel=1e-12)
+            n = int(rng.integers(1, 40))
+            h = float(rng.uniform(0.02, 1.5))
+            assert collocation_trace(p, n, h) == assemble_collocation_matrix(p, n, h).trace()
 
     def test_triple_well_case(self):
         closed = collocation_trace(TRIPLE_WELL, 20, 0.2)
@@ -139,6 +140,30 @@ class TestTrace:
             assert traces.shape == hs.shape
             scalar = [collocation_trace(potential, n, float(h)) for h in hs.ravel()]
             assert traces.ravel().tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 60, 150])
+    def test_half_grid_mirror_matches_full_grid_bit_for_bit(self, n, rng):
+        potentials = [QUARTIC, TRIPLE_WELL, chebyshev_well(40, -1.0)]
+        potentials += [random_potential(rng, with_constant=True) for _ in range(5)]
+        hs = np.exp(rng.uniform(math.log(1e-3), math.log(800.0), size=(4, 8)))
+        # far grids: cosh^2, V(sinh t) and the sum itself overflow to inf
+        hs[-1, -3:] = (355.3, 400.0, 800.0)
+        for p in potentials:
+            for h in (float(hs[0, 0]), 355.3, hs[0], hs):
+                got = collocation_trace(p, n, h)
+                want = full_grid_collocation_trace(p, n, h)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+        assert n == 0 or np.isinf(collocation_trace(QUARTIC, n, hs)).any()
+
+    def test_overflowing_sum_is_inf_without_warnings(self):
+        # both outer points are finite, just below the float maximum; only
+        # their sum overflows
+        potential = parse_potential("poly:1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert collocation_trace(potential, 1, 355.3) == math.inf
 
 
 class TestTraceMinimized:

@@ -12,6 +12,7 @@ from descm import (
     parse_potential,
 )
 from conftest import random_potential
+from oracles import horner_potential
 
 
 def sympy_chebyshev_coefficients(degree):
@@ -39,6 +40,21 @@ class TestEvaluate:
         p = EvenPolynomialPotential((2.0,), constant=-1.5)
         assert p(0.0) == -1.5
         assert p(2.0) == pytest.approx(8.0 - 1.5, rel=1e-15)
+
+    def test_matches_out_of_place_horner_bit_for_bit(self, rng):
+        for _ in range(20):
+            p = random_potential(rng, max_half_degree=8, with_constant=True)
+            # the huge points overflow to +inf, as the plain expression does
+            xs = np.concatenate(
+                [rng.uniform(-3.0, 3.0, 200), rng.uniform(-1e80, 1e80, 20), [0.0, -0.0]]
+            )
+            before = xs.copy()
+            with np.errstate(over="ignore"):
+                assert p(xs).tobytes() == horner_potential(p, xs).tobytes()
+            assert xs.tobytes() == before.tobytes()
+            for x in (0.0, 0.7, -2.5):
+                assert type(p(x)) is float
+                assert p(x) == horner_potential(p, x)
 
     def test_even_symmetry_is_exact(self, rng):
         xs = rng.uniform(-10.0, 10.0, size=1000)

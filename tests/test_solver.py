@@ -11,6 +11,7 @@ from descm import (
     analytic_catalog,
     chebyshev_well,
     converge,
+    parse_potential,
     reconstruct_wavefunction,
     solve,
 )
@@ -229,6 +230,16 @@ class TestWavefunction:
         left = reconstruct_wavefunction(result, 0, -xs)
         right = reconstruct_wavefunction(result, 0, xs)
         assert np.abs(left - right).max() <= 1e-8
+
+    @pytest.mark.parametrize("spec", ["poly:1", "poly:1,1"])
+    def test_odd_level_sign_is_stable_across_truncations(self, spec):
+        # v[-k] = -v[k] up to rounding for an odd level; rounding must not
+        # pick which side is made positive
+        problem = DescmProblem(parse_potential(spec), levels_requested=4)
+        results = [solve(problem, n, want_vectors=True) for n in range(10, 41)]
+        for level in (1, 3):
+            signs = {math.copysign(1.0, reconstruct_wavefunction(r, level, 0.7)) for r in results}
+            assert len(signs) == 1, level
 
     def test_discrete_normalization(self):
         result = solve(DescmProblem(HARMONIC), 25, want_vectors=True)
