@@ -8,7 +8,6 @@ from .assembly import (
     assemble_collocation_matrix,
 )
 from .de_map import transformed_potential_scaled
-from .eigensolver import EigenDecomposition, EigenSolveError, eigen_symmetric
 from .mesh import (
     MeshStrategy,
     TraceMinimumNotFound,
@@ -46,8 +45,6 @@ __all__ = [
     "ConvergenceRecord",
     "ConvergenceTrace",
     "DescmProblem",
-    "EigenDecomposition",
-    "EigenSolveError",
     "EvenPolynomialPotential",
     "MeshStrategy",
     "PotentialSpecError",
@@ -59,7 +56,6 @@ __all__ = [
     "chebyshev_well",
     "collocation_trace",
     "converge",
-    "eigen_symmetric",
     "lambert_w0",
     "mesh_size_for",
     "optimal_mesh_size",

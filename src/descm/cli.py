@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import CollocationOverflowError
-from .eigensolver import EigenSolveError
 from .mesh import (
     MeshStrategy,
     TraceMinimumNotFound,
@@ -33,7 +32,7 @@ from .solver import DescmProblem, converge, solve
 
 _NUMERIC_ERRORS = (
     CollocationOverflowError,
-    EigenSolveError,
+    np.linalg.LinAlgError,
     TraceMinimumNotFound,
     FloatingPointError,
 )
@@ -403,12 +402,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
+    except _NUMERIC_ERRORS as exc:  # first: LinAlgError is a ValueError
+        print(f"descm: numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (PotentialSpecError, ValueError) as exc:
         print(f"descm: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"descm: numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -73,8 +73,8 @@ class MeshStrategy:
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.kind == "fixed":
-            if self.fixed_h is None or self.fixed_h <= 0.0:
-                raise ValueError("fixed strategy needs a positive mesh size")
+            if self.fixed_h is None or not (0.0 < self.fixed_h < math.inf):
+                raise ValueError("fixed strategy needs a positive finite mesh size")
         elif self.fixed_h is not None:
             raise ValueError("fixed_h only makes sense with the fixed strategy")
 

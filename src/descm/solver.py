@@ -16,7 +16,6 @@ import numpy as np
 from numpy import sinc
 
 from .assembly import assemble_collocation_matrix
-from .eigensolver import eigen_symmetric
 from .mesh import MeshStrategy, mesh_size_for
 from .potential import EvenPolynomialPotential
 
@@ -50,6 +49,11 @@ class SpectrumResult:
     wall_time: float
     eigenvectors: np.ndarray | None = None
 
+    def __post_init__(self):
+        self.spectrum.setflags(write=False)
+        if self.eigenvectors is not None:
+            self.eigenvectors.setflags(write=False)
+
     @property
     def size(self) -> int:
         return 2 * self.half_width + 1
@@ -71,11 +75,22 @@ class ConvergenceTrace:
     tolerance: float
     records: tuple[ConvergenceRecord, ...]
     converged: bool
-    final_level_values: np.ndarray
 
     @property
     def final(self) -> ConvergenceRecord:
         return self.records[-1]
+
+
+def eigen_symmetric(matrix, want_vectors: bool = False):
+    """Ascending eigenvalues of a symmetric matrix and, if wanted, the
+    orthonormal eigenvectors (column i pairs with eigenvalue i), else None.
+
+    LAPACK reads only the lower triangle; ``assemble_collocation_matrix``
+    builds the matrix exactly symmetric, which the tests pin bit for bit.
+    """
+    if want_vectors:
+        return np.linalg.eigh(matrix)
+    return np.linalg.eigvalsh(matrix), None
 
 
 def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) -> SpectrumResult:
@@ -89,9 +104,8 @@ def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) ->
     start = time.perf_counter()
     h = mesh_size_for(problem.potential, half_width, problem.strategy)
     matrix = assemble_collocation_matrix(problem.potential, half_width, h)
-    decomposition = eigen_symmetric(matrix.entries, want_vectors=want_vectors)
+    spectrum, vectors = eigen_symmetric(matrix.entries, want_vectors=want_vectors)
     elapsed = time.perf_counter() - start
-    spectrum = decomposition.eigenvalues
     return SpectrumResult(
         half_width=half_width,
         h_used=h,
@@ -99,7 +113,7 @@ def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) ->
         eigenvalues=spectrum[: problem.levels_requested].copy(),
         spectrum=spectrum,
         wall_time=elapsed,
-        eigenvectors=decomposition.eigenvectors,
+        eigenvectors=vectors,
     )
 
 
@@ -122,7 +136,6 @@ def converge(
         raise ValueError("level must be >= 0")
     first = max(n_start, 1, math.ceil(level / 2))
     records: list[ConvergenceRecord] = []
-    final: SpectrumResult | None = None
     previous: float | None = None
     converged = False
     for n in range(first, n_max + 1, n_step):
@@ -132,19 +145,17 @@ def converge(
         records.append(
             ConvergenceRecord(half_width=n, h=result.h_used, energy=energy, delta=delta)
         )
-        final = result
         previous = energy
         if delta is not None and delta < tolerance:
             converged = True
             break
-    if final is None:
+    if not records:
         raise ValueError(f"empty sweep: n_start={n_start}, n_max={n_max}")
     return ConvergenceTrace(
         level=level,
         tolerance=tolerance,
         records=tuple(records),
         converged=converged,
-        final_level_values=final.eigenvalues,
     )
 
 
@@ -162,6 +173,8 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     """
     if result.eigenvectors is None:
         raise ValueError("solve(..., want_vectors=True) is required for reconstruction")
+    if not 0 <= level < result.size:
+        raise ValueError(f"level must lie in [0, {result.size - 1}], got {level}")
     n = result.half_width
     h = result.h_used
     z = result.eigenvectors[:, level] / math.sqrt(h)

@@ -11,6 +11,8 @@ from descm import (
     assemble_collocation_matrix,
     collocation_trace,
     optimal_mesh_size,
+    parse_potential,
+    trace_minimized_mesh_size,
 )
 from conftest import random_potential
 from oracles import assemble_generalized_pair
@@ -51,6 +53,18 @@ class TestEntries:
             h = float(rng.uniform(0.05, 1.0))
             k = assemble_collocation_matrix(p, n, h)
             assert np.array_equal(k.entries, k.entries.T)
+        # the matrices the solve path hands to LAPACK, which reads one triangle
+        wells = [case.potential for case in analytic_catalog()]
+        wells += [parse_potential("poly:-20,1"), parse_potential("cheb:20;shift=-1")]
+        for p in wells:
+            for n in (1, 13, 60, 150):
+                for h in (optimal_mesh_size(p, n), trace_minimized_mesh_size(p, n)):
+                    k = assemble_collocation_matrix(p, n, h)
+                    assert np.array_equal(k.entries, k.entries.T), (p, n, h)
+        # fixed h far out: diagonal entries up to about 1e77
+        k = assemble_collocation_matrix(QUARTIC, 30, 1.5)
+        assert np.abs(k.entries).max() > 1e70
+        assert np.array_equal(k.entries, k.entries.T)
 
     def test_trace_matches_closed_form(self):
         k = assemble_collocation_matrix(V1, 12, 0.2)

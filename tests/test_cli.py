@@ -101,18 +101,29 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--mesh-tolerance", "nan"),
-            ("--mesh-tolerance", "inf"),
-            ("--bracket", "1e-3", "inf"),
+            ("--mesh", "trace-min", "--mesh-tolerance", "nan"),
+            ("--mesh", "trace-min", "--mesh-tolerance", "inf"),
+            ("--mesh", "trace-min", "--bracket", "1e-3", "inf"),
+            ("--mesh", "fixed", "--h", "nan"),
+            ("--mesh", "fixed", "--h", "inf"),
         ],
     )
     def test_non_finite_mesh_settings_exit_2(self, capsys, flags):
-        code, out, err = run(
-            capsys, "solve", "--potential", "poly:1,1", "--N", "5", "--mesh", "trace-min", *flags
-        )
+        code, out, err = run(capsys, "solve", "--potential", "poly:1,1", "--N", "5", *flags)
         assert code == 2
         assert out == ""
         assert "descm:" in err and "numerical failure" not in err
+
+    def test_eigensolver_failure_exits_1(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, so it must not exit 2
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(capsys, "solve", "--potential", "poly:1,1", "--N", "5")
+        assert code == 1
+        assert out == ""
+        assert "numerical failure" in err
 
     @pytest.mark.parametrize("tolerance", ["1e-16", "1e-300"])
     def test_mesh_tolerance_below_float_resolution_returns(self, tolerance):

@@ -287,3 +287,8 @@ class TestMeshStrategy:
     def test_validation_rejects_non_finite_settings(self, bracket, tolerance):
         with pytest.raises(ValueError):
             MeshStrategy.trace_minimized(bracket=bracket, tolerance=tolerance)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_fixed_mesh(self, h):
+        with pytest.raises(ValueError):
+            MeshStrategy.fixed(h)

@@ -59,6 +59,14 @@ class TestSolve:
         assert len(result.spectrum) == 19
         assert np.all(np.diff(result.spectrum) >= 0.0)
 
+    def test_spectrum_and_vectors_read_only(self):
+        result = solve(DescmProblem(QUARTIC), 6, want_vectors=True)
+        for array in (result.spectrum, result.eigenvectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert not solve(DescmProblem(QUARTIC), 6).spectrum.flags.writeable
+
     def test_full_spectrum_count(self):
         result = solve(DescmProblem(QUARTIC, levels_requested=11), 5)
         assert len(result.eigenvalues) == 11 == result.size
@@ -252,3 +260,11 @@ class TestWavefunction:
         result = solve(DescmProblem(HARMONIC), 10)
         with pytest.raises(ValueError):
             reconstruct_wavefunction(result, 0, 0.0)
+
+    @pytest.mark.parametrize("level", [-1, 21])
+    def test_rejects_level_outside_spectrum(self, level):
+        # N = 10 has levels 0..20; -1 must not wrap round to the top level
+        result = solve(DescmProblem(HARMONIC), 10, want_vectors=True)
+        with pytest.raises(ValueError, match="level"):
+            reconstruct_wavefunction(result, level, 0.0)
+        assert math.isfinite(reconstruct_wavefunction(result, 20, 0.0))
