@@ -10,7 +10,6 @@ from .assembly import (
 from .de_map import transformed_potential_scaled
 from .mesh import (
     MeshStrategy,
-    TraceMinimumNotFound,
     collocation_trace,
     lambert_w0,
     mesh_size_for,
@@ -50,7 +49,6 @@ __all__ = [
     "PotentialSpecError",
     "SincWeights",
     "SpectrumResult",
-    "TraceMinimumNotFound",
     "analytic_catalog",
     "assemble_collocation_matrix",
     "chebyshev_well",

@@ -6,8 +6,8 @@ plotting), validate (the four analytically solvable cases), table (bundled
 parameter presets). Data goes to stdout or --output as CSV or JSON with
 numbers at 17 significant digits; diagnostics go to stderr.
 
-Exit codes: 0 success, 1 numerical failure, 2 bad arguments or potential
-spec, 3 converge hit N_max without meeting tolerance.
+Exit codes: 0 success, 1 numerical failure, 2 bad arguments, potential spec
+or unwritable --output, 3 converge hit N_max without meeting tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .assembly import CollocationOverflowError
 from .mesh import (
     MeshStrategy,
-    TraceMinimumNotFound,
     collocation_trace,
     optimal_mesh_size,
     trace_minimized_mesh_size,
@@ -30,12 +29,7 @@ from .mesh import (
 from .potential import PotentialSpecError, analytic_catalog, parse_potential
 from .solver import DescmProblem, converge, solve
 
-_NUMERIC_ERRORS = (
-    CollocationOverflowError,
-    np.linalg.LinAlgError,
-    TraceMinimumNotFound,
-    FloatingPointError,
-)
+_NUMERIC_ERRORS = (CollocationOverflowError, np.linalg.LinAlgError)
 
 
 def _fmt(v: float) -> str:
@@ -106,9 +100,7 @@ def _mesh_strategy(args) -> MeshStrategy:
     if args.h is not None:
         raise ValueError("--h is only meaningful with --mesh fixed")
     if args.mesh == "trace-min":
-        return MeshStrategy.trace_minimized(
-            bracket=tuple(args.bracket), tolerance=args.mesh_tolerance
-        )
+        return MeshStrategy.trace_minimized(tolerance=args.mesh_tolerance)
     return MeshStrategy.optimal()
 
 
@@ -117,9 +109,7 @@ def _add_output(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--output", default=None, help="write data here instead of stdout")
 
 
-def _add_bracket(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bracket", type=float, nargs=2, default=[1e-3, 5.0],
-                     metavar=("LO", "HI"), help="search bracket for the trace-minimized mesh")
+def _add_mesh_tolerance(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mesh-tolerance", type=float, default=1e-10,
                      help="relative tolerance on the trace-minimized mesh size")
 
@@ -128,7 +118,7 @@ def _add_mesh(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mesh", choices=["optimal", "trace-min", "fixed"], default="optimal",
                      help="mesh size selection strategy")
     sub.add_argument("--h", type=float, default=None, help="mesh size for --mesh fixed")
-    _add_bracket(sub)
+    _add_mesh_tolerance(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--h-min", type=float, default=0.01, dest="h_min")
     p.add_argument("--h-max", type=float, default=2.0, dest="h_max")
-    _add_bracket(p)
+    _add_mesh_tolerance(p)
     _add_output(p, default_format="csv")
 
     p = sub.add_parser("validate", help="check the analytically solvable cases "
@@ -246,13 +236,12 @@ def cmd_trace_scan(args) -> int:
     potential = parse_potential(args.potential)
     if args.N < 1:
         raise ValueError(f"--N must be >= 1, got {args.N}")
-    if args.points < 2 or not (0.0 < args.h_min < args.h_max):
-        raise ValueError("need --points >= 2 and 0 < h-min < h-max")
+    if args.points < 2 or not (0.0 < args.h_min < args.h_max < math.inf):
+        raise ValueError("need --points >= 2 and 0 < h-min < h-max < inf")
     grid = np.exp(np.linspace(math.log(args.h_min), math.log(args.h_max), args.points))
     traces = collocation_trace(potential, args.N, grid)
     h_opt = optimal_mesh_size(potential, args.N)
-    strategy = MeshStrategy.trace_minimized(bracket=tuple(args.bracket),
-                                            tolerance=args.mesh_tolerance)
+    strategy = MeshStrategy.trace_minimized(tolerance=args.mesh_tolerance)
     h_min_trace = trace_minimized_mesh_size(potential, args.N, strategy)
     if args.format == "json":
         payload = {
@@ -405,7 +394,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:  # first: LinAlgError is a ValueError
         print(f"descm: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (PotentialSpecError, ValueError) as exc:
+    except (PotentialSpecError, ValueError, OSError) as exc:
         print(f"descm: {exc}", file=sys.stderr)
         return 2
 

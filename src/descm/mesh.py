@@ -14,6 +14,8 @@ form requiring no matrix assembly:
 
 which diverges at both h -> 0+ and h -> infinity, so an interior minimizer
 exists for every truncation N >= 1; repeated grid scans of the trace find it.
+The first scan covers [1e-3, 5]; while its minimum lies on an edge, the
+window widens toward that edge, so the search always returns.
 The trace does not resolve h much below 1e-8 relative: by then neighbouring
 traces differ by a few ulp, so the last passes to the default 1e-10
 tolerance choose among rounding noise. They cost two trace calls at most and
@@ -33,21 +35,8 @@ from .sinc_basis import D2_DIAGONAL
 
 _E = math.e
 
-_DEFAULT_BRACKET = (1e-3, 5.0)
+_FIRST_WINDOW = (1e-3, 5.0)
 _SCAN_POINTS = 64
-
-
-class TraceMinimumNotFound(RuntimeError):
-    """No interior trace minimum inside the search bracket.
-
-    Carries the coarse scan profile so the caller can see whether the bracket
-    simply needs widening.
-    """
-
-    def __init__(self, message: str, scan_mesh: np.ndarray, scan_trace: np.ndarray):
-        super().__init__(message)
-        self.scan_mesh = scan_mesh
-        self.scan_trace = scan_trace
 
 
 @dataclass(frozen=True)
@@ -55,21 +44,17 @@ class MeshStrategy:
     """How the mesh size is chosen when solving at a given truncation.
 
     ``kind`` is one of ``"optimal"`` (closed form), ``"trace-min"``
-    (trace minimization over ``bracket``, refined to relative ``tolerance``
-    on h) or ``"fixed"`` (use ``fixed_h`` as given).
+    (trace minimization, refined to relative ``tolerance`` on h) or
+    ``"fixed"`` (use ``fixed_h`` as given).
     """
 
     kind: str = "optimal"
     fixed_h: float | None = None
-    bracket: tuple[float, float] = _DEFAULT_BRACKET
     tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in ("optimal", "trace-min", "fixed"):
             raise ValueError(f"unknown mesh strategy {self.kind!r}")
-        lo, hi = self.bracket
-        if not (0.0 < lo < hi < math.inf):
-            raise ValueError(f"bracket must satisfy 0 < low < high < inf, got {self.bracket}")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.kind == "fixed":
@@ -83,8 +68,8 @@ class MeshStrategy:
         return cls(kind="optimal")
 
     @classmethod
-    def trace_minimized(cls, bracket=_DEFAULT_BRACKET, tolerance=1e-10) -> "MeshStrategy":
-        return cls(kind="trace-min", bracket=tuple(bracket), tolerance=tolerance)
+    def trace_minimized(cls, tolerance=1e-10) -> "MeshStrategy":
+        return cls(kind="trace-min", tolerance=tolerance)
 
     @classmethod
     def fixed(cls, h: float) -> "MeshStrategy":
@@ -162,30 +147,36 @@ def trace_minimized_mesh_size(
     half_width: int,
     strategy: MeshStrategy | None = None,
 ) -> float:
-    """Mesh size minimizing the collocation trace inside the strategy bracket.
+    """Mesh size minimizing the collocation trace.
 
-    A log-spaced scan locates the best bracketing triple (ties broken toward
-    smaller h); linear scans across the best triple narrow it to the requested
-    relative tolerance, or until it stops shrinking, and its midpoint is
-    returned. No unimodality is assumed beyond what each scan resolves.
-    Raises :class:`TraceMinimumNotFound` when the first scan's minimum sits
-    on a bracket endpoint.
+    A 64-point log-spaced scan of the first window [1e-3, 5] locates the best
+    bracketing triple (ties broken toward smaller h). While that best point is
+    an edge of the window, the window doubles its log-width on that side and
+    is scanned again. Linear scans across the best triple then narrow it to
+    the requested relative tolerance, or until it stops shrinking, and its
+    midpoint is returned. No unimodality is assumed beyond what each scan
+    resolves.
+
+    The widening ends because the trace is large at both ends. Toward small
+    h, Tr(h) >= pi^2/(3h^2) + (2N+1)(min V - 1/2), which tends to +inf. Toward
+    large h, V(sinh kh) overflows to +inf, since Horner's rule starts from
+    the positive leading coefficient; an infinite trace never beats a finite
+    one, so the window stops growing to the right.
     """
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
     if strategy is None:
         strategy = MeshStrategy.trace_minimized()
-    lo, hi = strategy.bracket
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
-    values = collocation_trace(potential, half_width, grid)
-    best = int(np.argmin(values))
-    if best == 0 or best == _SCAN_POINTS - 1:
-        raise TraceMinimumNotFound(
-            f"no interior trace minimum in bracket [{lo}, {hi}] at N={half_width}; "
-            f"scan minimum sits at h={grid[best]:.6g}",
-            scan_mesh=grid,
-            scan_trace=values,
-        )
+    lo, hi = _FIRST_WINDOW
+    while True:
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
+        best = int(np.argmin(collocation_trace(potential, half_width, grid)))
+        if best == 0:
+            lo = lo * lo / hi
+        elif best == _SCAN_POINTS - 1:
+            hi = hi * hi / lo
+        else:
+            break
     a, b = grid[best - 1], grid[best + 1]
     width = math.inf  # a triple a few ulp wide stops shrinking, whatever the tolerance
     while width > b - a > strategy.tolerance * a:

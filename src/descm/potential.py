@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+_MAX_CHEBYSHEV_DEGREE = 808
+
+
 class PotentialSpecError(ValueError):
     """Raised for malformed potential specification strings."""
 
@@ -90,11 +93,16 @@ def chebyshev_well(degree: int, shift: float = 0.0) -> EvenPolynomialPotential:
 
     The three-term recurrence T_{k+1} = 2x T_k - T_{k-1} is run in exact
     integer arithmetic and converted to float once at the end, so the large
-    alternating coefficients (up to 2^(degree-1)) carry no rounding error.
-    Odd degrees are rejected: an odd Chebyshev polynomial is not even.
+    alternating coefficients (inner ones exceed the leading 2^(degree-1)) carry
+    no rounding error. Odd degrees are rejected: an odd Chebyshev polynomial
+    is not even. So are degrees above 808: the largest coefficient of T_808 is
+    4.5e307, and T_810's does not fit in a double.
     """
     if degree < 2 or degree % 2 != 0:
         raise ValueError(f"degree must be a positive even integer, got {degree}")
+    if degree > _MAX_CHEBYSHEV_DEGREE:
+        raise ValueError(f"degree must be <= {_MAX_CHEBYSHEV_DEGREE}, beyond which the "
+                         f"monomial coefficients overflow a double, got {degree}")
     prev = [1]       # T_0
     cur = [0, 1]     # T_1
     for _ in range(degree - 1):

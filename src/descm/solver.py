@@ -128,8 +128,8 @@ def converge(
     """Sweep N upward until the successive difference of level ``level`` drops
     below ``tolerance``; never raises on non-convergence, the returned trace
     says so instead."""
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (0.0 < tolerance < math.inf):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
     if level < 0:

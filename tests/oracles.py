@@ -17,7 +17,7 @@ import numpy as np
 
 from descm.assembly import _collocation_points
 from descm.de_map import transformed_potential_scaled
-from descm.mesh import _SCAN_POINTS, MeshStrategy, TraceMinimumNotFound, collocation_trace
+from descm.mesh import _FIRST_WINDOW, _SCAN_POINTS, MeshStrategy, collocation_trace
 from descm.potential import EvenPolynomialPotential
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
 
@@ -102,29 +102,24 @@ def golden_section_mesh_size(
     half_width: int,
     strategy: MeshStrategy | None = None,
 ) -> float:
-    """Mesh size minimizing the collocation trace inside the strategy bracket.
+    """Mesh size minimizing the collocation trace inside the first scan window.
 
     A coarse log-spaced scan locates the best bracketing triple (ties broken
     toward smaller h), then golden-section refinement narrows it to the
     requested relative tolerance. No unimodality is assumed beyond what the
-    scan resolves. Raises :class:`TraceMinimumNotFound` when the scan minimum
-    sits on a bracket endpoint.
+    scan resolves. Raises :class:`RuntimeError` when the scan minimum sits on
+    a window edge.
     """
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
     if strategy is None:
         strategy = MeshStrategy.trace_minimized()
-    lo, hi = strategy.bracket
+    lo, hi = _FIRST_WINDOW
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
     values = np.array([collocation_trace(potential, half_width, h) for h in grid])
     best = int(np.argmin(values))
     if best == 0 or best == _SCAN_POINTS - 1:
-        raise TraceMinimumNotFound(
-            f"no interior trace minimum in bracket [{lo}, {hi}] at N={half_width}; "
-            f"scan minimum sits at h={grid[best]:.6g}",
-            scan_mesh=grid,
-            scan_trace=values,
-        )
+        raise RuntimeError(f"no interior trace minimum in [{lo}, {hi}] at N={half_width}")
     a, b = grid[best - 1], grid[best + 1]
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)

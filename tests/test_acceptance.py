@@ -19,6 +19,7 @@ from descm import (
     solve,
     trace_minimized_mesh_size,
 )
+from descm.mesh import _FIRST_WINDOW
 from descm.solver import eigen_symmetric
 from conftest import random_potential
 from test_eigensolver import characteristic_roots_by_bisection
@@ -149,7 +150,7 @@ def test_criterion_6_trace_machinery(rng):
         rel = abs(closed - assembled) / abs(assembled)
         worst_rel = max(worst_rel, rel)
         ok &= rel <= 1e-12
-    lo, hi = TRACE_MIN.bracket
+    lo, hi = _FIRST_WINDOW
     cells = 0.0
     for potential, n in [(quartic, 10), (v1, 20)]:
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), 1000))

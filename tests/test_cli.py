@@ -103,13 +103,34 @@ class TestSolveCommand:
         [
             ("--mesh", "trace-min", "--mesh-tolerance", "nan"),
             ("--mesh", "trace-min", "--mesh-tolerance", "inf"),
-            ("--mesh", "trace-min", "--bracket", "1e-3", "inf"),
             ("--mesh", "fixed", "--h", "nan"),
             ("--mesh", "fixed", "--h", "inf"),
         ],
     )
     def test_non_finite_mesh_settings_exit_2(self, capsys, flags):
         code, out, err = run(capsys, "solve", "--potential", "poly:1,1", "--N", "5", *flags)
+        assert code == 2
+        assert out == ""
+        assert "descm:" in err and "numerical failure" not in err
+
+    def test_trace_min_beyond_first_window_exits_0(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--potential", "poly:1e10,1e10", "--N", "100", "--mesh", "trace-min"
+        )
+        assert code == 0, err
+        assert 0.0 < json.loads(out)["h"] < 1e-3
+
+    def test_chebyshev_degree_beyond_double_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--potential", "cheb:2000", "--N", "5")
+        assert code == 2
+        assert out == ""
+        assert "descm:" in err and "808" in err
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "solve", "--potential", "poly:1,1", "--N", "5", "--output", str(target)
+        )
         assert code == 2
         assert out == ""
         assert "descm:" in err and "numerical failure" not in err
@@ -194,6 +215,16 @@ class TestConvergeCommand:
         assert rows[-1][0] == "27"  # N = 2, 7, ..., 27
         assert "not met by N = 27" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, capsys, tolerance):
+        code, out, err = run(
+            capsys, "converge", "--potential", "poly:1,1", "--tolerance", tolerance,
+            "--N-max", "8",
+        )
+        assert code == 2
+        assert out == ""
+        assert "descm:" in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "converge", "--potential", "poly:1,1")
         _, second, _ = run(capsys, "converge", "--potential", "poly:1,1")
@@ -235,6 +266,14 @@ class TestTraceScanCommand:
     def test_zero_truncation_exits_2(self, capsys):
         code, _, _ = run(capsys, "trace-scan", "--potential", "poly:1,1", "--N", "0")
         assert code == 2
+
+    def test_infinite_h_max_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "trace-scan", "--potential", "poly:1,1", "--N", "5", "--h-max", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert "h-max < inf" in err
 
 
 class TestValidateCommand:

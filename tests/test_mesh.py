@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from descm import (
+    DescmProblem,
     EvenPolynomialPotential,
     MeshStrategy,
-    TraceMinimumNotFound,
     analytic_catalog,
     assemble_collocation_matrix,
     chebyshev_well,
@@ -16,13 +16,25 @@ from descm import (
     mesh_size_for,
     optimal_mesh_size,
     parse_potential,
+    solve,
     trace_minimized_mesh_size,
 )
+from descm import mesh
+from descm.mesh import _FIRST_WINDOW
 from conftest import random_potential
 from oracles import full_grid_collocation_trace, golden_section_mesh_size
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 TRIPLE_WELL = EvenPolynomialPotential((4.0, -6.0, 1.0))
+
+# valid inputs whose trace minimum lies outside the first scan window
+BEYOND_FIRST_WINDOW = [
+    ("poly:1e10,1e10", 100),
+    ("poly:1e8,1e8", 400),
+    ("cheb:40;shift=-1", 1000),
+    ("poly:1e-6", 1),
+    ("poly:-1e4,1", 1),
+]
 
 
 def bisect_lambert(z, lo=0.0, hi=None, tol=1e-14):
@@ -186,7 +198,7 @@ class TestTraceMinimized:
         [(QUARTIC, 10), (TRIPLE_WELL, 20), (chebyshev_well(10, -1.0), 15)],
     )
     def test_matches_dense_scan(self, potential, n):
-        lo, hi = MeshStrategy.trace_minimized().bracket
+        lo, hi = _FIRST_WINDOW
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), 1000))
         traces = [collocation_trace(potential, n, float(h)) for h in grid]
         dense_best = grid[int(np.argmin(traces))]
@@ -195,7 +207,7 @@ class TestTraceMinimized:
         assert abs(math.log(h_hat / dense_best)) <= 2 * cell
 
     def test_endpoints_strictly_larger(self):
-        lo, hi = MeshStrategy.trace_minimized().bracket
+        lo, hi = _FIRST_WINDOW
         for potential in (QUARTIC, TRIPLE_WELL):
             for n in (1, 2, 5, 20):
                 h_hat = trace_minimized_mesh_size(potential, n)
@@ -208,21 +220,46 @@ class TestTraceMinimized:
         b = trace_minimized_mesh_size(TRIPLE_WELL, 20)
         assert a == b
 
-    def test_edge_minimum_raises_with_profile(self):
-        strategy = MeshStrategy.trace_minimized(bracket=(3.0, 5.0))
-        with pytest.raises(TraceMinimumNotFound) as info:
-            trace_minimized_mesh_size(QUARTIC, 10, strategy)
-        assert info.value.scan_mesh.shape == info.value.scan_trace.shape
-        assert info.value.scan_mesh[0] == pytest.approx(3.0)
+    def test_first_scan_is_the_log_spaced_first_window(self, monkeypatch):
+        grids = []
 
-    def test_edge_minimum_profile_is_the_log_scan(self):
-        strategy = MeshStrategy.trace_minimized(bracket=(3.0, 5.0))
-        with pytest.raises(TraceMinimumNotFound) as new:
-            trace_minimized_mesh_size(QUARTIC, 10, strategy)
-        with pytest.raises(TraceMinimumNotFound) as old:
-            golden_section_mesh_size(QUARTIC, 10, strategy)
-        assert new.value.scan_mesh.tobytes() == old.value.scan_mesh.tobytes()
-        assert new.value.scan_trace.tobytes() == old.value.scan_trace.tobytes()
+        def record(potential, n, h):
+            grids.append(np.array(h, copy=True))
+            return collocation_trace(potential, n, h)
+
+        monkeypatch.setattr(mesh, "collocation_trace", record)
+        trace_minimized_mesh_size(TRIPLE_WELL, 20)
+        expected = np.exp(np.linspace(math.log(1e-3), math.log(5.0), 64))
+        assert grids[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec,n", BEYOND_FIRST_WINDOW)
+    def test_minimum_beyond_first_window_matches_dense_scan(self, spec, n):
+        potential = parse_potential(spec)
+        lo, hi = _FIRST_WINDOW
+        first_grid = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
+        assert int(np.argmin(collocation_trace(potential, n, first_grid))) in (0, 63)
+        h_hat = trace_minimized_mesh_size(potential, n)
+        grid = np.exp(np.linspace(math.log(h_hat / 10), math.log(10 * h_hat), 1000))
+        dense_best = grid[int(np.argmin(collocation_trace(potential, n, grid)))]
+        cell = math.log(100.0) / 999
+        assert abs(math.log(h_hat / dense_best)) <= 2 * cell
+
+    def test_minimum_beyond_first_window_gives_converged_energy(self):
+        potential = parse_potential("poly:1e10,1e10")
+        trace_min = DescmProblem(potential, strategy=MeshStrategy.trace_minimized())
+        energy = float(solve(trace_min, 100).spectrum[0])
+        reference = float(solve(DescmProblem(potential), 300).spectrum[0])
+        assert abs(energy - reference) <= 1e-10 * abs(reference)
+
+    @pytest.mark.parametrize("n", [1, 100])
+    @pytest.mark.parametrize(
+        "spec", ["poly:1e308", "poly:1e-300", "poly:" + "0," * 9 + "1e308"]
+    )
+    def test_extreme_wells_give_finite_mesh_without_warnings(self, spec, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = trace_minimized_mesh_size(parse_potential(spec), n)
+        assert 0.0 < h < math.inf
 
     @pytest.mark.parametrize(
         "potential",
@@ -268,25 +305,14 @@ class TestMeshStrategy:
         with pytest.raises(ValueError):
             MeshStrategy.fixed(-1.0)
         with pytest.raises(ValueError):
-            MeshStrategy.trace_minimized(bracket=(2.0, 1.0))
-        with pytest.raises(ValueError):
             MeshStrategy.trace_minimized(tolerance=0.0)
         with pytest.raises(ValueError):
             MeshStrategy(kind="optimal", fixed_h=0.5)
 
-    @pytest.mark.parametrize(
-        "bracket,tolerance",
-        [
-            ((1e-3, math.inf), 1e-10),
-            ((math.nan, 5.0), 1e-10),
-            ((1e-3, math.nan), 1e-10),
-            ((1e-3, 5.0), math.nan),
-            ((1e-3, 5.0), math.inf),
-        ],
-    )
-    def test_validation_rejects_non_finite_settings(self, bracket, tolerance):
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_settings(self, tolerance):
         with pytest.raises(ValueError):
-            MeshStrategy.trace_minimized(bracket=bracket, tolerance=tolerance)
+            MeshStrategy.trace_minimized(tolerance=tolerance)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
     def test_validation_rejects_non_finite_fixed_mesh(self, h):

@@ -123,6 +123,16 @@ class TestChebyshevWell:
         with pytest.raises(ValueError):
             chebyshev_well(degree)
 
+    def test_last_degree_within_double_range(self):
+        p = chebyshev_well(808)
+        assert all(math.isfinite(c) for c in p.coefficients)
+        assert p.leading_coefficient == 2.0**807
+
+    @pytest.mark.parametrize("degree", [810, 2000])
+    def test_rejects_degree_beyond_double_range(self, degree):
+        with pytest.raises(ValueError, match="808"):
+            chebyshev_well(degree)
+
 
 class TestAnalyticCatalog:
     def test_exact_energies(self):
@@ -173,6 +183,7 @@ class TestParse:
             "cheb:7",
             "cheb:abc",
             "cheb:4;s=1",
+            "cheb:2000",  # coefficients beyond double range
             "spam:1",
             "1,2,3",
         ],

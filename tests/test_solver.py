@@ -124,10 +124,11 @@ class TestConverge:
             assert rec.half_width == prev.half_width + 1
             assert rec.delta == abs(prev.energy - rec.energy)
 
-    def test_infinite_tolerance_stops_immediately(self):
-        trace = converge(DescmProblem(QUARTIC), level=0, tolerance=math.inf)
-        assert trace.converged
-        assert len(trace.records) == 2
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # nan never stops the sweep and inf stops it after any first difference
+        with pytest.raises(ValueError, match="finite"):
+            converge(DescmProblem(QUARTIC), level=0, tolerance=tolerance)
 
     def test_unconverged_trace_returned(self):
         trace = converge(DescmProblem(QUARTIC), level=0, tolerance=1e-30, n_max=6)
