@@ -20,9 +20,6 @@ from .de_map import transformed_potential_scaled
 from .potential import EvenPolynomialPotential
 from .sinc_basis import SincWeights
 
-# cosh(x) overflows double precision just above this argument.
-_COSH_OVERFLOW = 710.0
-
 
 class CollocationOverflowError(OverflowError):
     """A collocation point produced a non-finite matrix entry."""
@@ -50,13 +47,8 @@ class CollocationMatrix:
 def _collocation_points(half_width: int, h: float) -> np.ndarray:
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
-    if h <= 0.0:
-        raise ValueError(f"mesh size must be positive, got {h}")
-    if half_width * h > _COSH_OVERFLOW:
-        raise CollocationOverflowError(
-            f"cosh overflows at collocation point x = {half_width * h:.6g} "
-            f"(k = {half_width}, h = {h:.6g})"
-        )
+    if not (0.0 < h < np.inf):
+        raise ValueError(f"mesh size must be positive and finite, got {h}")
     return np.arange(-half_width, half_width + 1) * h
 
 
@@ -65,11 +57,12 @@ def assemble_collocation_matrix(
 ) -> CollocationMatrix:
     """Build the reduced symmetric matrix directly from its closed-form entries."""
     points = _collocation_points(half_width, h)
-    c = np.cosh(points)
     weights = SincWeights.second_derivative(half_width)
-    # an overflow here leaves a non-finite entry, which the check below reports
+    # an overflow here leaves a non-finite entry, which the check below reports;
+    # V(sinh kh) is +inf on the diagonal wherever cosh(kh) overflows
     with np.errstate(over="ignore"):
-        entries = -weights.offset_matrix(half_width) / (h * h * np.outer(c, c))
+        c = np.cosh(points)
+        entries = -weights.offset_matrix() / (h * h * np.outer(c, c))
         idx = np.arange(2 * half_width + 1)
         entries[idx, idx] += transformed_potential_scaled(potential, points)
     if not np.isfinite(entries).all():

@@ -93,15 +93,7 @@ def _csv(header: str, rows, comments=()) -> str:
 
 
 def _mesh_strategy(args) -> MeshStrategy:
-    if args.mesh == "fixed":
-        if args.h is None:
-            raise ValueError("--mesh fixed requires --h")
-        return MeshStrategy.fixed(args.h)
-    if args.h is not None:
-        raise ValueError("--h is only meaningful with --mesh fixed")
-    if args.mesh == "trace-min":
-        return MeshStrategy.trace_minimized(tolerance=args.mesh_tolerance)
-    return MeshStrategy.optimal()
+    return MeshStrategy(kind=args.mesh, fixed_h=args.h)
 
 
 def _add_output(sub: argparse.ArgumentParser, default_format: str) -> None:
@@ -109,16 +101,10 @@ def _add_output(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--output", default=None, help="write data here instead of stdout")
 
 
-def _add_mesh_tolerance(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mesh-tolerance", type=float, default=1e-10,
-                     help="relative tolerance on the trace-minimized mesh size")
-
-
 def _add_mesh(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mesh", choices=["optimal", "trace-min", "fixed"], default="optimal",
                      help="mesh size selection strategy")
     sub.add_argument("--h", type=float, default=None, help="mesh size for --mesh fixed")
-    _add_mesh_tolerance(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--h-min", type=float, default=0.01, dest="h_min")
     p.add_argument("--h-max", type=float, default=2.0, dest="h_max")
-    _add_mesh_tolerance(p)
     _add_output(p, default_format="csv")
 
     p = sub.add_parser("validate", help="check the analytically solvable cases "
@@ -183,7 +168,7 @@ def cmd_solve(args) -> int:
             "potential": args.potential,
             "N": args.N,
             "levels": args.levels,
-            "mesh": result.strategy_kind,
+            "mesh": problem.strategy.kind,
             "h": result.h_used,
             "eigenvalues": [float(v) for v in result.eigenvalues],
         }
@@ -241,8 +226,7 @@ def cmd_trace_scan(args) -> int:
     grid = np.exp(np.linspace(math.log(args.h_min), math.log(args.h_max), args.points))
     traces = collocation_trace(potential, args.N, grid)
     h_opt = optimal_mesh_size(potential, args.N)
-    strategy = MeshStrategy.trace_minimized(tolerance=args.mesh_tolerance)
-    h_min_trace = trace_minimized_mesh_size(potential, args.N, strategy)
+    h_min_trace = trace_minimized_mesh_size(potential, args.N)
     if args.format == "json":
         payload = {
             "command": "trace-scan",

@@ -15,11 +15,13 @@ form requiring no matrix assembly:
 which diverges at both h -> 0+ and h -> infinity, so an interior minimizer
 exists for every truncation N >= 1; repeated grid scans of the trace find it.
 The first scan covers [1e-3, 5]; while its minimum lies on an edge, the
-window widens toward that edge, so the search always returns.
+window widens toward that edge, so the search always returns. Refinement
+then narrows the best triple to a fixed relative width of 1e-10, so the
+trace-minimized h depends on the potential and N alone.
 The trace does not resolve h much below 1e-8 relative: by then neighbouring
-traces differ by a few ulp, so the last passes to the default 1e-10
-tolerance choose among rounding noise. They cost two trace calls at most and
-keep the search's stopping rule simple.
+traces differ by a few ulp, so the last passes to 1e-10 choose among
+rounding noise. They cost two trace calls at most and keep the search's
+stopping rule simple.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ _E = math.e
 
 _FIRST_WINDOW = (1e-3, 5.0)
 _SCAN_POINTS = 64
+_RESOLUTION = 1e-10  # relative width at which refinement stops
 
 
 @dataclass(frozen=True)
@@ -44,32 +47,28 @@ class MeshStrategy:
     """How the mesh size is chosen when solving at a given truncation.
 
     ``kind`` is one of ``"optimal"`` (closed form), ``"trace-min"``
-    (trace minimization, refined to relative ``tolerance`` on h) or
-    ``"fixed"`` (use ``fixed_h`` as given).
+    (trace minimization) or ``"fixed"`` (use ``fixed_h`` as given).
     """
 
     kind: str = "optimal"
     fixed_h: float | None = None
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in ("optimal", "trace-min", "fixed"):
             raise ValueError(f"unknown mesh strategy {self.kind!r}")
-        if not (0.0 < self.tolerance < math.inf):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.kind == "fixed":
             if self.fixed_h is None or not (0.0 < self.fixed_h < math.inf):
-                raise ValueError("fixed strategy needs a positive finite mesh size")
+                raise ValueError("the fixed mesh strategy needs a positive finite mesh size h")
         elif self.fixed_h is not None:
-            raise ValueError("fixed_h only makes sense with the fixed strategy")
+            raise ValueError("a mesh size h is only meaningful with the fixed mesh strategy")
 
     @classmethod
     def optimal(cls) -> "MeshStrategy":
         return cls(kind="optimal")
 
     @classmethod
-    def trace_minimized(cls, tolerance=1e-10) -> "MeshStrategy":
-        return cls(kind="trace-min", tolerance=tolerance)
+    def trace_minimized(cls) -> "MeshStrategy":
+        return cls(kind="trace-min")
 
     @classmethod
     def fixed(cls, h: float) -> "MeshStrategy":
@@ -98,17 +97,42 @@ def lambert_w0(z: float) -> float:
     return w
 
 
+def _lambert_w0_of_log(log_z: float) -> float:
+    """W(z) given log z >= 1, for z beyond the double range.
+
+    Newton iteration on w + log w = log z, seeded by log z - log log z.
+    """
+    w = log_z - math.log(log_z)
+    for _ in range(50):
+        step = (w + math.log(w) - log_z) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w
+
+
 def optimal_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> float:
     """Closed-form mesh size W(2^m pi^2 (m+1) N / sqrt(c_m)) / ((m+1) N).
 
     Only the leading coefficient and the half-degree enter; inner
-    coefficients and the constant do not affect the decay rate.
+    coefficients and the constant do not affect the decay rate. When the
+    argument overflows a double, W is found from its logarithm instead.
     """
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
     m = potential.degree_parameter
-    arg = 2.0**m * math.pi**2 * (m + 1) * half_width / math.sqrt(potential.leading_coefficient)
-    return lambert_w0(arg) / ((m + 1) * half_width)
+    c_m = potential.leading_coefficient
+    try:
+        arg = 2.0**m * math.pi**2 * (m + 1) * half_width / math.sqrt(c_m)
+    except OverflowError:  # 2.0**m for m >= 1024
+        arg = math.inf
+    if arg < math.inf:
+        w = lambert_w0(arg)
+    else:
+        w = _lambert_w0_of_log(
+            m * math.log(2.0) + math.log(math.pi**2 * (m + 1) * half_width) - 0.5 * math.log(c_m)
+        )
+    return w / ((m + 1) * half_width)
 
 
 def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
@@ -142,20 +166,15 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     return float(trace) if trace.ndim == 0 else trace
 
 
-def trace_minimized_mesh_size(
-    potential: EvenPolynomialPotential,
-    half_width: int,
-    strategy: MeshStrategy | None = None,
-) -> float:
+def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> float:
     """Mesh size minimizing the collocation trace.
 
     A 64-point log-spaced scan of the first window [1e-3, 5] locates the best
     bracketing triple (ties broken toward smaller h). While that best point is
     an edge of the window, the window doubles its log-width on that side and
     is scanned again. Linear scans across the best triple then narrow it to
-    the requested relative tolerance, or until it stops shrinking, and its
-    midpoint is returned. No unimodality is assumed beyond what each scan
-    resolves.
+    a relative width of 1e-10, and its midpoint is returned. No unimodality
+    is assumed beyond what each scan resolves.
 
     The widening ends because the trace is large at both ends. Toward small
     h, Tr(h) >= pi^2/(3h^2) + (2N+1)(min V - 1/2), which tends to +inf. Toward
@@ -165,8 +184,6 @@ def trace_minimized_mesh_size(
     """
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
-    if strategy is None:
-        strategy = MeshStrategy.trace_minimized()
     lo, hi = _FIRST_WINDOW
     while True:
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
@@ -178,9 +195,7 @@ def trace_minimized_mesh_size(
         else:
             break
     a, b = grid[best - 1], grid[best + 1]
-    width = math.inf  # a triple a few ulp wide stops shrinking, whatever the tolerance
-    while width > b - a > strategy.tolerance * a:
-        width = b - a
+    while b - a > _RESOLUTION * a:
         grid = np.linspace(a, b, _SCAN_POINTS)
         best = int(np.argmin(collocation_trace(potential, half_width, grid)))
         best = min(max(best, 1), _SCAN_POINTS - 2)
@@ -195,5 +210,5 @@ def mesh_size_for(
     if strategy.kind == "optimal":
         return optimal_mesh_size(potential, half_width)
     if strategy.kind == "trace-min":
-        return trace_minimized_mesh_size(potential, half_width, strategy)
+        return trace_minimized_mesh_size(potential, half_width)
     return float(strategy.fixed_h)

@@ -44,8 +44,8 @@ class SincWeights:
         values[2 * half_width] = D2_DIAGONAL
         return cls(half_width=half_width, values=values)
 
-    def offset_matrix(self, n_points_half: int) -> np.ndarray:
-        """Dense (2M+1)x(2M+1) matrix of values at offsets k - j."""
-        idx = np.arange(2 * n_points_half + 1)
+    def offset_matrix(self) -> np.ndarray:
+        """Dense (2N+1)x(2N+1) matrix of values at offsets k - j."""
+        idx = np.arange(2 * self.half_width + 1)
         r = idx[None, :] - idx[:, None]
         return self.values[r + 2 * self.half_width]

@@ -43,7 +43,6 @@ class SpectrumResult:
 
     half_width: int
     h_used: float
-    strategy_kind: str
     eigenvalues: np.ndarray
     spectrum: np.ndarray
     wall_time: float
@@ -109,7 +108,6 @@ def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) ->
     return SpectrumResult(
         half_width=half_width,
         h_used=h,
-        strategy_kind=problem.strategy.kind,
         eigenvalues=spectrum[: problem.levels_requested].copy(),
         spectrum=spectrum,
         wall_time=elapsed,

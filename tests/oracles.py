@@ -17,7 +17,7 @@ import numpy as np
 
 from descm.assembly import _collocation_points
 from descm.de_map import transformed_potential_scaled
-from descm.mesh import _FIRST_WINDOW, _SCAN_POINTS, MeshStrategy, collocation_trace
+from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _SCAN_POINTS, collocation_trace
 from descm.potential import EvenPolynomialPotential
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
 
@@ -90,30 +90,24 @@ def assemble_generalized_pair(
     """
     points = _collocation_points(half_width, h)
     weights = SincWeights.second_derivative(half_width)
-    stiffness = -weights.offset_matrix(half_width) / (h * h)
+    stiffness = -weights.offset_matrix() / (h * h)
     idx = np.arange(2 * half_width + 1)
     stiffness[idx, idx] += transformed_potential(potential, points)
     diagonal = np.cosh(points) ** 2
     return stiffness, diagonal
 
 
-def golden_section_mesh_size(
-    potential: EvenPolynomialPotential,
-    half_width: int,
-    strategy: MeshStrategy | None = None,
-) -> float:
+def golden_section_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> float:
     """Mesh size minimizing the collocation trace inside the first scan window.
 
     A coarse log-spaced scan locates the best bracketing triple (ties broken
     toward smaller h), then golden-section refinement narrows it to the
-    requested relative tolerance. No unimodality is assumed beyond what the
+    search's relative resolution. No unimodality is assumed beyond what the
     scan resolves. Raises :class:`RuntimeError` when the scan minimum sits on
     a window edge.
     """
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
-    if strategy is None:
-        strategy = MeshStrategy.trace_minimized()
     lo, hi = _FIRST_WINDOW
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
     values = np.array([collocation_trace(potential, half_width, h) for h in grid])
@@ -125,7 +119,7 @@ def golden_section_mesh_size(
     d = a + _INV_PHI * (b - a)
     fc = collocation_trace(potential, half_width, c)
     fd = collocation_trace(potential, half_width, d)
-    while b - a > strategy.tolerance * a:
+    while b - a > _RESOLUTION * a:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

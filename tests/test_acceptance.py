@@ -253,7 +253,6 @@ def test_criterion_8_property_suites(rng):
     report(8, ok, "; ".join(details))
 
 
-@pytest.mark.extended
 def test_criterion_9_ten_well_ground_state():
     ten_well = chebyshev_well(20, -1.0)
     trace = converge(

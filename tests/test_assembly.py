@@ -139,14 +139,17 @@ class TestOverflowGuards:
             assemble_collocation_matrix(deep, 11, 6.0)
 
     def test_overflowing_entries_raise_without_numpy_warnings(self):
-        # cosh(690)^2 overflows the kinetic denominator and V the diagonal
+        # cosh(690)^2 overflows the kinetic denominator and V the diagonal;
+        # beyond |kh| = 710 cosh itself overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CollocationOverflowError):
-                assemble_collocation_matrix(QUARTIC, 300, 2.3)
+            for n, h in ((300, 2.3), (100, 10.0), (1, 710.2), (1, 710.5), (1000, 0.711)):
+                with pytest.raises(CollocationOverflowError):
+                    assemble_collocation_matrix(QUARTIC, n, h)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             assemble_collocation_matrix(QUARTIC, 0, 0.1)
-        with pytest.raises(ValueError):
-            assemble_collocation_matrix(QUARTIC, 3, -0.1)
+        for h in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                assemble_collocation_matrix(QUARTIC, 3, h)

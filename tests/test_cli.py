@@ -1,9 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,8 +97,6 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--mesh", "trace-min", "--mesh-tolerance", "nan"),
-            ("--mesh", "trace-min", "--mesh-tolerance", "inf"),
             ("--mesh", "fixed", "--h", "nan"),
             ("--mesh", "fixed", "--h", "inf"),
         ],
@@ -146,20 +140,22 @@ class TestSolveCommand:
         assert out == ""
         assert "numerical failure" in err
 
-    @pytest.mark.parametrize("tolerance", ["1e-16", "1e-300"])
-    def test_mesh_tolerance_below_float_resolution_returns(self, tolerance):
-        # run in a child process so that a search that never stops fails the
-        # test instead of hanging the suite
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run(
-            [sys.executable, "-m", "descm.cli", "solve", "--potential", "poly:1,1", "--N", "5",
-             "--mesh", "trace-min", "--mesh-tolerance", tolerance],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout)["h"] == pytest.approx(0.31487893412611534, rel=1e-9)
+    def test_mesh_tolerance_flag_exits_2(self, capsys):
+        code, out, _ = run(capsys, "solve", "--potential", "poly:1,1", "--N", "5",
+                           "--mesh", "trace-min", "--mesh-tolerance", "1e-8")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("m,leading", [(600, "1e-300"), (1100, "1")])
+    def test_closed_form_beyond_double_range_exits_0(self, capsys, m, leading):
+        # the closed-form argument overflows: 2^m for m >= 1024, the quotient
+        # by sqrt(c_m) for a tiny leading coefficient
+        spec = "poly:" + "0," * (m - 1) + leading
+        code, out, err = run(capsys, "solve", "--potential", spec, "--N", "5")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert 0.0 < payload["h"] < math.inf
+        assert all(math.isfinite(e) for e in payload["eigenvalues"])
 
 
 class TestConvergeCommand:
@@ -351,7 +347,6 @@ class TestTableCommand:
         assert code == 2
 
 
-@pytest.mark.extended
 class TestTenWellExtended:
     def test_converge_ten_well_with_trace_minimized_mesh(self, capsys):
         code, out, _ = run(

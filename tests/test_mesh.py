@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from descm import (
     trace_minimized_mesh_size,
 )
 from descm import mesh
-from descm.mesh import _FIRST_WINDOW
+from descm.mesh import _FIRST_WINDOW, _RESOLUTION
 from conftest import random_potential
 from oracles import full_grid_collocation_trace, golden_section_mesh_size
 
@@ -109,6 +110,20 @@ class TestOptimalMeshSize:
         weak = EvenPolynomialPotential((1.0, 1.0))
         assert optimal_mesh_size(strong, 10) < optimal_mesh_size(weak, 10)
 
+    @pytest.mark.parametrize(
+        "m,n,leading",
+        [(1100, 5, 1.0), (1024, 1, 1.0), (600, 5, 1e-300), (2000, 1000, 1e300)],
+    )
+    def test_overflowing_argument_matches_mpmath(self, m, n, leading):
+        # 2.0**m overflows for m >= 1024, the product for a tiny leading coefficient
+        potential = EvenPolynomialPotential((0.0,) * (m - 1) + (leading,))
+        with mpmath.workdps(40):
+            log_z = (m * mpmath.log(2) + mpmath.log(mpmath.pi**2 * (m + 1) * n)
+                     - mpmath.log(mpmath.mpf(leading)) / 2)
+            exact = float(mpmath.lambertw(mpmath.exp(log_z)).real)
+        w = optimal_mesh_size(potential, n) * (m + 1) * n
+        assert w == pytest.approx(exact, rel=1e-13)
+
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             optimal_mesh_size(QUARTIC, 0)
@@ -185,11 +200,10 @@ class TestTraceMinimized:
         assert collocation_trace(QUARTIC, 10, h_hat) <= collocation_trace(QUARTIC, 10, h_opt)
 
     def test_locally_flat(self):
-        strategy = MeshStrategy.trace_minimized()
         for n in (1, 5, 20):
-            h_hat = trace_minimized_mesh_size(TRIPLE_WELL, n, strategy)
+            h_hat = trace_minimized_mesh_size(TRIPLE_WELL, n)
             at_min = collocation_trace(TRIPLE_WELL, n, h_hat)
-            for factor in (1.0 - strategy.tolerance, 1.0 + strategy.tolerance):
+            for factor in (1.0 - _RESOLUTION, 1.0 + _RESOLUTION):
                 nearby = collocation_trace(TRIPLE_WELL, n, h_hat * factor)
                 assert nearby >= at_min - 1e-8 * abs(at_min)
 
@@ -286,6 +300,26 @@ class TestTraceMinimized:
         got = collocation_trace(potential, 1, trace_minimized_mesh_size(potential, 1))
         assert got < oracle
 
+    @pytest.mark.parametrize("n", [1, 100, 1000])
+    @pytest.mark.parametrize(
+        "spec", ["poly:1,1", "cheb:40;shift=-1", "poly:1e10,1e10", "poly:1e308", "poly:1e-300"]
+    )
+    def test_refinement_ends_within_sixteen_trace_calls(self, monkeypatch, spec, n):
+        # each refinement pass narrows the triple about 31-fold, and a 1e-10
+        # relative width still spans about a million ulp, so every pass shrinks
+        calls = []
+
+        def counted(potential, half_width, h):
+            calls.append(h)
+            return collocation_trace(potential, half_width, h)
+
+        monkeypatch.setattr(mesh, "collocation_trace", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = trace_minimized_mesh_size(parse_potential(spec), n)
+        assert len(calls) <= 16
+        assert 0.0 < h < math.inf
+
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             trace_minimized_mesh_size(QUARTIC, 0)
@@ -305,14 +339,7 @@ class TestMeshStrategy:
         with pytest.raises(ValueError):
             MeshStrategy.fixed(-1.0)
         with pytest.raises(ValueError):
-            MeshStrategy.trace_minimized(tolerance=0.0)
-        with pytest.raises(ValueError):
             MeshStrategy(kind="optimal", fixed_h=0.5)
-
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
-    def test_validation_rejects_non_finite_settings(self, tolerance):
-        with pytest.raises(ValueError):
-            MeshStrategy.trace_minimized(tolerance=tolerance)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
     def test_validation_rejects_non_finite_fixed_mesh(self, h):

@@ -116,7 +116,7 @@ class TestSincWeights:
             assert w[r] == scalar
 
     def test_offset_matrix_symmetric(self):
-        m = SincWeights.second_derivative(5).offset_matrix(5)
+        m = SincWeights.second_derivative(5).offset_matrix()
         assert m.shape == (11, 11)
         assert np.array_equal(m, m.T)
 
