@@ -22,7 +22,8 @@ from .sinc_basis import SincWeights
 
 
 class CollocationOverflowError(OverflowError):
-    """A collocation point produced a non-finite matrix entry."""
+    """A collocation point produced a non-finite matrix entry, or the trace
+    the mesh search minimizes overflowed to -inf."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,8 @@ def assemble_collocation_matrix(
     # V(sinh kh) is +inf on the diagonal wherever cosh(kh) overflows
     with np.errstate(over="ignore"):
         c = np.cosh(points)
-        entries = -weights.offset_matrix() / (h * h * np.outer(c, c))
-        idx = np.arange(2 * half_width + 1)
-        entries[idx, idx] += transformed_potential_scaled(potential, points)
+        entries = weights.offset_matrix() / (-(h * h) * np.outer(c, c))
+        entries.flat[:: len(points) + 1] += transformed_potential_scaled(potential, points)
     if not np.isfinite(entries).all():
         k = int(np.argmax(~np.isfinite(np.diagonal(entries)))) - half_width
         raise CollocationOverflowError(

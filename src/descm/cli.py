@@ -13,6 +13,7 @@ or unwritable --output, 3 converge hit N_max without meeting tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -107,7 +108,13 @@ def _add_mesh(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--h", type=float, default=None, help="mesh size for --mesh fixed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing leaves no state in it, so ``main`` can be called any number of
+    times in one process.
+    """
     parser = argparse.ArgumentParser(
         prog="descm",
         description="Energy eigenvalues of even-polynomial anharmonic oscillators "

@@ -15,7 +15,8 @@ form requiring no matrix assembly:
 which diverges at both h -> 0+ and h -> infinity, so an interior minimizer
 exists for every truncation N >= 1; repeated grid scans of the trace find it.
 The first scan covers [1e-3, 5]; while its minimum lies on an edge, the
-window widens toward that edge, so the search always returns. Refinement
+window widens toward that edge, so the search always returns unless the
+trace overflows to -inf (a well deeper than the double range). Refinement
 then narrows the best triple to a fixed relative width of 1e-10, so the
 trace-minimized h depends on the potential and N alone.
 The trace does not resolve h much below 1e-8 relative: by then neighbouring
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import CollocationOverflowError
 from .de_map import transformed_potential_scaled
 from .potential import EvenPolynomialPotential
 from .sinc_basis import D2_DIAGONAL
@@ -146,6 +148,9 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     sinh(x)^2, so each mirrored value is the one the point -kh would give:
     the summed row, its order and hence every trace are those of the full
     grid, and equal ``np.trace`` of the assembled matrix bit for bit.
+
+    Where V(sinh kh) is -inf at some points and +inf at others, the trace is
+    undefined and comes back as NaN, without a warning.
     """
     if half_width < 0:
         raise ValueError(f"truncation half-width must be >= 0, got {half_width}")
@@ -156,14 +161,31 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     # cosh^2 may overflow to inf for scan points far outside the window; the
     # kinetic term then correctly flushes to zero and the potential part
     # dominates, so the overflow is expected rather than an error; so is an
-    # overflow of the sum itself
-    with np.errstate(over="ignore"):
+    # overflow of the sum itself; +inf and -inf entries sum to an undefined NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         cosh2 = np.cosh(points)
         cosh2 **= 2
         half = -D2_DIAGONAL / ((h * h)[..., np.newaxis] * cosh2)
         half += transformed_potential_scaled(potential, points)
         trace = np.sum(np.concatenate([half[..., :0:-1], half], axis=-1), axis=-1)
     return float(trace) if trace.ndim == 0 else trace
+
+
+def _best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
+    """Index of the smallest trace, ranking an undefined (NaN) trace as +inf.
+
+    A trace of -inf ranks lowest but has no minimum to refine toward: the
+    diagonal sums below the double range, so no mesh size is chosen.
+    """
+    best = int(np.argmin(traces))
+    if not math.isfinite(traces[best]):
+        if math.isnan(traces[best]):  # argmin returns the first NaN, if any
+            best = int(np.argmin(np.where(np.isnan(traces), np.inf, traces)))
+        if traces[best] == -math.inf:
+            raise CollocationOverflowError(
+                f"collocation trace overflows to -inf at h = {grid[best]:.6g}"
+            )
+    return best
 
 
 def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> float:
@@ -181,13 +203,16 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     large h, V(sinh kh) overflows to +inf, since Horner's rule starts from
     the positive leading coefficient; an infinite trace never beats a finite
     one, so the window stops growing to the right.
+
+    A scanned trace of -inf raises :class:`CollocationOverflowError`, and an
+    undefined (NaN) trace ranks as +inf.
     """
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
     lo, hi = _FIRST_WINDOW
     while True:
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
-        best = int(np.argmin(collocation_trace(potential, half_width, grid)))
+        best = _best_trace(grid, collocation_trace(potential, half_width, grid))
         if best == 0:
             lo = lo * lo / hi
         elif best == _SCAN_POINTS - 1:
@@ -197,7 +222,7 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     a, b = grid[best - 1], grid[best + 1]
     while b - a > _RESOLUTION * a:
         grid = np.linspace(a, b, _SCAN_POINTS)
-        best = int(np.argmin(collocation_trace(potential, half_width, grid)))
+        best = _best_trace(grid, collocation_trace(potential, half_width, grid))
         best = min(max(best, 1), _SCAN_POINTS - 2)
         a, b = grid[best - 1], grid[best + 1]
     return 0.5 * (a + b)

@@ -21,12 +21,31 @@ import numpy as np
 D2_DIAGONAL = -(np.pi**2) / 3.0
 
 
+def _d2_table(half_width: int) -> np.ndarray:
+    """Read-only delta2 at offsets -2M..2M for M = ``half_width``."""
+    off = np.arange(-2 * half_width, 2 * half_width + 1)
+    values = np.empty(off.shape)
+    nz = off != 0
+    values[nz] = -2.0 * (-1.0) ** off[nz] / (off[nz] * off[nz])
+    values[2 * half_width] = D2_DIAGONAL
+    values.setflags(write=False)
+    return values
+
+
+# delta2(r) does not depend on the truncation, so one table serves every
+# N <= M. It is regrown to at least twice its half-width when a larger N
+# arrives, and never shrinks.
+_table = _d2_table(0)
+
+
 @dataclass(frozen=True)
 class SincWeights:
-    """Collocation weights for offsets -2N..2N, stored once per truncation.
+    """Collocation weights for offsets -2N..2N.
 
-    The kinetic block of the collocation matrix is Toeplitz in the offset, so
-    a single length-(4N+1) array serves every row.
+    ``values`` is a read-only slice of one process-wide table, so no
+    truncation recomputes a weight. The kinetic block of the collocation
+    matrix is Toeplitz in the offset, and ``offset_matrix`` reads it straight
+    from that slice.
     """
 
     half_width: int
@@ -37,15 +56,23 @@ class SincWeights:
 
     @classmethod
     def second_derivative(cls, half_width: int) -> "SincWeights":
-        off = np.arange(-2 * half_width, 2 * half_width + 1)
-        values = np.empty(off.shape)
-        nz = off != 0
-        values[nz] = -2.0 * (-1.0) ** off[nz] / (off[nz] * off[nz])
-        values[2 * half_width] = D2_DIAGONAL
+        global _table
+        # slice the table read here, not the global: a racing thread may
+        # swap in another table, which then only costs a redundant build
+        table = _table
+        if half_width > len(table) // 4:
+            table = _table = _d2_table(max(half_width, len(table) // 2))
+        centre = len(table) // 2
+        values = table[centre - 2 * half_width : centre + 2 * half_width + 1]
         return cls(half_width=half_width, values=values)
 
     def offset_matrix(self) -> np.ndarray:
-        """Dense (2N+1)x(2N+1) matrix of values at offsets k - j."""
-        idx = np.arange(2 * self.half_width + 1)
-        r = idx[None, :] - idx[:, None]
-        return self.values[r + 2 * self.half_width]
+        """Read-only (2N+1)x(2N+1) Toeplitz view, entry [j, k] = values at k - j.
+
+        Row j starts at offset -j, so the view steps back one weight per row
+        and forward one per column; nothing is copied.
+        """
+        n = 2 * self.half_width + 1
+        step = self.values.itemsize
+        return np.ndarray((n, n), self.values.dtype, buffer=self.values,
+                          offset=(n - 1) * step, strides=(-step, step))

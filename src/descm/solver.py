@@ -37,8 +37,9 @@ class DescmProblem:
 class SpectrumResult:
     """Spectrum at one truncation; ``eigenvalues`` holds the requested levels.
 
-    ``spectrum`` keeps all 2N+1 computed eigenvalues. ``eigenvectors``
-    (columns matching ``spectrum``) are present only when requested.
+    ``spectrum`` keeps all 2N+1 computed eigenvalues, and ``eigenvalues`` is
+    a view of its head. ``eigenvectors`` (columns matching ``spectrum``) are
+    present only when requested. All three are read-only.
     """
 
     half_width: int
@@ -49,6 +50,7 @@ class SpectrumResult:
     eigenvectors: np.ndarray | None = None
 
     def __post_init__(self):
+        self.eigenvalues.setflags(write=False)
         self.spectrum.setflags(write=False)
         if self.eigenvectors is not None:
             self.eigenvectors.setflags(write=False)
@@ -108,7 +110,7 @@ def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) ->
     return SpectrumResult(
         half_width=half_width,
         h_used=h,
-        eigenvalues=spectrum[: problem.levels_requested].copy(),
+        eigenvalues=spectrum[: problem.levels_requested],
         spectrum=spectrum,
         wall_time=elapsed,
         eigenvectors=vectors,

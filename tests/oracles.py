@@ -2,11 +2,13 @@
 
 None runs on the solve path: the transformed potential W of the sinh map in
 the paper's closed form, the transformed potential of an arbitrary change of
-variable by nested finite differences, the unreduced collocation pair whose
-conjugation gives the solved matrix, the earlier trace-minimized mesh search
-(a log-spaced scan refined by golden section), the collocation trace summed
-over the full grid k = -N..N, and the potential and W/cosh^2 written as plain
-expressions that allocate a new array at every step.
+variable by nested finite differences, the second-derivative weights built
+per truncation with their Toeplitz matrix gathered through an index array,
+the unreduced collocation pair whose conjugation gives the solved matrix,
+the earlier trace-minimized mesh search (a log-spaced scan refined by golden
+section), the collocation trace summed over the full grid k = -N..N, and the
+potential and W/cosh^2 written as plain expressions that allocate a new
+array at every step.
 """
 
 from __future__ import annotations
@@ -76,6 +78,18 @@ def transformed_potential_general(potential, map_fn, x, map_derivative_fn=None):
     if not math.isfinite(derivative_term):
         raise FloatingPointError(f"finite-difference stencil lost precision at x = {x}")
     return derivative_term + fprime(x) ** 2 * potential(map_fn(x))
+
+
+def gathered_d2_weights(half_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """delta2 at offsets -2N..2N, built for this N alone, and the dense
+    (2N+1)x(2N+1) matrix of its values at offsets k - j, gathered by index."""
+    off = np.arange(-2 * half_width, 2 * half_width + 1)
+    values = np.empty(off.shape)
+    nz = off != 0
+    values[nz] = -2.0 * (-1.0) ** off[nz] / (off[nz] * off[nz])
+    values[2 * half_width] = D2_DIAGONAL
+    idx = np.arange(2 * half_width + 1)
+    return values, values[idx[None, :] - idx[:, None] + 2 * half_width]
 
 
 def assemble_generalized_pair(

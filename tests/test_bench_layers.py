@@ -1,9 +1,19 @@
-"""The traced benchmark (bench/tracing.py) wraps descm's module globals by
-name; a refactor that renames or drops one of them would silently stop
-timing that layer. This guard fails instead."""
+"""The benchmark reaches descm through module globals, and these guards fail
+when a refactor would silently change what it measures.
+
+The traced benchmark (bench/tracing.py) wraps descm's module globals by
+name; renaming or dropping one of them would stop timing that layer. The
+untraced run (bench/run.py, ``timing_parts``) splits each task into parts by
+wrapping ``descm.solver.solve`` and ``descm.mesh.collocation_trace``; a path
+that bypassed them would fold its work into fewer, longer parts."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
+
+from descm import DescmProblem, MeshStrategy, cli, mesh, parse_potential, solver
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -18,3 +28,42 @@ def test_every_benchmark_layer_is_present():
         assert tracer.missing == []
     finally:
         tracer.restore()
+
+
+@pytest.fixture
+def part_counts(monkeypatch):
+    """Count calls through the two module globals the benchmark splits on."""
+    counts = {"solve": 0, "trace": 0}
+    raw_solve, raw_trace = solver.solve, mesh.collocation_trace
+
+    def counted_solve(*args, **kwargs):
+        counts["solve"] += 1
+        return raw_solve(*args, **kwargs)
+
+    def counted_trace(*args, **kwargs):
+        counts["trace"] += 1
+        return raw_trace(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counted_solve)
+    monkeypatch.setattr(mesh, "collocation_trace", counted_trace)
+    return counts
+
+
+@pytest.mark.parametrize("mesh_kind", ["optimal", "trace-min"])
+def test_cli_converge_reaches_the_part_hooks(part_counts, capsys, mesh_kind):
+    code = cli.main(["converge", "--potential", "poly:1,1", "--mesh", mesh_kind,
+                     "--format", "json"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert code == 0
+    assert part_counts["solve"] == len(records)
+    if mesh_kind == "trace-min":
+        assert part_counts["trace"] >= len(records)
+    else:
+        assert part_counts["trace"] == 0
+
+
+def test_library_trace_min_converge_reaches_the_part_hooks(part_counts):
+    problem = DescmProblem(parse_potential("poly:1,-4,1"), strategy=MeshStrategy.trace_minimized())
+    trace = solver.converge(problem, level=0, tolerance=5e-12, n_max=40)
+    assert part_counts["solve"] == len(trace.records)
+    assert part_counts["trace"] >= len(trace.records)

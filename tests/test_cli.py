@@ -1,10 +1,14 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from descm.cli import main
+from descm.cli import build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -146,6 +150,19 @@ class TestSolveCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["1", "2", "5"])
+    def test_trace_overflowing_to_minus_inf_exits_1_with_one_line(self, capsys, n):
+        # V reaches -inf on part of a scan and +inf beyond it, so some traces
+        # are undefined (NaN) and some are -inf: no mesh size, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "solve", "--potential", "poly:-1e300,1e-300",
+                                 "--N", n, "--mesh", "trace-min")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("descm: numerical failure: collocation trace overflows to -inf")
+
     @pytest.mark.parametrize("m,leading", [(600, "1e-300"), (1100, "1")])
     def test_closed_form_beyond_double_range_exits_0(self, capsys, m, leading):
         # the closed-form argument overflows: 2^m for m >= 1024, the quotient
@@ -156,6 +173,23 @@ class TestSolveCommand:
         payload = json.loads(out)
         assert 0.0 < payload["h"] < math.inf
         assert all(math.isfinite(e) for e in payload["eigenvalues"])
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        # every option the first call sets differs from the golden call's
+        code, out, _ = run(capsys, "solve", "--potential", "poly:1,1", "--N", "17",
+                           "--levels", "5", "--mesh", "fixed", "--h", "0.2", "--format", "csv")
+        assert code == 0 and out.startswith("level,E\n")
+        code, out, err = run(capsys, "solve", "--potential", "poly:1,1", "--N", "not-a-number")
+        assert code == 2 and out == "" and "invalid int value" in err
+        code, out, _ = run(capsys, "solve", "--potential", "poly:1,1", "--N", "17",
+                           "--levels", "3")
+        assert code == 0
+        assert out == (GOLDEN / "solve_quartic.json").read_text(encoding="utf-8")
 
 
 class TestConvergeCommand:

@@ -20,8 +20,8 @@ from descm import (
     solve,
     trace_minimized_mesh_size,
 )
-from descm import mesh
-from descm.mesh import _FIRST_WINDOW, _RESOLUTION
+from descm import CollocationOverflowError, mesh
+from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _best_trace
 from conftest import random_potential
 from oracles import full_grid_collocation_trace, golden_section_mesh_size
 
@@ -323,6 +323,24 @@ class TestTraceMinimized:
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             trace_minimized_mesh_size(QUARTIC, 0)
+
+    def test_undefined_trace_ranks_as_plus_inf(self):
+        grid = np.array([0.1, 0.2, 0.3, 0.4])
+        assert _best_trace(grid, np.array([2.0, math.nan, 1.0, 3.0])) == 2
+        assert _best_trace(grid, np.array([math.nan, math.inf, 5.0, math.nan])) == 2
+        assert _best_trace(grid, np.array([math.nan, 1.0, 1.0, math.nan])) == 1
+        with pytest.raises(CollocationOverflowError, match="h = 0.3"):
+            _best_trace(grid, np.array([math.nan, 1.0, -math.inf, math.nan]))
+
+    def test_mixed_infinities_give_nan_trace_without_warning(self):
+        # V(sinh kh) is -inf at k = 1 and +inf at k = 2
+        potential = parse_potential("poly:-1e300,1e-300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = collocation_trace(potential, 2, np.array([1.0, 177.8, 300.0]))
+            assert math.isnan(trace[1])
+            with pytest.raises(CollocationOverflowError):
+                trace_minimized_mesh_size(potential, 2)
 
 
 class TestMeshStrategy:

@@ -59,12 +59,17 @@ class TestSolve:
         assert np.all(np.diff(result.spectrum) >= 0.0)
 
     def test_spectrum_and_vectors_read_only(self):
-        result = solve(DescmProblem(QUARTIC), 6, want_vectors=True)
-        for array in (result.spectrum, result.eigenvectors):
+        result = solve(DescmProblem(QUARTIC, levels_requested=3), 6, want_vectors=True)
+        for array in (result.eigenvalues, result.spectrum, result.eigenvectors):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        assert not solve(DescmProblem(QUARTIC), 6).spectrum.flags.writeable
+        values_only = solve(DescmProblem(QUARTIC, levels_requested=3), 6)
+        for array in (values_only.eigenvalues, values_only.spectrum):
+            assert not array.flags.writeable
+        # the requested levels are a view of the head of the full spectrum
+        assert np.shares_memory(values_only.eigenvalues, values_only.spectrum)
+        assert np.array_equal(values_only.eigenvalues, values_only.spectrum[:3])
 
     def test_full_spectrum_count(self):
         result = solve(DescmProblem(QUARTIC, levels_requested=11), 5)
