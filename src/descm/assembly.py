@@ -5,7 +5,8 @@ The reduced matrix acting on z = cosh(kh) v(kh) has entries
     A[j,k] = -delta2(k-j) / (h^2 cosh(jh) cosh(kh))          for j != k,
     A[k,k] = (pi^2/3) / (h^2 cosh(kh)^2) + W(kh)/cosh(kh)^2,
 
-with W the transformed potential. The generalized pair (stiffness matrix,
+with W the transformed potential. cosh(kh) is evaluated once per point, and
+its square is shared with W/cosh^2. The generalized pair (stiffness matrix,
 diagonal weight) it was reduced from is never formed; solving goes through
 the reduced matrix directly, which is exactly symmetric by construction.
 """
@@ -63,8 +64,8 @@ def assemble_collocation_matrix(
     # V(sinh kh) is +inf on the diagonal wherever cosh(kh) overflows
     with np.errstate(over="ignore"):
         c = np.cosh(points)
-        entries = weights.offset_matrix() / (-(h * h) * np.outer(c, c))
-        entries.flat[:: len(points) + 1] += transformed_potential_scaled(potential, points)
+        entries = weights.offset_matrix() / (-(h * h) * np.multiply.outer(c, c))
+        entries.flat[:: len(points) + 1] += transformed_potential_scaled(potential, points, c * c)
     if not np.isfinite(entries).all():
         k = int(np.argmax(~np.isfinite(np.diagonal(entries)))) - half_width
         raise CollocationOverflowError(

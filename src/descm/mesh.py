@@ -14,11 +14,11 @@ form requiring no matrix assembly:
 
 which diverges at both h -> 0+ and h -> infinity, so an interior minimizer
 exists for every truncation N >= 1; repeated grid scans of the trace find it.
-The first scan covers [1e-3, 5]; while its minimum lies on an edge, the
-window widens toward that edge, so the search always returns unless the
-trace overflows to -inf (a well deeper than the double range). Refinement
-then narrows the best triple to a fixed relative width of 1e-10, so the
-trace-minimized h depends on the potential and N alone.
+Each point evaluates cosh once, for the kinetic term and W/cosh^2 alike.
+The first scan covers [1e-3, 5] on a grid built once per process, and widens
+toward an edge holding its minimum; refinement then narrows the best triple
+to a fixed relative width of 1e-10, so the trace-minimized h depends on the
+potential and N alone.
 The trace does not resolve h much below 1e-8 relative: by then neighbouring
 traces differ by a few ulp, so the last passes to 1e-10 choose among
 rounding noise. They cost two trace calls at most and keep the search's
@@ -37,11 +37,19 @@ from .de_map import transformed_potential_scaled
 from .potential import EvenPolynomialPotential
 from .sinc_basis import D2_DIAGONAL
 
-_E = math.e
-
 _FIRST_WINDOW = (1e-3, 5.0)
 _SCAN_POINTS = 64
 _RESOLUTION = 1e-10  # relative width at which refinement stops
+_FIRST_GRID = np.exp(np.linspace(*map(math.log, _FIRST_WINDOW), _SCAN_POINTS))
+_FIRST_GRID.setflags(write=False)
+_RAMP = np.arange(_SCAN_POINTS, dtype=float)
+
+
+def _linear_grid(a: float, b: float) -> np.ndarray:
+    """np.linspace(a, b, 64) byte for byte, by linspace's arithmetic on a fixed ramp."""
+    grid = _RAMP * ((b - a) / (_SCAN_POINTS - 1)) + a
+    grid[-1] = b
+    return grid
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ def lambert_w0(z: float) -> float:
         raise ValueError(f"lambert_w0 requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
-    w = math.log1p(z) if z < _E else math.log(z) - math.log(math.log(z))
+    w = math.log1p(z) if z < math.e else math.log(z) - math.log(math.log(z))
     for _ in range(50):
         ew = math.exp(w)
         residual = w * ew - z
@@ -155,20 +163,23 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     if half_width < 0:
         raise ValueError(f"truncation half-width must be >= 0, got {half_width}")
     h = np.asarray(h, dtype=float)
-    if not np.all(h > 0.0):
+    if not (h > 0.0).all():
         raise ValueError(f"mesh size must be positive, got {h}")
-    points = np.multiply.outer(h, np.arange(half_width + 1))
-    # cosh^2 may overflow to inf for scan points far outside the window; the
-    # kinetic term then correctly flushes to zero and the potential part
-    # dominates, so the overflow is expected rather than an error; so is an
-    # overflow of the sum itself; +inf and -inf entries sum to an undefined NaN
+    # far out cosh^2, V and the sum overflow to +inf (the kinetic term flushes
+    # to zero) as expected; +inf and -inf entries sum to an undefined NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        cosh2 = np.cosh(points)
-        cosh2 **= 2
-        half = -D2_DIAGONAL / ((h * h)[..., np.newaxis] * cosh2)
-        half += transformed_potential_scaled(potential, points)
-        trace = np.sum(np.concatenate([half[..., :0:-1], half], axis=-1), axis=-1)
+        half = _half_diagonal(potential, half_width, h)
+        trace = np.concatenate([half[..., :0:-1], half], axis=-1).sum(axis=-1)
     return float(trace) if trace.ndim == 0 else trace
+
+
+def _half_diagonal(potential: EvenPolynomialPotential, half_width: int, h: np.ndarray):
+    """Diagonal at k = 0..N on a new last axis of ``h``; call with overflow ignored."""
+    points = np.multiply.outer(h, np.arange(half_width + 1))
+    cosh2 = np.cosh(points) ** 2
+    half = -D2_DIAGONAL / ((h * h)[..., np.newaxis] * cosh2)
+    half += transformed_potential_scaled(potential, points, cosh2)
+    return half
 
 
 def _best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
@@ -177,10 +188,10 @@ def _best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
     A trace of -inf ranks lowest but has no minimum to refine toward: the
     diagonal sums below the double range, so no mesh size is chosen.
     """
-    best = int(np.argmin(traces))
+    best = int(traces.argmin())
     if not math.isfinite(traces[best]):
         if math.isnan(traces[best]):  # argmin returns the first NaN, if any
-            best = int(np.argmin(np.where(np.isnan(traces), np.inf, traces)))
+            best = int(np.where(np.isnan(traces), np.inf, traces).argmin())
         if traces[best] == -math.inf:
             raise CollocationOverflowError(
                 f"collocation trace overflows to -inf at h = {grid[best]:.6g}"
@@ -210,8 +221,8 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
     lo, hi = _FIRST_WINDOW
+    grid = _FIRST_GRID
     while True:
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
         best = _best_trace(grid, collocation_trace(potential, half_width, grid))
         if best == 0:
             lo = lo * lo / hi
@@ -219,9 +230,10 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
             hi = hi * hi / lo
         else:
             break
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
     a, b = grid[best - 1], grid[best + 1]
     while b - a > _RESOLUTION * a:
-        grid = np.linspace(a, b, _SCAN_POINTS)
+        grid = _linear_grid(a, b)
         best = _best_trace(grid, collocation_trace(potential, half_width, grid))
         best = min(max(best, 1), _SCAN_POINTS - 2)
         a, b = grid[best - 1], grid[best + 1]

@@ -170,6 +170,9 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     search over both sides would let rounding pick the sign. Near-degenerate
     doublets such as those of ``poly:-20,1`` still come back from LAPACK as
     arbitrary mixtures of the even and odd state, which no sign rule fixes.
+
+    Past the outermost collocation point, |x| > sinh(Nh), the series would
+    only extrapolate, so the value there is 0; a NaN x gives NaN.
     """
     if result.eigenvectors is None:
         raise ValueError("solve(..., want_vectors=True) is required for reconstruction")
@@ -185,6 +188,9 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     t = np.arcsinh(np.atleast_1d(x))
+    outside = np.abs(t) > n * h
+    t[outside] = 0.0
     cardinal = sinc((t[:, None] - k[None, :] * h) / h) @ v
     psi = cardinal * np.sqrt(np.cosh(t))
+    psi[outside] = 0.0
     return float(psi[0]) if scalar else psi

@@ -5,7 +5,10 @@ The traced benchmark (bench/tracing.py) wraps descm's module globals by
 name; renaming or dropping one of them would stop timing that layer. The
 untraced run (bench/run.py, ``timing_parts``) splits each task into parts by
 wrapping ``descm.solver.solve`` and ``descm.mesh.collocation_trace``; a path
-that bypassed them would fold its work into fewer, longer parts."""
+that bypassed them would fold its work into fewer, longer parts. The traced
+``de_map.scaled`` layer wraps ``transformed_potential_scaled`` as the mesh and
+assembly modules name it; a trace or assembly that inlined it would leave
+that layer silent."""
 
 import importlib.util
 import json
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from descm import DescmProblem, MeshStrategy, cli, mesh, parse_potential, solver
+from descm import DescmProblem, MeshStrategy, assembly, cli, mesh, parse_potential, solver
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -67,3 +70,29 @@ def test_library_trace_min_converge_reaches_the_part_hooks(part_counts):
     trace = solver.converge(problem, level=0, tolerance=5e-12, n_max=40)
     assert part_counts["solve"] == len(trace.records)
     assert part_counts["trace"] >= len(trace.records)
+
+
+def test_trace_and_assembly_each_call_the_scaled_potential_once(monkeypatch, capsys):
+    counts = dict.fromkeys(("trace", "assembly", "mesh.scaled", "assembly.scaled"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, key in (
+        (mesh, "collocation_trace", "trace"),
+        (solver, "assemble_collocation_matrix", "assembly"),
+        (mesh, "transformed_potential_scaled", "mesh.scaled"),
+        (assembly, "transformed_potential_scaled", "assembly.scaled"),
+    ):
+        monkeypatch.setattr(owner, attr, counted(key, getattr(owner, attr)))
+    code = cli.main(["converge", "--potential", "cheb:10;shift=-1", "--mesh", "trace-min",
+                     "--format", "json"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert code == 0
+    assert counts["assembly"] == len(records)
+    assert counts["trace"] >= 8 * len(records)
+    assert counts["mesh.scaled"] == counts["trace"]
+    assert counts["assembly.scaled"] == counts["assembly"]

@@ -85,6 +85,28 @@ class TestTransformedPotential:
                 assert type(value) is float
                 assert value == transformed_potential_scaled_expression(p, t)
 
+    def test_shared_cosh2_matches_one_argument_call_bit_for_bit(self, rng):
+        # the trace and the assembly pass np.cosh(x)**2 in; at t = 355.3, 400
+        # and 800 cosh^2 and V(sinh t) overflow to inf
+        cases = [case.potential for case in analytic_catalog()]
+        cases += [parse_potential("cheb:40;shift=-1")]
+        cases += [random_potential(rng, with_constant=True) for _ in range(5)]
+        far = [355.3, 400.0, 800.0, -355.3, -400.0, -800.0]
+        ts = np.concatenate([rng.uniform(-30.0, 30.0, 290), rng.uniform(-800.0, 800.0, 44), far])
+        for p in cases:
+            for x in (ts, ts.reshape(20, 17)):
+                with np.errstate(over="ignore"):
+                    got = transformed_potential_scaled(p, x, np.cosh(x) ** 2)
+                want = transformed_potential_scaled(p, x)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for t in (0.0, 0.7, -3.0, *far):
+                with np.errstate(over="ignore"):
+                    got = transformed_potential_scaled(p, t, np.cosh(t) ** 2)
+                want = transformed_potential_scaled(p, t)
+                assert type(got) is type(want) is float
+                assert got == want
+
     def test_constant_term_is_amplified(self):
         # W carries the constant times cosh^2, so W/cosh^2 carries it as is
         p = EvenPolynomialPotential((1.0,), constant=2.0)

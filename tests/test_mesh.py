@@ -21,7 +21,9 @@ from descm import (
     trace_minimized_mesh_size,
 )
 from descm import CollocationOverflowError, mesh
-from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _best_trace
+from descm.mesh import (
+    _FIRST_GRID, _FIRST_WINDOW, _RESOLUTION, _best_trace, _half_diagonal, _linear_grid,
+)
 from conftest import random_potential
 from oracles import full_grid_collocation_trace, golden_section_mesh_size
 
@@ -184,6 +186,20 @@ class TestTrace:
                 assert np.array_equal(got, want)
         assert n == 0 or np.isinf(collocation_trace(QUARTIC, n, hs)).any()
 
+    def test_half_diagonal_equals_assembled_diagonal_element_by_element(self, rng):
+        # the trace sums this row mirrored; it must be the assembled diagonal
+        # entry for entry, not only in sum
+        for _ in range(100):
+            p = random_potential(rng, with_constant=True)
+            n = int(rng.integers(1, 40))
+            hs = rng.uniform(0.02, 1.5, size=3)
+            with np.errstate(over="ignore"):
+                rows = _half_diagonal(p, n, hs)
+            for h, row in zip(hs, rows):
+                diagonal = np.diagonal(assemble_collocation_matrix(p, n, float(h)).entries)
+                assert row.tobytes() == diagonal[n:].tobytes()
+                assert row[:0:-1].tobytes() == diagonal[:n].tobytes()
+
     def test_overflowing_sum_is_inf_without_warnings(self):
         # both outer points are finite, just below the float maximum; only
         # their sum overflows
@@ -245,6 +261,40 @@ class TestTraceMinimized:
         trace_minimized_mesh_size(TRIPLE_WELL, 20)
         expected = np.exp(np.linspace(math.log(1e-3), math.log(5.0), 64))
         assert grids[0].tobytes() == expected.tobytes()
+
+    def test_first_grid_is_read_only(self):
+        # every search scans this one array first
+        assert not _FIRST_GRID.flags.writeable
+        with pytest.raises(ValueError):
+            _FIRST_GRID[0] = 1.0
+
+    def test_refinement_grid_is_linspace_bit_for_bit(self, rng):
+        starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e3), 2000))
+        widths = 10.0 ** rng.uniform(-12.0, 0.0, 2000)
+        # the ramp alone ends one ulp past b here; linspace sets b itself
+        pairs = [(np.float64(63.718357311864395), np.float64(126.93567180349224))]
+        for a, b in pairs + [(a, a * (1.0 + width)) for a, width in zip(starts, widths)]:
+            assert _linear_grid(a, b).tobytes() == np.linspace(a, b, 64).tobytes(), (a, b)
+            assert _linear_grid(float(a), float(b)).tobytes() == np.linspace(a, b, 64).tobytes()
+
+    @pytest.mark.parametrize("spec,n", [("poly:1,1", 5), ("cheb:20;shift=-1", 40),
+                                        ("poly:1e10,1e10", 100)])
+    def test_search_scans_linspace_grids(self, monkeypatch, spec, n):
+        scans = []
+
+        def record(potential, half_width, h):
+            traces = collocation_trace(potential, half_width, h)
+            scans.append((np.array(h, copy=True), traces))
+            return traces
+
+        monkeypatch.setattr(mesh, "collocation_trace", record)
+        trace_minimized_mesh_size(parse_potential(spec), n)
+        # log scans widen the window until the best point is interior; every
+        # later scan refines across the best triple
+        last_log = next(i for i, (g, t) in enumerate(scans) if 0 < _best_trace(g, t) < 63)
+        assert len(scans) > last_log + 1
+        for grid, _ in scans[last_log + 1:]:
+            assert grid.tobytes() == np.linspace(grid[0], grid[-1], 64).tobytes()
 
     @pytest.mark.parametrize("spec,n", BEYOND_FIRST_WINDOW)
     def test_minimum_beyond_first_window_matches_dense_scan(self, spec, n):

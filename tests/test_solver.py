@@ -253,6 +253,29 @@ class TestWavefunction:
             signs = {math.copysign(1.0, reconstruct_wavefunction(r, level, 0.7)) for r in results}
             assert len(signs) == 1, level
 
+    def test_zero_past_the_grid(self):
+        # at N = 10 the quartic's grid ends at x = sinh(10 h) = 2.93; the
+        # series used to extrapolate to 0.276 at 1e12 and -3.6e91 at 1e200
+        result = solve(DescmProblem(QUARTIC), 10, want_vectors=True)
+        edge = math.sinh(10 * result.h_used)
+        far = [math.inf, -math.inf, 1e200, -1e200, 1e12, -1e12, 1.01 * edge, -1.01 * edge]
+        for level in (0, 1):
+            for x in far:
+                assert reconstruct_wavefunction(result, level, x) == 0.0
+            assert reconstruct_wavefunction(result, level, edge) != 0.0
+            assert math.isnan(reconstruct_wavefunction(result, level, math.nan))
+
+    def test_values_inside_the_grid_do_not_depend_on_points_outside(self, rng):
+        # BLAS may round a row differently with the row count, so compare
+        # arrays of the same length
+        result = solve(DescmProblem(QUARTIC), 10, want_vectors=True)
+        inside = rng.uniform(-2.9, 2.9, size=50)
+        outside = np.array([math.inf, -1e200, 1e12, math.nan])
+        mixed = reconstruct_wavefunction(result, 0, np.concatenate([inside, outside]))
+        plain = reconstruct_wavefunction(result, 0, np.concatenate([inside, inside[:4]]))
+        assert mixed[:50].tobytes() == plain[:50].tobytes()
+        assert mixed[50:-1].tolist() == [0.0, 0.0, 0.0] and math.isnan(mixed[-1])
+
     def test_discrete_normalization(self):
         result = solve(DescmProblem(HARMONIC), 25, want_vectors=True)
         xs = np.linspace(-8.0, 8.0, 4001)
