@@ -3,8 +3,10 @@
 Commands: solve (spectrum at one truncation), converge (sweep N until the
 successive difference stops moving), trace-scan (trace-vs-mesh profile for
 plotting), validate (the four analytically solvable cases), table (bundled
-parameter presets). Data goes to stdout or --output as CSV or JSON with
-numbers at 17 significant digits; diagnostics go to stderr.
+parameter presets). Each command builds its rows once and hands them to
+``_write``, the one writer, which puts them on stdout or --output as CSV or
+JSON with numbers at 17 significant digits; diagnostics go to stderr. Each
+input rule is checked once: by the parser, ``parse_potential`` or the library.
 
 Exit codes: 0 success, 1 numerical failure, 2 bad arguments, potential spec
 or unwritable --output, 3 converge hit N_max without meeting tolerance.
@@ -27,7 +29,8 @@ from .mesh import (
     optimal_mesh_size,
     trace_minimized_mesh_size,
 )
-from .potential import PotentialSpecError, analytic_catalog, parse_potential
+from .potential import (EvenPolynomialPotential, PotentialSpecError, analytic_catalog,
+                        parse_potential)
 from .solver import DescmProblem, converge, solve
 
 _NUMERIC_ERRORS = (CollocationOverflowError, np.linalg.LinAlgError)
@@ -67,14 +70,6 @@ def _json_dump(value, indent: int = 0) -> str:
     return _fmt(value)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cell(value) -> str:
     """CSV text of one value: floats at 17 significant digits, a missing one as nan."""
     if value is None:
@@ -91,6 +86,26 @@ def _csv(header: str, rows, comments=()) -> str:
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     lines.extend(f"# {c}" for c in comments)
     return "\n".join(lines) + "\n"
+
+
+def _records(header: str, rows) -> list[dict]:
+    """JSON records of CSV rows, keyed by the header's column names."""
+    columns = header.split(",")
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def _write(args, payload: dict, header: str, rows, comments=()) -> None:
+    """The one writer: ``payload`` as JSON, or ``header``, ``rows`` and
+    ``comments`` as CSV, to --output or stdout."""
+    if args.format == "json":
+        text = _json_dump({"command": args.command, **payload}) + "\n"
+    else:
+        text = _csv(header, rows, comments)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _mesh_strategy(args) -> MeshStrategy:
@@ -149,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the analytically solvable cases "
                        "with both mesh strategies")
-    p.add_argument("--case", type=int, default=None, help="restrict to one catalog index (0-3)")
+    p.add_argument("--case", type=int, default=None, choices=range(4),
+                   help="restrict to one catalog index")
     p.add_argument("--N", type=int, default=45)
     _add_output(p, default_format="csv")
 
@@ -162,32 +178,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
-    potential = parse_potential(args.potential)
-    if args.N < 1:
-        raise ValueError(f"--N must be >= 1, got {args.N}")
-    if args.levels < 1 or args.levels > 2 * args.N + 1:
-        raise ValueError(f"--levels must lie in [1, 2N+1] = [1, {2 * args.N + 1}]")
-    problem = DescmProblem(potential, strategy=_mesh_strategy(args), levels_requested=args.levels)
+    problem = DescmProblem(parse_potential(args.potential), strategy=_mesh_strategy(args),
+                           levels_requested=args.levels)
     result = solve(problem, args.N)
-    if args.format == "json":
-        payload = {
-            "command": "solve",
-            "potential": args.potential,
-            "N": args.N,
-            "levels": args.levels,
-            "mesh": problem.strategy.kind,
-            "h": result.h_used,
-            "eigenvalues": [float(v) for v in result.eigenvalues],
-        }
-        _emit(_json_dump(payload) + "\n", args.output)
-    else:
-        _emit(_csv("level,E", enumerate(result.eigenvalues)), args.output)
+    payload = {
+        "potential": args.potential,
+        "N": args.N,
+        "levels": args.levels,
+        "mesh": problem.strategy.kind,
+        "h": result.h_used,
+        "eigenvalues": [float(v) for v in result.eigenvalues],
+    }
+    _write(args, payload, "level,E", enumerate(result.eigenvalues))
     return 0
 
 
 def cmd_converge(args) -> int:
-    potential = parse_potential(args.potential)
-    problem = DescmProblem(potential, strategy=_mesh_strategy(args))
+    problem = DescmProblem(parse_potential(args.potential), strategy=_mesh_strategy(args))
     trace = converge(
         problem,
         level=args.level,
@@ -196,25 +203,19 @@ def cmd_converge(args) -> int:
         n_max=args.n_max,
         n_start=args.n_start,
     )
-    if args.format == "json":
-        payload = {
-            "command": "converge",
-            "potential": args.potential,
-            "level": args.level,
-            "tolerance": args.tolerance,
-            "mesh": problem.strategy.kind,
-            "converged": trace.converged,
-            "N_final": trace.final.half_width,
-            "E_final": trace.final.energy,
-            "records": [
-                {"N": r.half_width, "h": r.h, "E_n": r.energy, "eps_n": r.delta}
-                for r in trace.records
-            ],
-        }
-        _emit(_json_dump(payload) + "\n", args.output)
-    else:
-        rows = [(r.half_width, r.h, r.energy, r.delta) for r in trace.records]
-        _emit(_csv("N,h,E_n,eps_n", rows), args.output)
+    header = "N,h,E_n,eps_n"
+    rows = [(r.half_width, r.h, r.energy, r.delta) for r in trace.records]
+    payload = {
+        "potential": args.potential,
+        "level": args.level,
+        "tolerance": args.tolerance,
+        "mesh": problem.strategy.kind,
+        "converged": trace.converged,
+        "N_final": trace.final.half_width,
+        "E_final": trace.final.energy,
+        "records": _records(header, rows),
+    }
+    _write(args, payload, header, rows)
     if not trace.converged:
         print(
             f"converge: tolerance {args.tolerance:g} not met by N = {trace.final.half_width}",
@@ -226,27 +227,23 @@ def cmd_converge(args) -> int:
 
 def cmd_trace_scan(args) -> int:
     potential = parse_potential(args.potential)
-    if args.N < 1:
-        raise ValueError(f"--N must be >= 1, got {args.N}")
     if args.points < 2 or not (0.0 < args.h_min < args.h_max < math.inf):
         raise ValueError("need --points >= 2 and 0 < h-min < h-max < inf")
     grid = np.exp(np.linspace(math.log(args.h_min), math.log(args.h_max), args.points))
     traces = collocation_trace(potential, args.N, grid)
     h_opt = optimal_mesh_size(potential, args.N)
     h_min_trace = trace_minimized_mesh_size(potential, args.N)
-    if args.format == "json":
-        payload = {
-            "command": "trace-scan",
-            "potential": args.potential,
-            "N": args.N,
-            "h_optimal": h_opt,
-            "h_trace_min": h_min_trace,
-            "scan": [{"h": float(h), "trace": float(t)} for h, t in zip(grid, traces)],
-        }
-        _emit(_json_dump(payload) + "\n", args.output)
-    else:
-        comments = (f"h_optimal = {_fmt(h_opt)}", f"h_trace_min = {_fmt(h_min_trace)}")
-        _emit(_csv("h,trace", zip(grid, traces), comments), args.output)
+    header = "h,trace"
+    rows = list(zip(grid, traces))
+    payload = {
+        "potential": args.potential,
+        "N": args.N,
+        "h_optimal": h_opt,
+        "h_trace_min": h_min_trace,
+        "scan": _records(header, rows),
+    }
+    comments = (f"h_optimal = {_fmt(h_opt)}", f"h_trace_min = {_fmt(h_min_trace)}")
+    _write(args, payload, header, rows, comments)
     return 0
 
 
@@ -280,11 +277,7 @@ _VALIDATE_JSON_FIELDS = ("case", "level", "mesh", "energy", "exact", "error", "t
 
 def cmd_validate(args) -> int:
     catalog = analytic_catalog()
-    if args.N < 1:
-        raise ValueError(f"--N must be >= 1, got {args.N}")
     if args.case is not None:
-        if not 0 <= args.case < len(catalog):
-            raise ValueError(f"--case must lie in [0, {len(catalog) - 1}]")
         catalog = (catalog[args.case],)
     rows = []
     for case in catalog:
@@ -299,16 +292,12 @@ def cmd_validate(args) -> int:
                                      result.h_used, energy, case.exact_energy, error, tol,
                                      "pass" if error <= tol else "FAIL"))
     failing = [r for r in rows if r.status != "pass"]
-    if args.format == "json":
-        payload = {
-            "command": "validate",
-            "N": args.N,
-            "results": [{k: getattr(r, k) for k in _VALIDATE_JSON_FIELDS} for r in rows],
-            "all_pass": not failing,
-        }
-        _emit(_json_dump(payload) + "\n", args.output)
-    else:
-        _emit(_csv(",".join(_ValidateRow._fields), rows), args.output)
+    payload = {
+        "N": args.N,
+        "results": [{k: getattr(r, k) for k in _VALIDATE_JSON_FIELDS} for r in rows],
+        "all_pass": not failing,
+    }
+    _write(args, payload, ",".join(_ValidateRow._fields), rows)
     print(f"validate: {len(rows) - len(failing)}/{len(rows)} passed", file=sys.stderr)
     if failing:
         print(f"validate: failing: {', '.join(f'{r.case}/{r.mesh}' for r in failing)}",
@@ -338,30 +327,20 @@ def cmd_table(args) -> int:
     strategy = _mesh_strategy(args)
     if args.name in (1, 2):
         coeffs = (-1.0, 3.0, -2.0, 0.0, 0.1) if args.name == 1 else (1.0, 0.0, 0.0, 100.0)
-        problem = DescmProblem(parse_potential("poly:" + ",".join(map(str, coeffs))),
-                               strategy=strategy, levels_requested=3)
+        problem = DescmProblem(EvenPolynomialPotential(coeffs), strategy=strategy,
+                               levels_requested=3)
         header = "N,E_0,E_1,E_2"
         rows = [(n, *solve(problem, n).eigenvalues) for n in range(5, 51, 5)]
     else:
         presets = _TABLE_ROWS[args.name]
         rows = []
         for coeffs in presets:
-            problem = DescmProblem(parse_potential("poly:" + ",".join(map(str, coeffs))),
-                                   strategy=strategy)
+            problem = DescmProblem(EvenPolynomialPotential(coeffs), strategy=strategy)
             final = converge(problem, level=0, tolerance=5e-12, n_max=100).final
             rows.append((*map(float, coeffs), final.half_width, final.energy, final.delta))
         header = ",".join(f"c{i + 1}" for i in range(len(presets[0]))) + ",N,E_0,eps_0"
-    if args.format == "json":
-        columns = header.split(",")
-        payload = {
-            "command": "table",
-            "name": args.name,
-            "mesh": strategy.kind,
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        _emit(_json_dump(payload) + "\n", args.output)
-    else:
-        _emit(_csv(header, rows), args.output)
+    payload = {"name": args.name, "mesh": strategy.kind, "rows": _records(header, rows)}
+    _write(args, payload, header, rows)
     return 0
 
 

@@ -15,6 +15,9 @@ from fractions import Fraction
 
 _MAX_CHEBYSHEV_DEGREE = 808
 
+# potential kind in a spec string -> the name of its one ";key=value" option
+_SPEC_OPTIONS = {"poly": "c0", "cheb": "shift"}
+
 
 class PotentialSpecError(ValueError):
     """Raised for malformed potential specification strings."""
@@ -69,13 +72,6 @@ class EvenPolynomialPotential:
             acc *= x2
         acc += self.constant
         return acc
-
-    def spec_string(self) -> str:
-        """Canonical ``poly:...`` form accepted by :func:`parse_potential`."""
-        body = ",".join(format(c, ".17g") for c in self.coefficients)
-        if self.constant != 0.0:
-            return f"poly:{body};c0={format(self.constant, '.17g')}"
-        return f"poly:{body}"
 
 
 @dataclass(frozen=True)
@@ -158,30 +154,23 @@ def parse_potential(text: str) -> EvenPolynomialPotential:
         raise PotentialSpecError(f"potential spec must look like 'poly:...' or 'cheb:...', got {text!r}")
     head, _, body = text.partition(":")
     head = head.strip().lower()
+    if head not in _SPEC_OPTIONS:
+        raise PotentialSpecError(f"unknown potential kind {head!r}")
     body, _, option = body.partition(";")
     try:
-        if head == "poly":
-            coeffs = tuple(float(tok) for tok in body.split(",")) if body.strip() else ()
-            if not coeffs:
-                raise PotentialSpecError("poly: needs at least one coefficient")
-            constant = 0.0
-            if option:
-                key, _, val = option.partition("=")
-                if key.strip() != "c0":
-                    raise PotentialSpecError(f"unknown poly option {key.strip()!r}")
-                constant = float(val)
-            return EvenPolynomialPotential(coeffs, constant=constant)
+        value = 0.0  # c0 for poly, shift for cheb
+        if option:
+            key, _, val = option.partition("=")
+            if key.strip() != _SPEC_OPTIONS[head]:
+                raise PotentialSpecError(f"unknown {head} option {key.strip()!r}")
+            value = float(val)
         if head == "cheb":
-            degree = int(body)
-            shift = 0.0
-            if option:
-                key, _, val = option.partition("=")
-                if key.strip() != "shift":
-                    raise PotentialSpecError(f"unknown cheb option {key.strip()!r}")
-                shift = float(val)
-            return chebyshev_well(degree, shift)
+            return chebyshev_well(int(body), value)
+        coeffs = tuple(float(tok) for tok in body.split(",")) if body.strip() else ()
+        if not coeffs:
+            raise PotentialSpecError("poly: needs at least one coefficient")
+        return EvenPolynomialPotential(coeffs, constant=value)
     except PotentialSpecError:
         raise
     except ValueError as exc:
         raise PotentialSpecError(f"bad potential spec {text!r}: {exc}") from exc
-    raise PotentialSpecError(f"unknown potential kind {head!r}")

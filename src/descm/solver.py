@@ -96,6 +96,8 @@ def eigen_symmetric(matrix, want_vectors: bool = False):
 
 def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) -> SpectrumResult:
     """Assemble, decompose, and report the lowest requested levels at one N."""
+    if half_width < 1:
+        raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
     size = 2 * half_width + 1
     if problem.levels_requested > size:
         raise ValueError(
@@ -160,7 +162,7 @@ def converge(
 
 
 def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
-    """Evaluate the normalized eigenfunction of ``level`` at x (scalar or array).
+    """Evaluate the normalized eigenfunction of ``level`` at x, a scalar or any array.
 
     The collocation eigenvector is rescaled so that h * sum z_k^2 = 1, the
     discrete analogue of unit L2 norm of the original wavefunction under the
@@ -186,11 +188,10 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     if v[n + int(np.argmax(np.abs(v[n:])))] < 0.0:
         v = -v
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    t = np.arcsinh(np.atleast_1d(x))
+    t = np.arcsinh(x.ravel())
     outside = np.abs(t) > n * h
     t[outside] = 0.0
     cardinal = sinc((t[:, None] - k[None, :] * h) / h) @ v
     psi = cardinal * np.sqrt(np.cosh(t))
     psi[outside] = 0.0
-    return float(psi[0]) if scalar else psi
+    return float(psi[0]) if x.ndim == 0 else psi.reshape(x.shape)

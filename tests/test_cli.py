@@ -32,6 +32,33 @@ def csv_comments(text):
     )
 
 
+def json_and_csv(capsys, *argv):
+    """One invocation in both formats: the JSON payload and the CSV text."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    code_csv, text, _ = run(capsys, *argv, "--format", "csv")
+    assert code == code_csv == 0
+    return json.loads(out), text
+
+
+def assert_same_values(cells, values):
+    """CSV cells against JSON values; a missing value is nan in CSV, null in JSON."""
+    assert len(cells) == len(values)
+    for cell, value in zip(cells, values):
+        if cell == "nan":
+            assert value is None
+        elif isinstance(value, str):
+            assert value == cell
+        else:
+            assert value == float(cell)
+
+
+def assert_records_match_rows(records, header, rows):
+    assert len(records) == len(rows)
+    for cells, record in zip(rows, records):
+        assert list(record) == header
+        assert_same_values(cells, list(record.values()))
+
+
 class TestSolveCommand:
     def test_quartic_json(self, capsys):
         code, out, _ = run(
@@ -367,18 +394,72 @@ class TestTableCommand:
         payload = json.loads(out)
         assert (payload["command"], payload["name"], payload["mesh"]) == ("table", int(name),
                                                                          "optimal")
-        assert len(payload["rows"]) == len(rows)
-        for cells, record in zip(rows, payload["rows"]):
-            assert list(record) == header
-            for cell, value in zip(cells, record.values()):
-                if cell == "nan":
-                    assert value is None
-                else:
-                    assert value == float(cell)
+        assert_records_match_rows(payload["rows"], header, rows)
 
     def test_unknown_table_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--name", "9")
         assert code == 2
+
+
+class TestJsonMatchesCsv:
+    """Every command's CSV and JSON carry the same values."""
+
+    def test_solve(self, capsys):
+        payload, text = json_and_csv(capsys, "solve", "--potential", "cheb:10;shift=-1",
+                                     "--N", "12", "--levels", "4")
+        header, rows = csv_rows(text)
+        assert header == ["level", "E"]
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+        assert_same_values([r[1] for r in rows], payload["eigenvalues"])
+
+    def test_converge(self, capsys):
+        payload, text = json_and_csv(capsys, "converge", "--potential", "poly:1,-4,1",
+                                     "--mesh", "trace-min")
+        header, rows = csv_rows(text)
+        assert_records_match_rows(payload["records"], header, rows)
+        assert_same_values([rows[-1][0], rows[-1][2]], [payload["N_final"], payload["E_final"]])
+
+    def test_trace_scan(self, capsys):
+        payload, text = json_and_csv(capsys, "trace-scan", "--potential", "poly:1,-4,1",
+                                     "--N", "20", "--points", "40")
+        header, rows = csv_rows(text)
+        assert_records_match_rows(payload["scan"], header, rows)
+        markers = csv_comments(text)
+        assert list(markers) == ["h_optimal", "h_trace_min"]
+        assert_same_values(list(markers.values()),
+                           [payload["h_optimal"], payload["h_trace_min"]])
+
+    def test_validate(self, capsys):
+        payload, text = json_and_csv(capsys, "validate")
+        header, rows = csv_rows(text)
+        assert len(payload["results"]) == len(rows) == 8
+        for cells, result in zip(rows, payload["results"]):
+            shared = [cells[header.index(k)] for k in result]
+            assert_same_values(shared, list(result.values()))
+        assert payload["all_pass"] is all(r[-1] == "pass" for r in rows)
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("argv,reason", [
+        (("solve", "--potential", "poly:1,1", "--N", "0"), "half-width"),
+        (("solve", "--potential", "poly:1,1", "--N", "-5"), "half-width"),
+        (("solve", "--potential", "poly:1,1", "--N", "5", "--levels", "0"), "level"),
+        (("solve", "--potential", "poly:1,1", "--N", "3", "--levels", "99"), "99 levels"),
+        (("trace-scan", "--potential", "poly:1,1", "--N", "0"), "half-width"),
+        (("validate", "--N", "0"), "half-width"),
+        (("validate", "--N", "-1"), "half-width"),
+        (("validate", "--case", "4"), "invalid choice"),
+        (("validate", "--case", "-1"), "invalid choice"),
+    ], ids=["solve-N0", "solve-N-5", "solve-levels0", "solve-levels99", "trace-scan-N0",
+            "validate-N0", "validate-N-1", "validate-case4", "validate-case-1"])
+    def test_exits_2_with_one_diagnosis(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert reason in err
+        if not err.startswith("usage:"):
+            assert err.startswith("descm: ") and len(err.splitlines()) == 1
 
 
 class TestTenWellExtended:

@@ -169,10 +169,6 @@ class TestParse:
         assert parse_potential("cheb:20;shift=-1") == chebyshev_well(20, -1.0)
         assert parse_potential("cheb:4") == chebyshev_well(4, 0.0)
 
-    def test_round_trip_through_spec_string(self):
-        p = parse_potential("poly:0.1,3,-2,0.25;c0=1.5")
-        assert parse_potential(p.spec_string()) == p
-
     @pytest.mark.parametrize(
         "bad",
         [

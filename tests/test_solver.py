@@ -79,6 +79,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(DescmProblem(QUARTIC, levels_requested=12), 5)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_half_width_below_one_rejected_before_the_level_count(self, n):
+        # with the level count checked first, -5 read "only -9 eigenvalues exist"
+        with pytest.raises(ValueError, match="half-width must be >= 1"):
+            solve(DescmProblem(QUARTIC), n)
+
     def test_fixed_mesh_strategy(self):
         result = solve(DescmProblem(QUARTIC, strategy=MeshStrategy.fixed(0.1)), 10)
         assert result.h_used == 0.1
@@ -275,6 +281,15 @@ class TestWavefunction:
         plain = reconstruct_wavefunction(result, 0, np.concatenate([inside, inside[:4]]))
         assert mixed[:50].tobytes() == plain[:50].tobytes()
         assert mixed[50:-1].tolist() == [0.0, 0.0, 0.0] and math.isnan(mixed[-1])
+
+    def test_two_dimensional_x_keeps_its_shape(self, rng):
+        # the same 4 points in one row, so BLAS rounds both calls alike
+        result = solve(DescmProblem(QUARTIC), 10, want_vectors=True)
+        flat = rng.uniform(-2.9, 2.9, size=4)
+        grid = reconstruct_wavefunction(result, 0, flat.reshape(2, 2))
+        assert grid.shape == (2, 2)
+        assert grid.tobytes() == reconstruct_wavefunction(result, 0, flat).tobytes()
+        assert isinstance(reconstruct_wavefunction(result, 0, np.float64(0.5)), float)
 
     def test_discrete_normalization(self):
         result = solve(DescmProblem(HARMONIC), 25, want_vectors=True)
