@@ -1,0 +1,15 @@
+#!/usr/bin/env bash
+# Runs the installed `descm` console script end to end; every JSON output
+# must parse. Both CI jobs run it, at the latest numpy and at the declared
+# floor.
+set -euo pipefail
+
+descm validate > /dev/null
+descm converge --potential 'cheb:20;shift=-1' --mesh trace-min > /dev/null
+descm solve --potential 'poly:1,1' --N 17 --levels 3 --format json | python -m json.tool > /dev/null
+# near-degenerate doublet: one level from each parity block
+descm solve --potential 'poly:-20,1' --N 50 --levels 2 --format json | python -m json.tool > /dev/null
+descm converge --potential 'poly:1,1' --format json | python -m json.tool > /dev/null
+descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null
+descm validate --format json | python -m json.tool > /dev/null
+descm table --name 1 --format json | python -m json.tool > /dev/null

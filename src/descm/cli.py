@@ -37,37 +37,54 @@ _NUMERIC_ERRORS = (CollocationOverflowError, np.linalg.LinAlgError)
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return f"{float(v):.17g}"
 
 
-def _json_dump(value, indent: int = 0) -> str:
-    """Minimal JSON emitter keeping floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{inner}"{k}": {_json_dump(v, indent + 1)}' for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json_dump(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _json_scalar(value) -> str:
+    """JSON text of one value that is not a container; floats, nearly every
+    value, are tested first."""
+    if isinstance(value, float):
+        return _fmt(value) if math.isfinite(value) else "null"  # JSON has no inf/nan
     if value is None:
         return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if not math.isfinite(value):
-        return "null"  # JSON has no inf/nan
-    return _fmt(value)
+    return _fmt(value) if math.isfinite(value) else "null"
+
+
+_JSON_CONTAINERS = (dict, list, tuple)
+
+
+def _json_dump(value, indent: int = 0) -> str:
+    """Minimal JSON emitter keeping floats at 17 significant digits, one
+    member per line. Only containers recurse: each record's scalars are
+    formatted in place, one ``_json_scalar`` call per value."""
+    pad = "  " * indent
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f'{inner}"{k}": '
+            f"{_json_dump(v, indent + 1) if isinstance(v, _JSON_CONTAINERS) else _json_scalar(v)}"
+            for k, v in value.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(
+            f"{inner}"
+            f"{_json_dump(v, indent + 1) if isinstance(v, _JSON_CONTAINERS) else _json_scalar(v)}"
+            for v in value
+        )
+        return "[\n" + items + "\n" + pad + "]"
+    return _json_scalar(value)
 
 
 def _cell(value) -> str:

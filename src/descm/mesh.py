@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CollocationOverflowError
+from .assembly import CollocationOverflowError, check_half_width
 from .de_map import transformed_potential_scaled
 from .potential import EvenPolynomialPotential
 from .sinc_basis import D2_DIAGONAL
@@ -128,8 +128,7 @@ def optimal_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> fl
     coefficients and the constant do not affect the decay rate. When the
     argument overflows a double, W is found from its logarithm instead.
     """
-    if half_width < 1:
-        raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
+    check_half_width(half_width)
     m = potential.degree_parameter
     c_m = potential.leading_coefficient
     try:
@@ -155,13 +154,13 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     sinh(-x) == -sinh(x) hold exactly in IEEE arithmetic and V reads only
     sinh(x)^2, so each mirrored value is the one the point -kh would give:
     the summed row, its order and hence every trace are those of the full
-    grid, and equal ``np.trace`` of the assembled matrix bit for bit.
+    grid, and equal ``np.trace`` of the full (2N+1)x(2N+1) matrix bit for
+    bit. The parity blocks hold the same trace, summed in another order.
 
     Where V(sinh kh) is -inf at some points and +inf at others, the trace is
     undefined and comes back as NaN, without a warning.
     """
-    if half_width < 0:
-        raise ValueError(f"truncation half-width must be >= 0, got {half_width}")
+    check_half_width(half_width)
     h = np.asarray(h, dtype=float)
     if not (h > 0.0).all():
         raise ValueError(f"mesh size must be positive, got {h}")
@@ -218,8 +217,6 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     A scanned trace of -inf raises :class:`CollocationOverflowError`, and an
     undefined (NaN) trace ranks as +inf.
     """
-    if half_width < 1:
-        raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
     lo, hi = _FIRST_WINDOW
     grid = _FIRST_GRID
     while True:

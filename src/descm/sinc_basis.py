@@ -8,6 +8,9 @@ derivative values
     delta2(r) = -pi^2/3 if r == 0 else -2(-1)^r / r^2
 
 where r = k - j is the offset between collocation point and basis center.
+delta2 is even in r, so the parity blocks of the collocation matrix need
+only delta2(k - j) and delta2(j + k) for j, k = 0..N; both are zero-copy
+views of the Toeplitz matrix ``SincWeights.offset_matrix`` returns.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ class SincWeights:
     """Collocation weights for offsets -2N..2N.
 
     ``values`` is a read-only slice of one process-wide table, so no
-    truncation recomputes a weight. The kinetic block of the collocation
+    truncation recomputes a weight. The kinetic part of the collocation
     matrix is Toeplitz in the offset, and ``offset_matrix`` reads it straight
-    from that slice.
+    from that slice. Its lower right (N+1)x(N+1) corner holds delta2(k - j)
+    for j, k = 0..N, and the same corner with its rows reversed holds
+    delta2(j + k).
     """
 
     half_width: int

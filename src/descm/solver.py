@@ -1,9 +1,12 @@
 """High-level driver: spectra at fixed truncation, convergence sweeps with a
 successive-difference stopping rule, and wavefunction reconstruction.
 
-Eigenvalue identification across truncations is positional (the n-th
-smallest at each N); the error proxy for level n is
-eps_n(N) = |E_n(N_prev) - E_n(N)| between consecutive recorded truncations.
+Each solve decomposes the even and the odd parity block of the collocation
+matrix, one LAPACK call each, and merges the two spectra by a stable sort;
+every level keeps the parity of its block. Eigenvalue identification across
+truncations is positional (the n-th smallest at each N); the error proxy for
+level n is eps_n(N) = |E_n(N_prev) - E_n(N)| between consecutive recorded
+truncations.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import sinc
 
-from .assembly import assemble_collocation_matrix
+from .assembly import assemble_collocation_matrix, check_half_width
 from .mesh import MeshStrategy, mesh_size_for
 from .potential import EvenPolynomialPotential
 
@@ -38,20 +41,24 @@ class SpectrumResult:
     """Spectrum at one truncation; ``eigenvalues`` holds the requested levels.
 
     ``spectrum`` keeps all 2N+1 computed eigenvalues, and ``eigenvalues`` is
-    a view of its head. ``eigenvectors`` (columns matching ``spectrum``) are
-    present only when requested. All three are read-only.
+    a view of its head. ``parity`` labels each entry of ``spectrum``: +1 for
+    a level of the even block, -1 for one of the odd block. ``eigenvectors``
+    (columns over k = -N..N matching ``spectrum``, each exactly even or odd)
+    are present only when requested. All four are read-only.
     """
 
     half_width: int
     h_used: float
     eigenvalues: np.ndarray
     spectrum: np.ndarray
+    parity: np.ndarray
     wall_time: float
     eigenvectors: np.ndarray | None = None
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
         self.spectrum.setflags(write=False)
+        self.parity.setflags(write=False)
         if self.eigenvectors is not None:
             self.eigenvectors.setflags(write=False)
 
@@ -83,11 +90,12 @@ class ConvergenceTrace:
 
 
 def eigen_symmetric(matrix, want_vectors: bool = False):
-    """Ascending eigenvalues of a symmetric matrix and, if wanted, the
-    orthonormal eigenvectors (column i pairs with eigenvalue i), else None.
+    """Ascending eigenvalues of a symmetric matrix, such as one parity block,
+    and, if wanted, the orthonormal eigenvectors (column i pairs with
+    eigenvalue i), else None.
 
     LAPACK reads only the lower triangle; ``assemble_collocation_matrix``
-    builds the matrix exactly symmetric, which the tests pin bit for bit.
+    builds both blocks exactly symmetric, which the tests pin bit for bit.
     """
     if want_vectors:
         return np.linalg.eigh(matrix)
@@ -95,9 +103,11 @@ def eigen_symmetric(matrix, want_vectors: bool = False):
 
 
 def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) -> SpectrumResult:
-    """Assemble, decompose, and report the lowest requested levels at one N."""
-    if half_width < 1:
-        raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
+    """Assemble, decompose, and report the lowest requested levels at one N.
+
+    Equal eigenvalues of the two blocks merge even level first.
+    """
+    check_half_width(half_width)
     size = 2 * half_width + 1
     if problem.levels_requested > size:
         raise ValueError(
@@ -107,13 +117,21 @@ def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) ->
     start = time.perf_counter()
     h = mesh_size_for(problem.potential, half_width, problem.strategy)
     matrix = assemble_collocation_matrix(problem.potential, half_width, h)
-    spectrum, vectors = eigen_symmetric(matrix.entries, want_vectors=want_vectors)
+    even_values, even_vectors = eigen_symmetric(matrix.even, want_vectors=want_vectors)
+    odd_values, odd_vectors = eigen_symmetric(matrix.odd, want_vectors=want_vectors)
+    values = np.concatenate([even_values, odd_values])
+    order = values.argsort(kind="stable")
+    spectrum = values[order]
+    vectors = None
+    if want_vectors:
+        vectors = matrix.unfold(even_vectors, odd_vectors)[:, order]
     elapsed = time.perf_counter() - start
     return SpectrumResult(
         half_width=half_width,
         h_used=h,
         eigenvalues=spectrum[: problem.levels_requested],
         spectrum=spectrum,
+        parity=np.where(order <= half_width, 1, -1),
         wall_time=elapsed,
         eigenvectors=vectors,
     )
@@ -167,11 +185,10 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     The collocation eigenvector is rescaled so that h * sum z_k^2 = 1, the
     discrete analogue of unit L2 norm of the original wavefunction under the
     sinh substitution, and its overall sign is fixed so the value at the
-    collocation point k >= 0 carrying the largest weight is positive. Only
-    k >= 0 is searched: an odd level has v[-k] = -v[k] up to rounding, so a
-    search over both sides would let rounding pick the sign. Near-degenerate
-    doublets such as those of ``poly:-20,1`` still come back from LAPACK as
-    arbitrary mixtures of the even and odd state, which no sign rule fixes.
+    collocation point k >= 0 carrying the largest weight is positive. Each
+    vector comes from one parity block, so v[-k] = parity * v[k] bit for bit
+    and the eigenfunction is exactly even or odd, near-degenerate doublets
+    such as the lowest pair of ``poly:-20,1`` included.
 
     Past the outermost collocation point, |x| > sinh(Nh), the series would
     only extrapolate, so the value there is 0; a NaN x gives NaN.

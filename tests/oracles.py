@@ -4,7 +4,9 @@ None runs on the solve path: the transformed potential W of the sinh map in
 the paper's closed form, the transformed potential of an arbitrary change of
 variable by nested finite differences, the second-derivative weights built
 per truncation with their Toeplitz matrix gathered through an index array,
-the unreduced collocation pair whose conjugation gives the solved matrix,
+the full (2N+1)x(2N+1) collocation matrix that the parity blocks split, those
+blocks folded from full-grid data by index, the unreduced collocation pair
+whose conjugation gives the full matrix,
 the earlier trace-minimized mesh search (a log-spaced scan refined by golden
 section), the collocation trace summed over the full grid k = -N..N, and the
 potential and W/cosh^2 written as plain expressions that allocate a new
@@ -14,10 +16,11 @@ array at every step.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from descm.assembly import _collocation_points
+from descm.assembly import CollocationOverflowError, check_half_width
 from descm.de_map import transformed_potential_scaled
 from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _SCAN_POINTS, collocation_trace
 from descm.potential import EvenPolynomialPotential
@@ -92,6 +95,75 @@ def gathered_d2_weights(half_width: int) -> tuple[np.ndarray, np.ndarray]:
     return values, values[idx[None, :] - idx[:, None] + 2 * half_width]
 
 
+def _full_grid(half_width: int, h: float) -> np.ndarray:
+    check_half_width(half_width)
+    if not (0.0 < h < np.inf):
+        raise ValueError(f"mesh size must be positive and finite, got {h}")
+    return np.arange(-half_width, half_width + 1) * h
+
+
+@dataclass(frozen=True)
+class FullCollocationMatrix:
+    """Dense symmetric collocation matrix over points kh, k in [-N, N]."""
+
+    half_width: int
+    mesh: float
+    entries: np.ndarray
+
+    def __post_init__(self):
+        self.entries.setflags(write=False)
+
+    def trace(self) -> float:
+        return float(np.trace(self.entries))
+
+
+def full_collocation_matrix(
+    potential: EvenPolynomialPotential, half_width: int, h: float
+) -> FullCollocationMatrix:
+    """The (2N+1)x(2N+1) matrix A[j,k] = -delta2(k-j)/(h^2 cosh(jh) cosh(kh))
+    plus W(kh)/cosh(kh)^2 on the diagonal, over the whole grid, with the
+    weights gathered by index."""
+    points = _full_grid(half_width, h)
+    _, weights = gathered_d2_weights(half_width)
+    with np.errstate(over="ignore"):
+        c = np.cosh(points)
+        entries = weights / (-(h * h) * np.multiply.outer(c, c))
+        entries.flat[:: len(points) + 1] += transformed_potential_scaled(potential, points, c * c)
+    if not np.isfinite(entries).all():
+        raise CollocationOverflowError(f"non-finite matrix entry (N = {half_width}, h = {h})")
+    return FullCollocationMatrix(half_width=half_width, mesh=h, entries=entries)
+
+
+def parity_blocks_by_index(
+    potential: EvenPolynomialPotential, half_width: int, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks folded from full-grid data: numerators
+    K[j,k] +- K[j,-k] of the gathered (2N+1)x(2N+1) weight matrix, read by
+    index, over the full grid's scale -h^2 cosh(jh) cosh(kh) with sqrt(2)
+    joining cosh(0) in row and column 0 of the even block, in the package's
+    order of operations, so the assembled blocks must equal them bit for bit."""
+    n = half_width
+    points = _full_grid(n, h)
+    _, weights = gathered_d2_weights(n)
+    right = np.arange(n, 2 * n + 1)  # index of point k = 0..N
+    left = right[::-1] - n  # index of point -k
+    kinetic = weights[np.ix_(right, right)]
+    mirrored = weights[np.ix_(right, left)]
+    with np.errstate(over="ignore"):
+        c = np.cosh(points)
+        # the basis vector (e_k + e_-k)/sqrt(2) becomes e_0 at k = 0
+        denominator = c[right]
+        denominator[0] *= math.sqrt(2.0)
+        scale = np.multiply.outer(denominator, denominator) * -(h * h)
+        even = (kinetic + mirrored) / scale
+        odd = (kinetic - mirrored)[1:, 1:] / scale[1:, 1:]
+        diagonal = transformed_potential_scaled(potential, points, c * c)[right]
+    idx = np.arange(n + 1)
+    even[idx, idx] += diagonal
+    odd[idx[:-1], idx[:-1]] += diagonal[1:]
+    return even, odd
+
+
 def assemble_generalized_pair(
     potential: EvenPolynomialPotential, half_width: int, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -99,10 +171,10 @@ def assemble_generalized_pair(
 
     Returns (H, d) where H[j,k] = -delta2(k-j)/h^2 + W(kh) delta0(k-j) and
     d[k] = cosh(kh)^2 > 0 is the diagonal of the weight matrix. Conjugating
-    H by d^(-1/2) reproduces the reduced matrix; kept as an oracle for that
-    identity, not used on the solve path.
+    H by d^(-1/2) reproduces the full reduced matrix; kept as an oracle for
+    that identity, not used on the solve path.
     """
-    points = _collocation_points(half_width, h)
+    points = _full_grid(half_width, h)
     weights = SincWeights.second_derivative(half_width)
     stiffness = -weights.offset_matrix() / (h * h)
     idx = np.arange(2 * half_width + 1)

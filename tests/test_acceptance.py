@@ -22,6 +22,7 @@ from descm import (
 from descm.mesh import _FIRST_WINDOW
 from descm.solver import eigen_symmetric
 from conftest import random_potential
+from oracles import full_collocation_matrix
 from test_eigensolver import characteristic_roots_by_bisection
 from test_sinc_basis import d2_weights, fd_second_derivative, sinc_basis
 
@@ -140,16 +141,20 @@ def test_criterion_6_trace_machinery(rng):
     quartic = EvenPolynomialPotential((1.0, 1.0))
     v1 = analytic_catalog()[0].potential
     ok = True
-    worst_rel = 0.0
+    worst_rel = worst_full = 0.0
     for _ in range(20):
         p = random_potential(rng, with_constant=True)
         n = int(rng.integers(1, 16))
         h = float(rng.uniform(0.05, 1.0))
         closed = collocation_trace(p, n, h)
-        assembled = assemble_collocation_matrix(p, n, h).trace()
+        k = assemble_collocation_matrix(p, n, h)
+        assembled = float(np.trace(k.even) + np.trace(k.odd))
+        full = full_collocation_matrix(p, n, h).trace()
         rel = abs(closed - assembled) / abs(assembled)
+        rel_full = abs(closed - full) / abs(full)
         worst_rel = max(worst_rel, rel)
-        ok &= rel <= 1e-12
+        worst_full = max(worst_full, rel_full)
+        ok &= rel <= 1e-12 and rel_full <= 1e-12
     lo, hi = _FIRST_WINDOW
     cells = 0.0
     for potential, n in [(quartic, 10), (v1, 20)]:
@@ -164,7 +169,8 @@ def test_criterion_6_trace_machinery(rng):
             at_min = collocation_trace(potential, n_small, h_small)
             ok &= collocation_trace(potential, n_small, lo) > at_min
             ok &= collocation_trace(potential, n_small, hi) > at_min
-    report(6, ok, f"worst trace rel diff={worst_rel:.1e}; scan offset={cells:.2f} cells")
+    report(6, ok, f"worst trace rel diff={worst_rel:.1e} (blocks), {worst_full:.1e} "
+                  f"(full matrix); scan offset={cells:.2f} cells")
 
 
 def _multiwell_errors(potential, level, exact, half_width):
@@ -218,10 +224,10 @@ def test_criterion_8_property_suites(rng):
     )
     ok &= worst <= 1e-6
     details.append(f"d2 fd diff={worst:.1e}")
-    # bit-exact symmetry of an assembled matrix
+    # bit-exact symmetry of both assembled blocks
     p = random_potential(rng)
     k = assemble_collocation_matrix(p, 9, 0.3)
-    sym = bool(np.array_equal(k.entries, k.entries.T))
+    sym = bool(np.array_equal(k.even, k.even.T) and np.array_equal(k.odd, k.odd.T))
     ok &= sym
     details.append(f"symmetry={'exact' if sym else 'broken'}")
     # eigensolver identities

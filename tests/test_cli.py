@@ -446,11 +446,13 @@ class TestRejectedInput:
         (("solve", "--potential", "poly:1,1", "--N", "5", "--levels", "0"), "level"),
         (("solve", "--potential", "poly:1,1", "--N", "3", "--levels", "99"), "99 levels"),
         (("trace-scan", "--potential", "poly:1,1", "--N", "0"), "half-width"),
+        (("trace-scan", "--potential", "poly:1,1", "--N", "-3"), "half-width must be >= 1"),
         (("validate", "--N", "0"), "half-width"),
         (("validate", "--N", "-1"), "half-width"),
         (("validate", "--case", "4"), "invalid choice"),
         (("validate", "--case", "-1"), "invalid choice"),
     ], ids=["solve-N0", "solve-N-5", "solve-levels0", "solve-levels99", "trace-scan-N0",
+            "trace-scan-N-3",
             "validate-N0", "validate-N-1", "validate-case4", "validate-case-1"])
     def test_exits_2_with_one_diagnosis(self, capsys, argv, reason):
         code, out, err = run(capsys, *argv)

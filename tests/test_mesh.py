@@ -25,7 +25,7 @@ from descm.mesh import (
     _FIRST_GRID, _FIRST_WINDOW, _RESOLUTION, _best_trace, _half_diagonal, _linear_grid,
 )
 from conftest import random_potential
-from oracles import full_grid_collocation_trace, golden_section_mesh_size
+from oracles import full_collocation_matrix, full_grid_collocation_trace, golden_section_mesh_size
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 TRIPLE_WELL = EvenPolynomialPotential((4.0, -6.0, 1.0))
@@ -132,24 +132,34 @@ class TestOptimalMeshSize:
 
 
 class TestTrace:
-    def test_single_point(self):
-        # N = 0 keeps only the center: pi^2/(3h^2) - 1/2 for the quartic well
+    def test_three_points(self):
+        # N = 1: the center adds pi^2/(3h^2) - 1/2 for the quartic well, and
+        # each of +-h adds pi^2/(3h^2 cosh^2 h) + sech^2 h/4 - 3 sech^4 h/4 + V(sinh h)
         for h in (0.2, 0.7, 1.0):
-            expected = math.pi**2 / (3.0 * h * h) - 0.5
-            assert collocation_trace(QUARTIC, 0, h) == pytest.approx(expected, rel=1e-14)
+            sech2 = 1.0 / math.cosh(h) ** 2
+            s2 = math.sinh(h) ** 2
+            side = math.pi**2 / (3.0 * h * h) * sech2 + 0.25 * sech2 - 0.75 * sech2**2 + s2 + s2**2
+            expected = math.pi**2 / (3.0 * h * h) - 0.5 + 2.0 * side
+            assert collocation_trace(QUARTIC, 1, h) == pytest.approx(expected, rel=1e-14)
 
-    def test_matches_assembled_trace(self, rng):
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_half_width_below_one(self, n):
+        # before any point is evaluated, with the message every layer shares
+        with pytest.raises(ValueError, match="truncation half-width must be >= 1"):
+            collocation_trace(QUARTIC, n, np.array([0.1, 0.2]))
+
+    def test_matches_full_matrix_trace(self, rng):
         # the same diagonal in the same summation order as np.trace
         for _ in range(200):
             p = random_potential(rng, with_constant=True)
             n = int(rng.integers(1, 40))
             h = float(rng.uniform(0.02, 1.5))
-            assert collocation_trace(p, n, h) == assemble_collocation_matrix(p, n, h).trace()
+            assert collocation_trace(p, n, h) == full_collocation_matrix(p, n, h).trace()
 
     def test_triple_well_case(self):
         closed = collocation_trace(TRIPLE_WELL, 20, 0.2)
-        assembled = assemble_collocation_matrix(TRIPLE_WELL, 20, 0.2).trace()
-        assert closed == pytest.approx(assembled, rel=1e-9)
+        k = assemble_collocation_matrix(TRIPLE_WELL, 20, 0.2)
+        assert closed == pytest.approx(np.trace(k.even) + np.trace(k.odd), rel=1e-9)
 
     def test_diverges_at_both_ends(self):
         mid = collocation_trace(QUARTIC, 5, 0.3)
@@ -160,7 +170,7 @@ class TestTrace:
         with pytest.raises(ValueError):
             collocation_trace(QUARTIC, 3, 0.0)
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    @pytest.mark.parametrize("n", [1, 7, 40])
     def test_array_of_mesh_sizes_matches_scalar_calls_bit_for_bit(self, n):
         # h = 40 and 800 put points where cosh^2 and V(sinh t) overflow to inf
         hs = np.array([[1e-3, 0.05, 0.3], [1.0, 40.0, 800.0]])
@@ -170,7 +180,7 @@ class TestTrace:
             scalar = [collocation_trace(potential, n, float(h)) for h in hs.ravel()]
             assert traces.ravel().tobytes() == np.array(scalar).tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 60, 150])
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 60, 150])
     def test_half_grid_mirror_matches_full_grid_bit_for_bit(self, n, rng):
         potentials = [QUARTIC, TRIPLE_WELL, chebyshev_well(40, -1.0)]
         potentials += [random_potential(rng, with_constant=True) for _ in range(5)]
@@ -184,11 +194,11 @@ class TestTrace:
                 assert type(got) is type(want)
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
-        assert n == 0 or np.isinf(collocation_trace(QUARTIC, n, hs)).any()
+        assert np.isinf(collocation_trace(QUARTIC, n, hs)).any()
 
-    def test_half_diagonal_equals_assembled_diagonal_element_by_element(self, rng):
-        # the trace sums this row mirrored; it must be the assembled diagonal
-        # entry for entry, not only in sum
+    def test_half_diagonal_equals_full_matrix_diagonal_element_by_element(self, rng):
+        # the trace sums this row mirrored; it must be the full matrix's
+        # diagonal entry for entry, not only in sum
         for _ in range(100):
             p = random_potential(rng, with_constant=True)
             n = int(rng.integers(1, 40))
@@ -196,7 +206,7 @@ class TestTrace:
             with np.errstate(over="ignore"):
                 rows = _half_diagonal(p, n, hs)
             for h, row in zip(hs, rows):
-                diagonal = np.diagonal(assemble_collocation_matrix(p, n, float(h)).entries)
+                diagonal = np.diagonal(full_collocation_matrix(p, n, float(h)).entries)
                 assert row.tobytes() == diagonal[n:].tobytes()
                 assert row[:0:-1].tobytes() == diagonal[:n].tobytes()
 

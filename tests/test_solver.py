@@ -71,6 +71,14 @@ class TestSolve:
         assert np.shares_memory(values_only.eigenvalues, values_only.spectrum)
         assert np.array_equal(values_only.eigenvalues, values_only.spectrum[:3])
 
+    def test_parity_labels(self):
+        # harmonic levels alternate even, odd, even, ...; N + 1 levels are even
+        result = solve(DescmProblem(HARMONIC, levels_requested=6), 30)
+        assert result.parity[:6].tolist() == [1, -1, 1, -1, 1, -1]
+        assert np.count_nonzero(result.parity == 1) == 31
+        assert np.count_nonzero(result.parity == -1) == 30
+        assert not result.parity.flags.writeable
+
     def test_full_spectrum_count(self):
         result = solve(DescmProblem(QUARTIC, levels_requested=11), 5)
         assert len(result.eigenvalues) == 11 == result.size
@@ -258,6 +266,20 @@ class TestWavefunction:
         for level in (1, 3):
             signs = {math.copysign(1.0, reconstruct_wavefunction(r, level, 0.7)) for r in results}
             assert len(signs) == 1, level
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_double_well_doublet_is_one_even_and_one_odd_state(self, n):
+        # the lowest pair of poly:-20,1 is 2.8e-14 apart; from one matrix of
+        # size 2N+1 LAPACK returned each as a state localized in one well.
+        # Which block's level is lower here is set by discretization error
+        # (5e-8 at N = 30, 2e-13 at N = 50), so only the labels are pinned.
+        problem = DescmProblem(parse_potential("poly:-20,1"), levels_requested=2)
+        result = solve(problem, n, want_vectors=True)
+        assert sorted(result.parity[:2].tolist()) == [-1, 1]
+        for level in (0, 1):
+            right, left = reconstruct_wavefunction(result, level, np.array([3.0, -3.0]))
+            assert right == pytest.approx(result.parity[level] * left, rel=1e-10, abs=0.0)
+            assert abs(right) > 0.5
 
     def test_zero_past_the_grid(self):
         # at N = 10 the quartic's grid ends at x = sinh(10 h) = 2.93; the
