@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Runs the installed `descm` console script end to end; every JSON output
-# must parse. Both CI jobs run it, at the latest numpy and at the declared
-# floor.
+# must parse. Every CI matrix entry runs it, at the latest numpy and at the
+# declared floor.
 set -euo pipefail
 
 descm validate > /dev/null
 descm converge --potential 'cheb:20;shift=-1' --mesh trace-min > /dev/null
 descm solve --potential 'poly:1,1' --N 17 --levels 3 --format json | python -m json.tool > /dev/null
+# a spec read from a CRLF file ends in \r, which JSON must escape
+descm solve --potential $'poly:1,1\r' --N 17 --format json | python -m json.tool > /dev/null
 # near-degenerate doublet: one level from each parity block
 descm solve --potential 'poly:-20,1' --N 50 --levels 2 --format json | python -m json.tool > /dev/null
 descm converge --potential 'poly:1,1' --format json | python -m json.tool > /dev/null

@@ -6,8 +6,8 @@ from .assembly import (
     CollocationMatrix,
     CollocationOverflowError,
     assemble_collocation_matrix,
+    transformed_potential_scaled,
 )
-from .de_map import transformed_potential_scaled
 from .mesh import (
     MeshStrategy,
     collocation_trace,

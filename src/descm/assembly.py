@@ -1,6 +1,15 @@
 """Assembly of the collocation matrix as its even and odd parity blocks.
 
-The reduced matrix acting on z = cosh(kh) v(kh), k = -N..N, has entries
+Substituting psi(x) = v(t)/sqrt((d/dx) asinh x) with x = sinh(t), the
+double-exponential change of variable, turns -psi'' + V(x) psi = E psi into
+the symmetric collocated form
+
+    -v''(t) + W(t) v(t) = E cosh(t)^2 v(t),
+    W(t) = 1/4 - (3/4) sech(t)^2 + cosh(t)^2 * V(sinh t).
+
+The solve path needs only the scaled variant W/cosh^2, the diagonal
+contribution of the reduced collocation matrix. That matrix, acting on
+z = cosh(kh) v(kh), k = -N..N, has entries
 
     A[j,k] = -delta2(k-j) / (h^2 cosh(jh) cosh(kh))          for j != k,
     A[k,k] = (pi^2/3) / (h^2 cosh(kh)^2) + W(kh)/cosh(kh)^2,
@@ -19,8 +28,9 @@ with row and column 0 of E scaled by 1/sqrt(2), each plus W(kh)/cosh(kh)^2
 on its diagonal. Both numerators are read from zero-copy views of the delta2
 table, and both blocks share one denominator and one division; cosh(kh) is
 evaluated once per point k = 0..N, and its square is shared with W/cosh^2.
-Every step is symmetric in j and k, so both blocks are exactly symmetric. Neither the (2N+1)x(2N+1) matrix nor the generalized pair
-(stiffness matrix, diagonal weight) it was reduced from is ever formed.
+Every step is symmetric in j and k, so both blocks are exactly symmetric.
+Neither the (2N+1)x(2N+1) matrix nor the generalized pair (stiffness
+matrix, diagonal weight) it was reduced from is ever formed.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .de_map import transformed_potential_scaled
 from .potential import EvenPolynomialPotential
 from .sinc_basis import SincWeights
 
@@ -46,6 +55,28 @@ def check_half_width(half_width: int) -> None:
     """Reject a truncation below N = 1, the one rule every layer shares."""
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
+
+
+def transformed_potential_scaled(potential: EvenPolynomialPotential, x, cosh2=None):
+    """W(x)/cosh(x)^2 = (1/4) sech^2 - (3/4) sech^4 + V(sinh x).
+
+    The matrix diagonal and the closed-form trace share this expression, so
+    the two agree bit for bit. Both evaluate cosh once per point and pass its
+    square, shared with their kinetic term, as ``cosh2 == np.cosh(x) ** 2``;
+    the call then runs in their error state. V runs Horner's rule in sinh(x)^2
+    from its positive leading coefficient, so far out it overflows to +inf
+    without ever forming inf - inf or inf * 0; a NaN never appears.
+    """
+    if cosh2 is None:
+        with np.errstate(over="ignore"):
+            return transformed_potential_scaled(potential, x, np.cosh(x) ** 2)
+    sech2 = 1.0 / cosh2
+    value = 0.25 * sech2
+    sech4 = 0.75 * sech2
+    sech4 *= sech2
+    value -= sech4
+    value += potential(np.sinh(x))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)

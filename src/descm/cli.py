@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from typing import NamedTuple
@@ -24,6 +25,7 @@ import numpy as np
 
 from .assembly import CollocationOverflowError
 from .mesh import (
+    MESH_KINDS,
     MeshStrategy,
     collocation_trace,
     optimal_mesh_size,
@@ -40,51 +42,40 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+_json_text = json.JSONEncoder(ensure_ascii=False).encode
+_JSON_CONTAINERS = (dict, list)
+
+
 def _json_scalar(value) -> str:
-    """JSON text of one value that is not a container; floats, nearly every
-    value, are tested first."""
+    """JSON text of one float, int, str, bool or None; floats, nearly every
+    value, are tested first, and ``json`` escapes every string."""
     if isinstance(value, float):
         return _fmt(value) if math.isfinite(value) else "null"  # JSON has no inf/nan
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value) if math.isfinite(value) else "null"
+    if type(value) is int:  # not bool
+        return str(value)
+    return _json_text(value)
 
 
-_JSON_CONTAINERS = (dict, list, tuple)
-
-
-def _json_dump(value, indent: int = 0) -> str:
+def _json_dump(value: dict | list, indent: int = 0) -> str:
     """Minimal JSON emitter keeping floats at 17 significant digits, one
-    member per line. Only containers recurse: each record's scalars are
-    formatted in place, one ``_json_scalar`` call per value."""
+    member per line. It takes a payload dict: every list in it is non-empty,
+    and every scalar is one ``_json_scalar`` takes. Only containers recurse:
+    each record's scalars are formatted in place, one call per value."""
     pad = "  " * indent
     inner = pad + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = ",\n".join(
             f'{inner}"{k}": '
             f"{_json_dump(v, indent + 1) if isinstance(v, _JSON_CONTAINERS) else _json_scalar(v)}"
             for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(
-            f"{inner}"
-            f"{_json_dump(v, indent + 1) if isinstance(v, _JSON_CONTAINERS) else _json_scalar(v)}"
-            for v in value
-        )
-        return "[\n" + items + "\n" + pad + "]"
-    return _json_scalar(value)
+    items = ",\n".join(
+        f"{inner}"
+        f"{_json_dump(v, indent + 1) if isinstance(v, _JSON_CONTAINERS) else _json_scalar(v)}"
+        for v in value
+    )
+    return "[\n" + items + "\n" + pad + "]"
 
 
 def _cell(value) -> str:
@@ -135,7 +126,7 @@ def _add_output(sub: argparse.ArgumentParser, default_format: str) -> None:
 
 
 def _add_mesh(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mesh", choices=["optimal", "trace-min", "fixed"], default="optimal",
+    sub.add_argument("--mesh", choices=MESH_KINDS, default="optimal",
                      help="mesh size selection strategy")
     sub.add_argument("--h", type=float, default=None, help="mesh size for --mesh fixed")
 

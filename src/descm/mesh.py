@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CollocationOverflowError, check_half_width
-from .de_map import transformed_potential_scaled
+from .assembly import CollocationOverflowError, check_half_width, transformed_potential_scaled
 from .potential import EvenPolynomialPotential
 from .sinc_basis import D2_DIAGONAL
 
+MESH_KINDS = ("optimal", "trace-min", "fixed")  # the values of MeshStrategy.kind
 _FIRST_WINDOW = (1e-3, 5.0)
 _SCAN_POINTS = 64
 _RESOLUTION = 1e-10  # relative width at which refinement stops
@@ -64,7 +64,7 @@ class MeshStrategy:
     fixed_h: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("optimal", "trace-min", "fixed"):
+        if self.kind not in MESH_KINDS:
             raise ValueError(f"unknown mesh strategy {self.kind!r}")
         if self.kind == "fixed":
             if self.fixed_h is None or not (0.0 < self.fixed_h < math.inf):

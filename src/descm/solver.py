@@ -155,6 +155,8 @@ def converge(
     if level < 0:
         raise ValueError("level must be >= 0")
     first = max(n_start, 1, math.ceil(level / 2))
+    if first > n_max:
+        raise ValueError(f"empty sweep: the first truncation N = {first} exceeds n_max = {n_max}")
     records: list[ConvergenceRecord] = []
     previous: float | None = None
     converged = False
@@ -169,8 +171,6 @@ def converge(
         if delta is not None and delta < tolerance:
             converged = True
             break
-    if not records:
-        raise ValueError(f"empty sweep: n_start={n_start}, n_max={n_max}")
     return ConvergenceTrace(
         level=level,
         tolerance=tolerance,

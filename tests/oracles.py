@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from descm.assembly import CollocationOverflowError, check_half_width
-from descm.de_map import transformed_potential_scaled
+from descm.assembly import (CollocationOverflowError, check_half_width,
+                            transformed_potential_scaled)
 from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _SCAN_POINTS, collocation_trace
 from descm.potential import EvenPolynomialPotential
 from descm.sinc_basis import D2_DIAGONAL, SincWeights

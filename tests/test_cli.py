@@ -70,6 +70,19 @@ class TestSolveCommand:
         assert payload["mesh"] == "optimal"
         assert abs(payload["eigenvalues"][0] - 1.3923516415352821) <= 5e-12
 
+    @pytest.mark.parametrize("spec", ["poly:1,1\t", "poly:1,1\r"])
+    def test_json_escapes_control_characters_in_spec(self, capsys, spec):
+        # a trailing tab, or the \r of a spec read from a CRLF file
+        code, out, _ = run(capsys, "solve", "--potential", spec, "--N", "3")
+        assert code == 0
+        assert json.loads(out)["potential"] == spec
+
+    def test_json_writes_non_ascii_spec_as_is(self, capsys):
+        code, out, _ = run(capsys, "solve", "--potential", "poly:\uff11,\uff11", "--N", "3")
+        assert code == 0
+        assert '"potential": "poly:\uff11,\uff11",\n' in out
+        assert json.loads(out)["potential"] == "poly:\uff11,\uff11"
+
     def test_high_degree_third_level(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--potential", "poly:1,0,0,100", "--N", "20", "--levels", "3"
@@ -282,6 +295,17 @@ class TestConvergeCommand:
         assert out == ""
         assert "descm:" in err
 
+    def test_empty_sweep_exits_2_naming_first_truncation(self, capsys):
+        # level 7 starts the sweep at N = ceil(7/2) = 4, past --N-max 3
+        code, out, err = run(
+            capsys, "converge", "--potential", "poly:1,1", "--level", "7", "--N-max", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "descm: empty sweep: the first truncation N = 4 exceeds n_max = 3"
+        ]
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "converge", "--potential", "poly:1,1")
         _, second, _ = run(capsys, "converge", "--potential", "poly:1,1")
@@ -343,6 +367,28 @@ class TestValidateCommand:
         assert len(rows) == 8
         assert all(r[-1] == "pass" for r in rows)
         assert "8/8 passed" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_run_exits_1_and_names_failures(self, capsys, fmt):
+        # at N = 30 level 1 of V2 misses the tolerance of both mesh strategies
+        code, out, err = run(capsys, "validate", "--N", "30", "--format", fmt)
+        assert code == 1
+        assert err.splitlines() == [
+            "validate: 6/8 passed",
+            "validate: failing: V2/optimal, V2/trace-min",
+        ]
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["all_pass"] is False
+            outcomes = [(r["case"], r["mesh"], r["status"]) for r in payload["results"]]
+        else:
+            _, rows = csv_rows(out)
+            outcomes = [(r[0], r[2], r[-1]) for r in rows]
+        assert len(outcomes) == 8
+        assert [o for o in outcomes if o[2] != "pass"] == [
+            ("V2", "optimal", "FAIL"),
+            ("V2", "trace-min", "FAIL"),
+        ]
 
     def test_case_filter(self, capsys):
         code, out, _ = run(capsys, "validate", "--case", "2")

@@ -152,6 +152,13 @@ class TestConverge:
         assert not trace.converged
         assert trace.final.half_width == 6
 
+    def test_sweep_past_n_max_names_its_first_truncation(self):
+        # level 7 starts the sweep at N = ceil(7/2) = 4, not at n_start = 2
+        with pytest.raises(ValueError, match=r"first truncation N = 4 exceeds n_max = 3"):
+            converge(DescmProblem(QUARTIC), level=7, n_max=3)
+        trace = converge(DescmProblem(QUARTIC), level=7, tolerance=1e-30, n_max=4)
+        assert [r.half_width for r in trace.records] == [4]
+
     def test_high_level_starts_late_enough(self):
         trace = converge(DescmProblem(HARMONIC), level=9, tolerance=1e-8, n_max=40)
         assert trace.records[0].half_width >= 5
