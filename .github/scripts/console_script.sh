@@ -6,6 +6,11 @@ set -euo pipefail
 
 descm validate > /dev/null
 descm converge --potential 'cheb:20;shift=-1' --mesh trace-min > /dev/null
+# Chebyshev composition and the trace slope, past the first truncations (exit 3:
+# the sweep does not converge by N = 30)
+descm converge --potential 'cheb:40;shift=-1' --mesh trace-min --N-max 30 > /dev/null || test $? -eq 3
+# h*h underflows to 0 at the first mesh size; the trace there is inf, with no warning
+descm trace-scan --potential poly:1,1 --N 3 --points 3 --h-min 1e-300 --h-max 1 > /dev/null
 descm solve --potential 'poly:1,1' --N 17 --levels 3 --format json | python -m json.tool > /dev/null
 # a spec read from a CRLF file ends in \r, which JSON must escape
 descm solve --potential $'poly:1,1\r' --N 17 --format json | python -m json.tool > /dev/null

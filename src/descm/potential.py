@@ -3,7 +3,9 @@ analytically solvable validation cases.
 
 Only even powers are ever formed, so evaluation is exactly symmetric in x.
 The confinement condition c_m > 0 (positive leading coefficient) is enforced
-at construction time.
+at construction time. Chebyshev wells keep their exact monomial data but are
+evaluated as a composition of the short T_p of their degree's prime factors,
+which does not cancel as the monomials of a high degree do.
 """
 
 from __future__ import annotations
@@ -73,6 +75,121 @@ class EvenPolynomialPotential:
         acc += self.constant
         return acc
 
+    def derivative(self, x):
+        """V'(x) = sum_i 2i c_i x^(2i-1); accepts scalars or numpy arrays.
+
+        Horner's rule in x^2 runs on the coefficients 2i c_i / 2^p, with 2^p
+        the least power of two >= 2m, then the sum is multiplied by x and by
+        2^p. Scaling by a power of two is exact, so the result is that of
+        Horner's rule on 2i c_i, except that no coefficient overflows: the
+        V' of ``poly:1e308`` is finite wherever its value is.
+        """
+        scale = 1 << (2 * len(self.coefficients) - 1).bit_length()
+        first, *rest = (c * (2 * i / scale) for i, c in enumerate(self.coefficients, 1))
+        if rest:
+            x2 = x * x
+            *inner, leading = rest
+            acc = leading * x2
+            for c in reversed(inner):
+                acc += c
+                acc *= x2
+            acc += first
+            acc *= x
+        else:
+            acc = first * x
+        acc *= scale
+        return acc
+
+
+@dataclass(frozen=True, init=False)
+class ChebyshevWell(EvenPolynomialPotential):
+    """T_n(x) + shift, with the exact monomial ``coefficients`` and ``constant``
+    of its expansion (they fix the degree, the leading coefficient and the
+    closed-form mesh size) but evaluated by composition.
+
+    T_a o T_b = T_ab, so T_n is the composition of T_p over the prime factors
+    p of n, smallest first: with n = 2^j q and q odd, T_2(y) = 2y^2 - 1 is
+    applied j times, mapping [-1, 1] onto itself, then the short odd T_p of
+    each factor of q, each by Horner's rule in y^2. Nothing cancels the way
+    the monomials of T_40 do (off by 2.7e-2 on [-1, 1]). V' follows by the
+    chain rule. Far out every stage grows to +inf from its positive leading
+    coefficient, so overflow gives inf, never NaN.
+    """
+
+    shift: float = 0.0
+
+    def __init__(self, degree: int, shift: float = 0.0):
+        exact = _chebyshev_integers(degree)
+        even = tuple(float(exact[2 * i]) for i in range(1, degree // 2 + 1))
+        super().__init__(even, constant=float(exact[0]) + float(shift))
+        stages = []
+        for p in _prime_factors(degree):
+            t = _chebyshev_integers(p)
+            odd = p % 2
+            # T_p and T_p', each as (coefficients of y^(2i), 1 if odd: times y)
+            stages.append(((tuple(float(c) for c in t[odd::2]), odd),
+                           (tuple(float(k * t[k]) for k in range(2 - odd, p + 1, 2)), 1 - odd)))
+        object.__setattr__(self, "shift", float(shift))
+        object.__setattr__(self, "_stages", tuple(stages))
+
+    def __call__(self, x):
+        """T_n(x) + shift by composition; a Python float comes back as a float."""
+        y = x
+        for stage, _ in self._stages:
+            y = _horner_in_square(*stage, y)
+        y += self.shift
+        return y
+
+    def derivative(self, x):
+        """T_n'(x), the product of T_p'(y) over the stages at each stage's input y."""
+        *inner, (_, last_slope) = self._stages
+        chain = 1.0
+        y = x
+        for stage, slope in inner:
+            chain *= _horner_in_square(*slope, y)
+            y = _horner_in_square(*stage, y)
+        chain *= _horner_in_square(*last_slope, y)
+        return chain
+
+
+def _horner_in_square(coefficients, odd, y):
+    """y^odd sum_i coefficients[i] y^(2i) by Horner's rule in y^2, a new value."""
+    if len(coefficients) == 1:  # T_2'(y) = 4y, the one single-term stage
+        return coefficients[0] * y
+    y2 = y * y
+    acc = coefficients[-1] * y2
+    for c in reversed(coefficients[1:-1]):
+        acc += c
+        acc *= y2
+    acc += coefficients[0]
+    if odd:
+        acc *= y
+    return acc
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 2 with multiplicity, smallest first."""
+    factors, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors
+
+
+def _chebyshev_integers(degree: int) -> list[int]:
+    """Exact monomial coefficients of T_degree, index = power, by the
+    three-term recurrence T_(k+1) = 2x T_k - T_(k-1) in integers."""
+    prev = [1]       # T_0
+    cur = [0, 1]     # T_1
+    for _ in range(degree - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
 
 @dataclass(frozen=True)
 class AnalyticCase:
@@ -84,30 +201,23 @@ class AnalyticCase:
     exact_energy: float
 
 
-def chebyshev_well(degree: int, shift: float = 0.0) -> EvenPolynomialPotential:
-    """Monomial expansion of T_degree(x) + shift as an even potential.
+def chebyshev_well(degree: int, shift: float = 0.0) -> ChebyshevWell:
+    """T_degree(x) + shift as an even potential.
 
-    The three-term recurrence T_{k+1} = 2x T_k - T_{k-1} is run in exact
-    integer arithmetic and converted to float once at the end, so the large
-    alternating coefficients (inner ones exceed the leading 2^(degree-1)) carry
-    no rounding error. Odd degrees are rejected: an odd Chebyshev polynomial
-    is not even. So are degrees above 808: the largest coefficient of T_808 is
-    4.5e307, and T_810's does not fit in a double.
+    Its monomial expansion is computed in exact integer arithmetic and
+    converted to float once at the end, so the large alternating coefficients
+    (inner ones exceed the leading 2^(degree-1)) carry no rounding error; the
+    well itself is evaluated by composition (see :class:`ChebyshevWell`). Odd
+    degrees are rejected: an odd Chebyshev polynomial is not even. So are
+    degrees above 808: the largest coefficient of T_808 is 4.5e307, and
+    T_810's does not fit in a double.
     """
     if degree < 2 or degree % 2 != 0:
         raise ValueError(f"degree must be a positive even integer, got {degree}")
     if degree > _MAX_CHEBYSHEV_DEGREE:
         raise ValueError(f"degree must be <= {_MAX_CHEBYSHEV_DEGREE}, beyond which the "
                          f"monomial coefficients overflow a double, got {degree}")
-    prev = [1]       # T_0
-    cur = [0, 1]     # T_1
-    for _ in range(degree - 1):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    even = tuple(float(cur[2 * i]) for i in range(1, degree // 2 + 1))
-    return EvenPolynomialPotential(even, constant=float(cur[0]) + float(shift))
+    return ChebyshevWell(degree, shift)
 
 
 def analytic_catalog() -> tuple[AnalyticCase, ...]:

@@ -152,9 +152,11 @@ def converge(
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
+    if n_start < 1:
+        raise ValueError(f"n_start must be >= 1, got {n_start}")
     if level < 0:
         raise ValueError("level must be >= 0")
-    first = max(n_start, 1, math.ceil(level / 2))
+    first = max(n_start, math.ceil(level / 2))
     if first > n_max:
         raise ValueError(f"empty sweep: the first truncation N = {first} exceeds n_max = {n_max}")
     records: list[ConvergenceRecord] = []

@@ -9,8 +9,9 @@ blocks folded from full-grid data by index, the unreduced collocation pair
 whose conjugation gives the full matrix,
 the earlier trace-minimized mesh search (a log-spaced scan refined by golden
 section), the collocation trace summed over the full grid k = -N..N, and the
-potential and W/cosh^2 written as plain expressions that allocate a new
-array at every step.
+potential (Horner's rule for a polynomial well, the composition of Chebyshev
+stages for a Chebyshev well) and W/cosh^2 written as plain expressions that
+allocate a new array at every step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from descm.assembly import (CollocationOverflowError, check_half_width,
                             transformed_potential_scaled)
 from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _SCAN_POINTS, collocation_trace
-from descm.potential import EvenPolynomialPotential
+from descm.potential import ChebyshevWell, EvenPolynomialPotential
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -250,9 +251,38 @@ def horner_potential(potential: EvenPolynomialPotential, x):
     return acc + potential.constant
 
 
+def chebyshev_composition(potential: ChebyshevWell, x):
+    """T_n(x) + shift as T_p(...T_p'(x)) over the prime factors of n, smallest
+    first; each T_p by Horner's rule in y^2 on numpy's ``cheb2poly``
+    coefficients (times y for odd p), a new array per step."""
+    y = x
+    degree = 2 * potential.degree_parameter
+    p = 2
+    while degree > 1:
+        while degree % p == 0:
+            degree //= p
+            t = np.polynomial.chebyshev.cheb2poly([0] * p + [1])
+            odd = p % 2
+            y2 = y * y
+            acc = 0.0
+            for c in reversed(t[odd + 2 :: 2]):
+                acc = (acc + c) * y2
+            acc = acc + t[odd]
+            y = acc * y if odd else acc
+        p += 1
+    return y + potential.shift
+
+
+def plain_potential(potential: EvenPolynomialPotential, x):
+    """V(x) by the expression the package's evaluator of this well follows."""
+    if isinstance(potential, ChebyshevWell):
+        return chebyshev_composition(potential, x)
+    return horner_potential(potential, x)
+
+
 def transformed_potential_scaled_expression(potential: EvenPolynomialPotential, x):
     """W(x)/cosh(x)^2 = (1/4) sech^2 - (3/4) sech^4 + V(sinh x), one expression."""
     with np.errstate(over="ignore"):
         sech2 = 1.0 / np.cosh(x) ** 2
-        value = 0.25 * sech2 - 0.75 * sech2 * sech2 + horner_potential(potential, np.sinh(x))
+        value = 0.25 * sech2 - 0.75 * sech2 * sech2 + plain_potential(potential, np.sinh(x))
     return float(value) if np.ndim(value) == 0 else value

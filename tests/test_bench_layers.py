@@ -93,6 +93,6 @@ def test_trace_and_assembly_each_call_the_scaled_potential_once(monkeypatch, cap
     records = json.loads(capsys.readouterr().out)["records"]
     assert code == 0
     assert counts["assembly"] == len(records)
-    assert counts["trace"] >= 8 * len(records)
+    assert counts["trace"] == 2 * len(records)  # a scan and a last pick per mesh choice
     assert counts["mesh.scaled"] == counts["trace"]
     assert counts["assembly.scaled"] == counts["assembly"]

@@ -306,6 +306,16 @@ class TestConvergeCommand:
             "descm: empty sweep: the first truncation N = 4 exceeds n_max = 3"
         ]
 
+    @pytest.mark.parametrize("start", ["0", "-5"])
+    def test_start_below_one_exits_2(self, capsys, start):
+        code, out, err = run(
+            capsys, "converge", "--potential", "poly:1,1", "--N-start", start, "--N-max", "3",
+            "--tolerance", "1e-30",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"descm: n_start must be >= 1, got {start}"]
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "converge", "--potential", "poly:1,1")
         _, second, _ = run(capsys, "converge", "--potential", "poly:1,1")
@@ -343,6 +353,19 @@ class TestTraceScanCommand:
         payload = json.loads(out)
         assert len(payload["scan"]) == 50
         assert payload["h_trace_min"] > 0.0
+
+    def test_tiny_mesh_sizes_scan_without_warnings(self, capsys):
+        # h*h underflows to 0 at 1e-300: that row's trace is inf, as before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "trace-scan", "--potential", "poly:1,1", "--N", "3", "--points", "3",
+                "--h-min", "1e-300", "--h-max", "1",
+            )
+        assert code == 0
+        assert err == ""
+        _, rows = csv_rows(out)
+        assert [r[1] for r in rows] == ["inf", "2.3029076935874624e+301", "20729.106789537102"]
 
     def test_zero_truncation_exits_2(self, capsys):
         code, _, _ = run(capsys, "trace-scan", "--potential", "poly:1,1", "--N", "0")

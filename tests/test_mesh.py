@@ -22,13 +22,39 @@ from descm import (
 )
 from descm import CollocationOverflowError, mesh
 from descm.mesh import (
-    _FIRST_GRID, _FIRST_WINDOW, _RESOLUTION, _best_trace, _half_diagonal, _linear_grid,
+    _FIRST_GRID, _FIRST_WINDOW, _POLISH, _RESOLUTION, _best_trace, _half_diagonal,
+    _interpolated_zero, _linear_grid, collocation_trace_slope,
 )
 from conftest import random_potential
 from oracles import full_collocation_matrix, full_grid_collocation_trace, golden_section_mesh_size
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 TRIPLE_WELL = EvenPolynomialPotential((4.0, -6.0, 1.0))
+
+SLOPE_WELLS = [
+    pytest.param(case.potential, id=case.name) for case in analytic_catalog()
+] + [
+    pytest.param(EvenPolynomialPotential((-20.0, 1.0)), id="poly:-20,1"),
+    pytest.param(chebyshev_well(10, -1.0), id="cheb:10;shift=-1"),
+    pytest.param(chebyshev_well(20, -1.0), id="cheb:20;shift=-1"),
+    pytest.param(chebyshev_well(40, -1.0), id="cheb:40;shift=-1"),
+]
+
+
+def slope_zero_by_bisection(potential, n, h):
+    """The zero of Tr' next to h, by bisection on scalar slope calls until the
+    bracket stops shrinking; independent of the search's interpolation."""
+    a, b = h * (1.0 - 1e-4), h * (1.0 + 1e-4)
+    assert collocation_trace_slope(potential, n, a) < 0.0 < collocation_trace_slope(potential, n, b)
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return mid
+        if collocation_trace_slope(potential, n, mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+
 
 # valid inputs whose trace minimum lies outside the first scan window
 BEYOND_FIRST_WINDOW = [
@@ -210,6 +236,16 @@ class TestTrace:
                 assert row.tobytes() == diagonal[n:].tobytes()
                 assert row[:0:-1].tobytes() == diagonal[:n].tobytes()
 
+    def test_underflowing_mesh_is_inf_without_warnings(self):
+        # h*h underflows to 0 below about 1e-162; the kinetic term is then +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = collocation_trace(QUARTIC, 3, np.array([1e-300, 1e-150, 1.0]))
+        assert traces[0] == math.inf
+        assert np.isfinite(traces[1:]).all()
+        assert traces[1:].tobytes() == np.array(
+            [collocation_trace(QUARTIC, 3, 1e-150), collocation_trace(QUARTIC, 3, 1.0)]).tobytes()
+
     def test_overflowing_sum_is_inf_without_warnings(self):
         # both outer points are finite, just below the float maximum; only
         # their sum overflows
@@ -217,6 +253,56 @@ class TestTrace:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert collocation_trace(potential, 1, 355.3) == math.inf
+
+
+class TestTraceSlope:
+    @pytest.mark.parametrize("potential", SLOPE_WELLS)
+    def test_matches_central_difference_of_trace(self, potential):
+        for n in (1, 2, 5, 20, 60):
+            for h in (0.02, 0.1, 0.3, 0.8):
+                step = 1e-6 * h
+                upper = collocation_trace(potential, n, h + step)
+                lower = collocation_trace(potential, n, h - step)
+                if not (math.isfinite(upper) and math.isfinite(lower)):
+                    continue
+                difference = (upper - lower) / (2.0 * step)
+                # rounding of the traces over the step, and the step's truncation
+                scale = abs(collocation_trace(potential, n, h)) / h
+                slope = collocation_trace_slope(potential, n, h)
+                assert abs(slope - difference) <= 1e-6 * (abs(difference) + scale), (n, h)
+
+    def test_three_points(self):
+        # N = 1, quartic: d/dh of pi^2/(3h^2) + 2 pi^2 sech^2 h/(3h^2)
+        # + 2 (sech^2 h/4 - 3 sech^4 h/4 + sinh^2 h + sinh^4 h)
+        for h in (0.2, 0.7, 1.0):
+            c, s, t = math.cosh(h), math.sinh(h), math.tanh(h)
+            u = 1.0 / (c * c)
+            kinetic = -2.0 * math.pi**2 / (3.0 * h**3) * (1.0 + 2.0 * u * (1.0 + h * t))
+            outer = 2.0 * (-0.5 * u * t + 3.0 * u * u * t + (2.0 * s + 4.0 * s**3) * c)
+            assert collocation_trace_slope(QUARTIC, 1, h) == pytest.approx(
+                kinetic + outer, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_array_of_mesh_sizes_matches_scalar_calls_bit_for_bit(self, n):
+        hs = np.array([[1e-3, 0.05, 0.3], [1.0, 40.0, 800.0]])
+        for potential in (QUARTIC, TRIPLE_WELL, chebyshev_well(20, -1.0)):
+            slopes = collocation_trace_slope(potential, n, hs)
+            assert slopes.shape == hs.shape
+            scalar = [collocation_trace_slope(potential, n, float(h)) for h in hs.ravel()]
+            assert slopes.ravel().tobytes() == np.array(scalar).tobytes()
+
+    def test_extreme_mesh_sizes_give_signed_infinities_without_warnings(self):
+        # 1/h^2 overflows at 1e-300; far out every term is +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slopes = collocation_trace_slope(QUARTIC, 3, np.array([1e-300, 0.3, 800.0]))
+        assert slopes[0] == -math.inf
+        assert math.isfinite(slopes[1])
+        assert slopes[2] == math.inf
+
+    def test_rejects_half_width_below_one(self):
+        with pytest.raises(ValueError, match="truncation half-width must be >= 1"):
+            collocation_trace_slope(QUARTIC, 0, 0.3)
 
 
 class TestTraceMinimized:
@@ -300,7 +386,8 @@ class TestTraceMinimized:
         monkeypatch.setattr(mesh, "collocation_trace", record)
         trace_minimized_mesh_size(parse_potential(spec), n)
         # log scans widen the window until the best point is interior; every
-        # later scan refines across the best triple
+        # later trace call (the last pick around the slope's zero) is a
+        # linspace grid
         last_log = next(i for i, (g, t) in enumerate(scans) if 0 < _best_trace(g, t) < 63)
         assert len(scans) > last_log + 1
         for grid, _ in scans[last_log + 1:]:
@@ -365,20 +452,96 @@ class TestTraceMinimized:
         "spec", ["poly:1,1", "cheb:40;shift=-1", "poly:1e10,1e10", "poly:1e308", "poly:1e-300"]
     )
     def test_refinement_ends_within_sixteen_trace_calls(self, monkeypatch, spec, n):
-        # each refinement pass narrows the triple about 31-fold, and a 1e-10
-        # relative width still spans about a million ulp, so every pass shrinks
+        # trace and slope calls alike: each slope pass narrows the bracket
+        # 63-fold, and a widened window adds one scan per widening
         calls = []
 
-        def counted(potential, half_width, h):
-            calls.append(h)
-            return collocation_trace(potential, half_width, h)
+        def counted(function):
+            def wrapper(potential, half_width, h):
+                calls.append(h)
+                return function(potential, half_width, h)
+            return wrapper
 
-        monkeypatch.setattr(mesh, "collocation_trace", counted)
+        monkeypatch.setattr(mesh, "collocation_trace", counted(collocation_trace))
+        monkeypatch.setattr(mesh, "collocation_trace_slope", counted(collocation_trace_slope))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h = trace_minimized_mesh_size(parse_potential(spec), n)
         assert len(calls) <= 16
         assert 0.0 < h < math.inf
+
+    @pytest.mark.parametrize("spec,n", [("poly:1,1", 5), ("poly:1,-4,1", 40),
+                                        ("cheb:20;shift=-1", 1), ("cheb:40;shift=-1", 100)])
+    def test_first_window_costs_two_trace_and_two_slope_calls(self, monkeypatch, spec, n):
+        # one scan, two slope passes, and one trace call that picks the point
+        # (and the dip, where cheb:20 at N = 1 has several)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(potential, half_width, h):
+                calls.append(name)
+                return function(potential, half_width, h)
+            return wrapper
+
+        monkeypatch.setattr(mesh, "collocation_trace", counted("trace", collocation_trace))
+        monkeypatch.setattr(mesh, "collocation_trace_slope",
+                            counted("slope", collocation_trace_slope))
+        trace_minimized_mesh_size(parse_potential(spec), n)
+        assert calls == ["trace", "slope", "slope", "trace"]
+
+    @pytest.mark.parametrize("potential", SLOPE_WELLS)
+    def test_lies_within_the_last_trace_call_of_the_slope_zero(self, potential):
+        for n in (1, 5, 20, 100):
+            h_hat = trace_minimized_mesh_size(potential, n)
+            zero = slope_zero_by_bisection(potential, n, h_hat)
+            assert abs(h_hat - zero) <= (_POLISH + 2 * _RESOLUTION) * zero, n
+
+    @pytest.mark.parametrize(
+        "potential,tolerance",
+        [pytest.param(p.values[0], _RESOLUTION, id=p.id) for p in SLOPE_WELLS[:-2]]
+        + [pytest.param(p.values[0], _POLISH / 2, id=p.id) for p in SLOPE_WELLS[-2:]],
+    )
+    def test_interpolated_zero_within_resolution(self, monkeypatch, potential, tolerance):
+        # smooth wells to 1e-10 relative (measured: 1.3e-13 at worst), the
+        # rough Chebyshev wells well inside the last trace call's window
+        # (measured: 9.7e-10 for cheb:40 at N = 1)
+        zeros = []
+
+        def record(grid, slope, i):
+            zeros.append(_interpolated_zero(grid, slope, i))
+            return zeros[-1]
+
+        monkeypatch.setattr(mesh, "_interpolated_zero", record)
+        for n in (1, 2, 5, 20, 100):
+            zeros.clear()
+            zero = slope_zero_by_bisection(potential, n, trace_minimized_mesh_size(potential, n))
+            assert min(abs(z - zero) for z in zeros) <= tolerance * zero, n
+
+    def test_interpolated_zero_falls_back_to_the_secant(self):
+        grid = np.arange(64.0)
+        kinked = np.where(grid < 10.0, -1.0, grid - 9.5)  # flat, so not strictly rising
+        assert _interpolated_zero(grid, kinked, 9) == 9.0 + 1.0 / 1.5
+        line = grid - 30.25
+        assert _interpolated_zero(grid, line, 30) == pytest.approx(30.25, abs=1e-12)
+        for curved in (line**3, np.exp(grid) - math.exp(30.25), np.cbrt(line)):
+            assert 30.0 <= _interpolated_zero(grid, curved, 30) <= 31.0
+
+    def test_slope_that_resolves_no_dip_leaves_the_pick_to_the_trace(self, monkeypatch):
+        picked = []
+
+        def record(potential, half_width, h):
+            traces = collocation_trace(potential, half_width, h)
+            picked.append((np.array(h, copy=True), traces))
+            return traces
+
+        monkeypatch.setattr(mesh, "collocation_trace", record)
+        monkeypatch.setattr(mesh, "collocation_trace_slope",
+                            lambda potential, half_width, h: np.ones(np.shape(h)))
+        h_hat = trace_minimized_mesh_size(TRIPLE_WELL, 20)
+        (scan, scanned), (grid, traces) = picked
+        best = _best_trace(scan, scanned)
+        assert grid.tobytes() == _linear_grid(scan[best - 1], scan[best + 1]).tobytes()
+        assert h_hat == grid[int(np.argmin(traces))]
 
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import math
+import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -11,6 +14,8 @@ from descm import (
     chebyshev_well,
     parse_potential,
 )
+from descm.mesh import optimal_mesh_size
+from descm.potential import ChebyshevWell
 from conftest import random_potential
 from oracles import horner_potential
 
@@ -76,6 +81,53 @@ class TestEvaluate:
         assert EvenPolynomialPotential((1.0, 0.0, 3.0)).degree_parameter == 3
 
 
+class TestDerivative:
+    def test_matches_exact_derivative_of_random_wells(self, rng):
+        # against sum_i 2i c_i x^(2i-1) in exact rational arithmetic, relative
+        # to the sum of the terms' magnitudes (Horner's bound)
+        eps = np.finfo(float).eps
+        for _ in range(30):
+            p = random_potential(rng, max_half_degree=8, with_constant=True)
+            xs = rng.uniform(-3.0, 3.0, 40)
+            got = p.derivative(xs)
+            for x, value in zip(xs, got):
+                terms = [2 * i * Fraction(c) * Fraction(x) ** (2 * i - 1)
+                         for i, c in enumerate(p.coefficients, start=1)]
+                exact = sum(terms)
+                assert abs(Fraction(value) - exact) <= 16 * eps * sum(abs(t) for t in terms)
+
+    def test_equals_horner_on_doubled_coefficients_bit_for_bit(self, rng):
+        # scaling by a power of two is exact, so only overflow could tell the
+        # package's scaled coefficients from 2i c_i
+        for _ in range(20):
+            p = random_potential(rng, max_half_degree=8, with_constant=True)
+            *inner, leading = (2 * i * c for i, c in enumerate(p.coefficients, start=1))
+            xs = rng.uniform(-3.0, 3.0, 100)
+            acc = leading
+            for d in reversed(inner):
+                acc = acc * (xs * xs) + d
+            assert p.derivative(xs).tobytes() == (acc * xs).tobytes()
+            for x in (0.0, 0.7, -2.5):
+                assert type(p.derivative(x)) is float
+
+    def test_is_exactly_odd(self, rng):
+        xs = rng.uniform(-10.0, 10.0, size=500)
+        for p in [random_potential(rng, with_constant=True) for _ in range(10)]:
+            assert np.array_equal(p.derivative(xs), -p.derivative(-xs))
+
+    @pytest.mark.parametrize("spec,x,want", [
+        ("poly:1e308", 1e-77, 2e231),
+        ("poly:" + "0," * 9 + "1e308", 1e-30, 2e-261),
+        ("poly:1e-300", 1e10, 2e-290),
+    ])
+    def test_huge_and_tiny_coefficients_without_warnings(self, spec, x, want):
+        # 2 c_1 = 2e308 and 20 c_10 overflow; the derivative itself does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parse_potential(spec).derivative(x)
+        assert got == pytest.approx(want, rel=1e-15)
+
+
 class TestChebyshevWell:
     def test_degree_two(self):
         p = chebyshev_well(2, shift=-1.0)
@@ -117,6 +169,69 @@ class TestChebyshevWell:
         xs = rng.uniform(-1.0, 1.0, size=50)
         ref = np.cos(20 * np.arccos(xs)) - 1.0
         assert np.all(np.abs(p(xs) - ref) <= 1e-9)
+
+    @pytest.mark.parametrize("degree", [2, 4, 8, 10, 20, 40])
+    def test_composition_matches_mpmath(self, degree, rng):
+        # T_n and T_n' = n U_(n-1) at 50 digits, at the same float arguments:
+        # absolutely on [-1, 1], relatively out to |x| = 1e3
+        shift = -1.0
+        p = chebyshev_well(degree, shift)
+        assert isinstance(p, ChebyshevWell)
+        inside = np.concatenate([rng.uniform(-1.0, 1.0, 200), [-1.0, 0.0, 1.0]])
+        outside = np.exp(rng.uniform(0.0, math.log(1e3), 100)) * rng.choice([-1.0, 1.0], 100)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            def exact(x):
+                x = mpmath.mpf(float(x))
+                return mpmath.chebyt(degree, x) + shift, degree * mpmath.chebyu(degree - 1, x)
+
+            for x, value, slope in zip(inside, p(inside), p.derivative(inside)):
+                want, want_slope = exact(x)
+                assert abs(value - want) <= 1e-13
+                assert abs(slope - want_slope) <= 16 * degree**2 * eps
+            for x, value, slope in zip(outside, p(outside), p.derivative(outside)):
+                want, want_slope = exact(x)
+                assert abs(value - want) <= 1e-14 * abs(want)
+                assert abs(slope - want_slope) <= 1e-14 * abs(want_slope)
+
+    def test_composition_beats_the_monomials_of_t40(self, rng):
+        p = chebyshev_well(40, -1.0)
+        monomial = EvenPolynomialPotential(p.coefficients, p.constant)
+        xs = rng.uniform(-1.0, 1.0, size=200)
+        ref = np.cos(40 * np.arccos(xs)) - 1.0
+        assert np.abs(p(xs) - ref).max() <= 1e-12
+        assert np.abs(monomial(xs) - ref).max() > 1e-3
+
+    def test_keeps_the_monomial_data(self):
+        # degree, leading coefficient and closed-form mesh size are the expansion's
+        p = chebyshev_well(40, -1.0)
+        monomial = EvenPolynomialPotential(p.coefficients, p.constant)
+        assert p.degree_parameter == 20
+        assert p.leading_coefficient == 2.0**39
+        assert p.shift == -1.0
+        for n in (1, 30, 500):
+            assert optimal_mesh_size(p, n) == optimal_mesh_size(monomial, n)
+        # 1 + 1e-20 rounds to the constant 1.0 of T_4 + 0, but the wells differ
+        assert chebyshev_well(4, 1e-20).constant == chebyshev_well(4, 0.0).constant
+        assert chebyshev_well(4, 1e-20) != chebyshev_well(4, 0.0)
+
+    @pytest.mark.parametrize("degree", [4, 20, 40, 60, 808])
+    def test_even_value_odd_slope_and_inf_far_out(self, degree, rng):
+        p = chebyshev_well(degree, -1.0)
+        xs = np.concatenate([rng.uniform(-3.0, 3.0, 200), [1e200, -1e300]])
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            values, slopes = p(xs), p.derivative(xs)
+            assert np.array_equal(values, p(-xs))
+            assert np.array_equal(slopes, -p.derivative(-xs))
+        assert values[-2] == values[-1] == math.inf
+        assert slopes[-2] == math.inf and slopes[-1] == -math.inf
+        assert not np.isnan(values).any() and not np.isnan(slopes).any()
+
+    def test_python_float_in_float_out(self):
+        p = chebyshev_well(20, -1.0)
+        assert type(p(0.3)) is float and type(p.derivative(0.3)) is float
+        assert p(0.3) == p(np.array([0.3]))[0]
 
     @pytest.mark.parametrize("degree", [1, 3, 0, -2])
     def test_rejects_odd_or_nonpositive(self, degree):

@@ -15,6 +15,7 @@ from descm import (
     reconstruct_wavefunction,
     solve,
 )
+from conftest import random_potential
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 HARMONIC = EvenPolynomialPotential((1.0,))
@@ -119,6 +120,35 @@ class TestSolve:
             assert abs(result.eigenvalues[n] - (2 * n + 1)) <= 1e-8
 
 
+def minimum_of(potential):
+    """min V over the real line: V at x = 0 and at every real critical point
+    x^2 = r > 0, r a root of V'(x)/(2x) = sum_i i c_i r^(i-1)."""
+    slope = [i * c for i, c in enumerate(potential.coefficients, start=1)]
+    roots = np.roots(slope[::-1]) if len(slope) > 1 else np.array([])
+    squares = [r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0]
+    return min(float(potential(math.sqrt(r))) for r in [0.0, *squares])
+
+
+class TestSeededProperties:
+    @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()])
+    def test_ground_state_above_potential_minimum(self, rng, strategy):
+        for _ in range(20):
+            p = random_potential(rng, with_constant=True)
+            floor = minimum_of(p)
+            e0 = float(solve(DescmProblem(p, strategy=strategy), 30).spectrum[0])
+            assert e0 >= floor - 1e-9 * max(1.0, abs(floor)), p
+
+    @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()])
+    def test_spectrum_finite_and_ascending(self, rng, strategy):
+        for _ in range(20):
+            p = random_potential(rng, with_constant=True)
+            n = int(rng.integers(1, 40))
+            spectrum = solve(DescmProblem(p, strategy=strategy), n).spectrum
+            assert len(spectrum) == 2 * n + 1
+            assert np.isfinite(spectrum).all()
+            assert (np.diff(spectrum) >= 0.0).all()
+
+
 class TestConverge:
     def test_quartic_stopping_behavior(self):
         trace = converge(DescmProblem(QUARTIC), level=0, tolerance=5e-12)
@@ -191,6 +221,11 @@ class TestConverge:
             converge(DescmProblem(QUARTIC), n_step=0)
         with pytest.raises(ValueError):
             converge(DescmProblem(QUARTIC), level=-1)
+
+    @pytest.mark.parametrize("n_start", [0, -5])
+    def test_rejects_start_below_one(self, n_start):
+        with pytest.raises(ValueError, match=f"n_start must be >= 1, got {n_start}"):
+            converge(DescmProblem(QUARTIC), n_start=n_start, n_max=3)
 
 
 class TestConvergenceShape:
