@@ -17,6 +17,8 @@ descm solve --potential $'poly:1,1\r' --N 17 --format json | python -m json.tool
 # near-degenerate doublet: one level from each parity block
 descm solve --potential 'poly:-20,1' --N 50 --levels 2 --format json | python -m json.tool > /dev/null
 descm converge --potential 'poly:1,1' --format json | python -m json.tool > /dev/null
+# m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
+descm converge --potential poly:1 --mesh trace-min --format json | python -m json.tool > /dev/null
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null
 descm validate --format json | python -m json.tool > /dev/null
 descm table --name 1 --format json | python -m json.tool > /dev/null

@@ -5,7 +5,10 @@ Only even powers are ever formed, so evaluation is exactly symmetric in x.
 The confinement condition c_m > 0 (positive leading coefficient) is enforced
 at construction time. Chebyshev wells keep their exact monomial data but are
 evaluated as a composition of the short T_p of their degree's prime factors,
-which does not cancel as the monomials of a high degree do.
+which does not cancel as the monomials of a high degree do, save for an odd
+prime factor above about 20: it still cancels in its own Horner polynomial
+(``cheb:46`` = T_23 o T_2 is off by about 1e-8 on [-1, 1]). One Horner
+routine in x^2 evaluates every polynomial here: V, V' and each stage.
 """
 
 from __future__ import annotations
@@ -60,20 +63,8 @@ class EvenPolynomialPotential:
         return self.coefficients[-1]
 
     def __call__(self, x):
-        """Evaluate c0 + sum_i c_i x^(2i); accepts scalars or numpy arrays.
-
-        Horner's rule in x^2 from the leading coefficient, accumulated in one
-        buffer; on a Python float the in-place operators rebind, so a float
-        comes back.
-        """
-        x2 = x * x
-        *inner, leading = self.coefficients
-        acc = leading * x2
-        for c in reversed(inner):
-            acc += c
-            acc *= x2
-        acc += self.constant
-        return acc
+        """Evaluate c0 + sum_i c_i x^(2i); accepts scalars or numpy arrays."""
+        return _horner_in_square((self.constant, *self.coefficients), 0, x)
 
     def derivative(self, x):
         """V'(x) = sum_i 2i c_i x^(2i-1); accepts scalars or numpy arrays.
@@ -85,18 +76,8 @@ class EvenPolynomialPotential:
         V' of ``poly:1e308`` is finite wherever its value is.
         """
         scale = 1 << (2 * len(self.coefficients) - 1).bit_length()
-        first, *rest = (c * (2 * i / scale) for i, c in enumerate(self.coefficients, 1))
-        if rest:
-            x2 = x * x
-            *inner, leading = rest
-            acc = leading * x2
-            for c in reversed(inner):
-                acc += c
-                acc *= x2
-            acc += first
-            acc *= x
-        else:
-            acc = first * x
+        acc = _horner_in_square(
+            tuple(c * (2 * i / scale) for i, c in enumerate(self.coefficients, 1)), 1, x)
         acc *= scale
         return acc
 
@@ -110,10 +91,13 @@ class ChebyshevWell(EvenPolynomialPotential):
     T_a o T_b = T_ab, so T_n is the composition of T_p over the prime factors
     p of n, smallest first: with n = 2^j q and q odd, T_2(y) = 2y^2 - 1 is
     applied j times, mapping [-1, 1] onto itself, then the short odd T_p of
-    each factor of q, each by Horner's rule in y^2. Nothing cancels the way
-    the monomials of T_40 do (off by 2.7e-2 on [-1, 1]). V' follows by the
-    chain rule. Far out every stage grows to +inf from its positive leading
-    coefficient, so overflow gives inf, never NaN.
+    each factor of q, each by Horner's rule in y^2. That does not cancel the
+    way the monomials of T_40 do (off by 2.7e-2 on [-1, 1]), except within
+    an odd factor p above about 20, whose T_p is one Horner polynomial with
+    coefficients up to about 2.4^p: ``cheb:46`` = T_23 o T_2 is off by about
+    1e-8 on [-1, 1]. V' follows by the chain rule. Far out every stage grows
+    to +inf from its positive leading coefficient, so overflow gives inf,
+    never NaN.
     """
 
     shift: float = 0.0
@@ -153,15 +137,18 @@ class ChebyshevWell(EvenPolynomialPotential):
 
 
 def _horner_in_square(coefficients, odd, y):
-    """y^odd sum_i coefficients[i] y^(2i) by Horner's rule in y^2, a new value."""
-    if len(coefficients) == 1:  # T_2'(y) = 4y, the one single-term stage
-        return coefficients[0] * y
-    y2 = y * y
-    acc = coefficients[-1] * y2
-    for c in reversed(coefficients[1:-1]):
-        acc += c
+    """y^odd sum_i coefficients[i] y^(2i) by Horner's rule in y^2, a new value.
+
+    The one evaluator of V, V' and the Chebyshev stages. The accumulator
+    starts as the leading coefficient and is updated in place: on a Python
+    float the in-place operators rebind, so a float comes back, and the first
+    product with an array makes a new array that later steps update in place.
+    """
+    *inner, acc = coefficients
+    y2 = y * y if inner else None  # c0 y alone forms no y^2, whose overflow warns
+    for c in reversed(inner):
         acc *= y2
-    acc += coefficients[0]
+        acc += c
     if odd:
         acc *= y
     return acc

@@ -4,10 +4,13 @@ None runs on the solve path: the transformed potential W of the sinh map in
 the paper's closed form, the transformed potential of an arbitrary change of
 variable by nested finite differences, the second-derivative weights built
 per truncation with their Toeplitz matrix gathered through an index array,
-the full (2N+1)x(2N+1) collocation matrix that the parity blocks split, those
-blocks folded from full-grid data by index, the unreduced collocation pair
-whose conjugation gives the full matrix,
-the earlier trace-minimized mesh search (a log-spaced scan refined by golden
+the shifted Sinc basis S(j,h) and a five-point finite-difference second
+derivative to check those weights by (with the package's weights keyed by
+offset), the eigenvalues of a small symmetric matrix by determinant sign
+changes and bisection, the full (2N+1)x(2N+1) collocation matrix that the
+parity blocks split, those blocks folded from full-grid data by index, the
+unreduced collocation pair whose conjugation gives the full matrix, the
+earlier trace-minimized mesh search (a log-spaced scan refined by golden
 section), the collocation trace summed over the full grid k = -N..N, and the
 potential (Horner's rule for a polynomial well, the composition of Chebyshev
 stages for a Chebyshev well) and W/cosh^2 written as plain expressions that
@@ -94,6 +97,50 @@ def gathered_d2_weights(half_width: int) -> tuple[np.ndarray, np.ndarray]:
     values[2 * half_width] = D2_DIAGONAL
     idx = np.arange(2 * half_width + 1)
     return values, values[idx[None, :] - idx[:, None] + 2 * half_width]
+
+
+def sinc_basis(j, h, x):
+    """Shifted basis function S(j,h)(x) = sinc((x - jh)/h)."""
+    return np.sinc((x - j * h) / h)
+
+
+def d2_weights(half_width):
+    """Scaled second-derivative weights keyed by offset r in [-2N, 2N]."""
+    values = SincWeights.second_derivative(half_width).values
+    return dict(zip(range(-2 * half_width, 2 * half_width + 1), values.tolist()))
+
+
+def fd_second_derivative(f, x, step):
+    """Five-point central second derivative, O(step^4)."""
+    return (
+        -f(x + 2 * step) + 16 * f(x + step) - 30 * f(x) + 16 * f(x - step) - f(x - 2 * step)
+    ) / (12 * step * step)
+
+
+def characteristic_roots_by_bisection(a, tol=1e-12):
+    """All eigenvalues of a small symmetric matrix from sign changes of
+    det(a - t I) on a dense grid, refined by bisection. LU-based determinants
+    only; fully independent of the symmetric solver under test."""
+    radius = np.max(np.sum(np.abs(a), axis=1))  # Gershgorin bound
+    grid = np.linspace(-radius - 1.0, radius + 1.0, 20001)
+    dets = np.array([np.linalg.det(a - t * np.eye(a.shape[0])) for t in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if dets[i] == 0.0:
+            roots.append(grid[i])
+            continue
+        if (dets[i] < 0) != (dets[i + 1] < 0):
+            lo, hi = grid[i], grid[i + 1]
+            flo = dets[i]
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fmid = np.linalg.det(a - mid * np.eye(a.shape[0]))
+                if (fmid < 0) == (flo < 0):
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    return np.array(roots)
 
 
 def _full_grid(half_width: int, h: float) -> np.ndarray:

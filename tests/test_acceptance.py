@@ -22,9 +22,8 @@ from descm import (
 from descm.mesh import _FIRST_WINDOW
 from descm.solver import eigen_symmetric
 from conftest import random_potential
-from oracles import full_collocation_matrix
-from test_eigensolver import characteristic_roots_by_bisection
-from test_sinc_basis import d2_weights, fd_second_derivative, sinc_basis
+from oracles import (characteristic_roots_by_bisection, d2_weights, fd_second_derivative,
+                     full_collocation_matrix, sinc_basis)
 
 OPTIMAL = MeshStrategy.optimal()
 TRACE_MIN = MeshStrategy.trace_minimized()

@@ -17,8 +17,8 @@ from descm import (
     trace_minimized_mesh_size,
 )
 from conftest import random_potential
-from oracles import assemble_generalized_pair, full_collocation_matrix, parity_blocks_by_index
-from test_sinc_basis import fd_second_derivative, sinc_basis
+from oracles import (assemble_generalized_pair, fd_second_derivative, full_collocation_matrix,
+                     parity_blocks_by_index, sinc_basis)
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 V1 = analytic_catalog()[0].potential

@@ -2,32 +2,7 @@ import numpy as np
 import pytest
 
 from descm.solver import eigen_symmetric
-
-
-def characteristic_roots_by_bisection(a, tol=1e-12):
-    """All eigenvalues of a small symmetric matrix from sign changes of
-    det(a - t I) on a dense grid, refined by bisection. LU-based determinants
-    only; fully independent of the symmetric solver under test."""
-    radius = np.max(np.sum(np.abs(a), axis=1))  # Gershgorin bound
-    grid = np.linspace(-radius - 1.0, radius + 1.0, 20001)
-    dets = np.array([np.linalg.det(a - t * np.eye(a.shape[0])) for t in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if dets[i] == 0.0:
-            roots.append(grid[i])
-            continue
-        if (dets[i] < 0) != (dets[i + 1] < 0):
-            lo, hi = grid[i], grid[i + 1]
-            flo = dets[i]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fmid = np.linalg.det(a - mid * np.eye(a.shape[0]))
-                if (fmid < 0) == (flo < 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    return np.array(roots)
+from oracles import characteristic_roots_by_bisection
 
 
 class TestEigenSymmetric:

@@ -119,9 +119,13 @@ class TestDerivative:
         ("poly:1e308", 1e-77, 2e231),
         ("poly:" + "0," * 9 + "1e308", 1e-30, 2e-261),
         ("poly:1e-300", 1e10, 2e-290),
+        ("poly:1", np.array([1e200]), 2e200),
+        ("cheb:2", np.array([-1e200]), -4e200),
     ])
     def test_huge_and_tiny_coefficients_without_warnings(self, spec, x, want):
-        # 2 c_1 = 2e308 and 20 c_10 overflow; the derivative itself does not
+        # 2 c_1 = 2e308 and 20 c_10 overflow; the derivative itself does not.
+        # A one-term V' (2 c_1 x, or T_2' = 4x) forms no x^2, whose overflow
+        # would warn on an array
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = parse_potential(spec).derivative(x)
@@ -170,7 +174,13 @@ class TestChebyshevWell:
         ref = np.cos(20 * np.arccos(xs)) - 1.0
         assert np.all(np.abs(p(xs) - ref) <= 1e-9)
 
-    @pytest.mark.parametrize("degree", [2, 4, 8, 10, 20, 40])
+    @pytest.mark.parametrize("degree", [
+        2, 4, 8, 10, 20, 40,
+        pytest.param(46, marks=pytest.mark.xfail(strict=True, reason=(
+            "the odd factor T_23 of T_46 = T_23 o T_2 cancels in its own Horner polynomial: "
+            "up to 1.1e-8 off on [-1, 1] (4.7e-9 at this test's points) against the 1e-13 "
+            "bound; a three-term recurrence for a large odd factor would fix it"))),
+    ])
     def test_composition_matches_mpmath(self, degree, rng):
         # T_n and T_n' = n U_(n-1) at 50 digits, at the same float arguments:
         # absolutely on [-1, 1], relatively out to |x| = 1e3

@@ -6,25 +6,7 @@ import pytest
 import descm.sinc_basis as weights_module
 from descm import SincWeights
 from descm.solver import sinc
-from oracles import gathered_d2_weights
-
-
-def sinc_basis(j, h, x):
-    """Shifted basis function S(j,h)(x) = sinc((x - jh)/h)."""
-    return np.sinc((x - j * h) / h)
-
-
-def d2_weights(half_width):
-    """Scaled second-derivative weights keyed by offset r in [-2N, 2N]."""
-    values = SincWeights.second_derivative(half_width).values
-    return dict(zip(range(-2 * half_width, 2 * half_width + 1), values.tolist()))
-
-
-def fd_second_derivative(f, x, step):
-    """Five-point central second derivative, O(step^4)."""
-    return (
-        -f(x + 2 * step) + 16 * f(x + step) - 30 * f(x) + 16 * f(x - step) - f(x - 2 * step)
-    ) / (12 * step * step)
+from oracles import d2_weights, fd_second_derivative, gathered_d2_weights, sinc_basis
 
 
 class TestSinc:

@@ -148,6 +148,20 @@ class TestSeededProperties:
             assert np.isfinite(spectrum).all()
             assert (np.diff(spectrum) >= 0.0).all()
 
+    def test_wavefunctions_are_normalized(self, rng):
+        # single wells only: random_potential's negative inner coefficients
+        # make deep double wells that N = 40 does not resolve
+        xs = np.linspace(-12.0, 12.0, 1201)
+        for _ in range(10):
+            m = int(rng.integers(1, 6))
+            p = EvenPolynomialPotential(tuple(rng.uniform(0.1, 2.0, size=m)),
+                                        constant=float(rng.uniform(-1.0, 1.0)))
+            for strategy in (MeshStrategy.optimal(), MeshStrategy.trace_minimized()):
+                result = solve(DescmProblem(p, strategy=strategy), 40, want_vectors=True)
+                for level in range(3):
+                    psi = reconstruct_wavefunction(result, level, xs)
+                    assert abs(np.trapezoid(psi**2, xs) - 1.0) <= 1e-12, (p, strategy, level)
+
 
 class TestConverge:
     def test_quartic_stopping_behavior(self):
