@@ -57,6 +57,17 @@ def check_half_width(half_width: int) -> None:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
 
 
+def check_mesh_size(h):
+    """``h`` as a float array, rejected unless every entry lies in (0, inf):
+    the one mesh-size rule of the trace, its slope and the assembly. A
+    single h is compared as a float, since ufuncs on a 0-d array cost
+    microseconds, and the assembly checks one h per solve."""
+    h = np.asarray(h, dtype=float)
+    if not (0.0 < float(h) < math.inf if h.ndim == 0 else ((h > 0.0) & (h < math.inf)).all()):
+        raise ValueError(f"mesh size must be positive and finite, got {h}")
+    return h
+
+
 def transformed_potential_scaled(potential: EvenPolynomialPotential, x, cosh2=None):
     """W(x)/cosh(x)^2 = (1/4) sech^2 - (3/4) sech^4 + V(sinh x).
 
@@ -121,8 +132,7 @@ class CollocationMatrix:
 def _collocation_points(half_width: int, h: float) -> np.ndarray:
     """Points kh for k = 0..N; the blocks need no point left of the centre."""
     check_half_width(half_width)
-    if not (0.0 < h < np.inf):
-        raise ValueError(f"mesh size must be positive and finite, got {h}")
+    check_mesh_size(h)
     return np.arange(half_width + 1) * h
 
 

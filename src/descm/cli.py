@@ -43,39 +43,24 @@ def _fmt(v: float) -> str:
 
 
 _json_text = json.JSONEncoder(ensure_ascii=False).encode
-_JSON_CONTAINERS = (dict, list)
 
 
-def _json_scalar(value) -> str:
-    """JSON text of one float, int, str, bool or None; floats, nearly every
-    value, are tested first, and ``json`` escapes every string."""
+def _json(value, pad: str = "") -> str:
+    """JSON text of a payload value: floats at 17 significant digits, a dict or
+    list one member per line, two spaces past ``pad`` (its closing bracket's
+    indent), and strings escaped by ``json``. Floats, nearly every value, come first."""
     if isinstance(value, float):
         return _fmt(value) if math.isfinite(value) else "null"  # JSON has no inf/nan
     if type(value) is int:  # not bool
         return str(value)
+    if isinstance(value, (dict, list)):
+        inner = pad + "  "
+        if isinstance(value, dict):
+            brackets, members = "{}", [f'{inner}"{k}": {_json(v, inner)}' for k, v in value.items()]
+        else:
+            brackets, members = "[]", [f"{inner}{_json(v, inner)}" for v in value]
+        return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{pad}{brackets[1]}"
     return _json_text(value)
-
-
-def _json_dump(value: dict | list, indent: int = 0) -> str:
-    """Minimal JSON emitter keeping floats at 17 significant digits, one
-    member per line. It takes a payload dict: every list in it is non-empty,
-    and every scalar is one ``_json_scalar`` takes. Only containers recurse:
-    each record's scalars are formatted in place, one call per value."""
-    pad = "  " * indent
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = ",\n".join(
-            f'{inner}"{k}": '
-            f"{_json_dump(v, indent + 1) if isinstance(v, _JSON_CONTAINERS) else _json_scalar(v)}"
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    items = ",\n".join(
-        f"{inner}"
-        f"{_json_dump(v, indent + 1) if isinstance(v, _JSON_CONTAINERS) else _json_scalar(v)}"
-        for v in value
-    )
-    return "[\n" + items + "\n" + pad + "]"
 
 
 def _cell(value) -> str:
@@ -106,7 +91,7 @@ def _write(args, payload: dict, header: str, rows, comments=()) -> None:
     """The one writer: ``payload`` as JSON, or ``header``, ``rows`` and
     ``comments`` as CSV, to --output or stdout."""
     if args.format == "json":
-        text = _json_dump({"command": args.command, **payload}) + "\n"
+        text = _json({"command": args.command, **payload}) + "\n"
     else:
         text = _csv(header, rows, comments)
     if args.output:

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CollocationOverflowError, check_half_width, transformed_potential_scaled
+from .assembly import (CollocationOverflowError, check_half_width, check_mesh_size,
+                       transformed_potential_scaled)
 from .potential import EvenPolynomialPotential
 from .sinc_basis import D2_DIAGONAL
 
@@ -104,7 +105,9 @@ def lambert_w0(z: float) -> float:
 
     Halley iteration seeded by log1p(z) for z < e and log z - log log z
     beyond; the seeds keep the iteration inside the basin of quadratic
-    convergence for every nonnegative argument.
+    convergence for every nonnegative argument. It stops at a relative
+    residual, |w e^w - z| <= 1e-14 z, below z = 1 as above it: there w is
+    about z, and an absolute test would stop before w is accurate.
     """
     z = float(z)
     if z < 0.0:
@@ -115,7 +118,7 @@ def lambert_w0(z: float) -> float:
     for _ in range(50):
         ew = math.exp(w)
         residual = w * ew - z
-        if abs(residual) <= 1e-14 * max(1.0, z):
+        if abs(residual) <= 1e-14 * z:
             break
         w -= residual / (ew * (w + 1.0) - (w + 2.0) * residual / (2.0 * w + 2.0))
     return w
@@ -175,9 +178,7 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     undefined and comes back as NaN, without a warning.
     """
     check_half_width(half_width)
-    h = np.asarray(h, dtype=float)
-    if not (h > 0.0).all():
-        raise ValueError(f"mesh size must be positive, got {h}")
+    h = check_mesh_size(h)
     # far out cosh^2, V and the sum overflow to +inf (the kinetic term flushes
     # to zero) as expected; +inf and -inf entries sum to an undefined NaN; at
     # h below about 1e-162 h*h underflows to 0 and the kinetic term is +inf
@@ -215,7 +216,7 @@ def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
     1/h^2 overflows, without a warning; mixed infinities give NaN.
     """
     check_half_width(half_width)
-    h = np.asarray(h, dtype=float)
+    h = check_mesh_size(h)
     k = np.arange(1.0, half_width + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = 1.0 / h

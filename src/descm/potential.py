@@ -5,9 +5,10 @@ Only even powers are ever formed, so evaluation is exactly symmetric in x.
 The confinement condition c_m > 0 (positive leading coefficient) is enforced
 at construction time. Chebyshev wells keep their exact monomial data but are
 evaluated as a composition of the short T_p of their degree's prime factors,
-which does not cancel as the monomials of a high degree do, save for an odd
-prime factor above about 20: it still cancels in its own Horner polynomial
-(``cheb:46`` = T_23 o T_2 is off by about 1e-8 on [-1, 1]). One Horner
+which does not cancel as the monomials of a high degree do, save within an
+odd prime factor p: its own Horner polynomial cancels more as p grows
+(on [-1, 1], T_2p is within 7.1e-15 for p <= 7, off by 2.7e-13 at p = 11,
+1.1e-8 at p = 23, 17 at p = 47; see :class:`ChebyshevWell`). One Horner
 routine in x^2 evaluates every polynomial here: V, V' and each stage.
 """
 
@@ -93,11 +94,14 @@ class ChebyshevWell(EvenPolynomialPotential):
     applied j times, mapping [-1, 1] onto itself, then the short odd T_p of
     each factor of q, each by Horner's rule in y^2. That does not cancel the
     way the monomials of T_40 do (off by 2.7e-2 on [-1, 1]), except within
-    an odd factor p above about 20, whose T_p is one Horner polynomial with
-    coefficients up to about 2.4^p: ``cheb:46`` = T_23 o T_2 is off by about
-    1e-8 on [-1, 1]. V' follows by the chain rule. Far out every stage grows
-    to +inf from its positive leading coefficient, so overflow gives inf,
-    never NaN.
+    an odd factor p, whose T_p is one Horner polynomial with coefficients up
+    to about 2.4^p. Against 60-digit values on 20001 points of [-1, 1],
+    ``cheb:2p`` is off by at most 7.1e-15 for p <= 7, 2.7e-13 at p = 11,
+    2.2e-12 at 13, 8.5e-11 at 17, 4.3e-10 at 19 and 1.1e-8 at 23; ``cheb:62``
+    by 1.4e-5, ``cheb:74`` by 2.2e-3, ``cheb:94`` by 17, and ``cheb:202``
+    and ``cheb:808`` by about 6e21. V' follows by the chain rule. Far out
+    every stage grows to +inf from its positive leading coefficient, so
+    overflow gives inf, never NaN.
     """
 
     shift: float = 0.0

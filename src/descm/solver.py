@@ -3,9 +3,14 @@ successive-difference stopping rule, and wavefunction reconstruction.
 
 Each solve decomposes the even and the odd parity block of the collocation
 matrix, one LAPACK call each, and merges the two spectra by a stable sort;
-every level keeps the parity of its block. Eigenvalue identification across
-truncations is positional (the n-th smallest at each N); the error proxy for
-level n is eps_n(N) = |E_n(N_prev) - E_n(N)| between consecutive recorded
+every level keeps the parity of its block. A sweep identifies level n across
+truncations by its parity block: by the oscillation theorem the n-th state
+of an even potential has n nodes and parity (-1)^n, so it is entry n // 2 of
+the block of that parity at every N. The n-th smallest of the merged
+spectrum would not do: on a double well the two blocks' lowest levels
+change order between truncations, and a positional sweep then compares an
+even state at one N with an odd one at the next. The error proxy for level n
+is eps_n(N) = |E_n(N_prev) - E_n(N)| between consecutive recorded
 truncations.
 """
 
@@ -145,9 +150,10 @@ def converge(
     n_max: int = 100,
     n_start: int = 2,
 ) -> ConvergenceTrace:
-    """Sweep N upward until the successive difference of level ``level`` drops
-    below ``tolerance``; never raises on non-convergence, the returned trace
-    says so instead."""
+    """Sweep N upward until the successive difference of level ``level``,
+    entry ``level // 2`` of the block of parity (-1)^level, drops below
+    ``tolerance``; never raises on non-convergence, the returned trace says
+    so instead."""
     if not (0.0 < tolerance < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if n_step < 1:
@@ -164,7 +170,7 @@ def converge(
     converged = False
     for n in range(first, n_max + 1, n_step):
         result = solve(problem, n)
-        energy = float(result.spectrum[level])
+        energy = float(result.spectrum[result.parity == (-1) ** level][level // 2])
         delta = None if previous is None else abs(previous - energy)
         records.append(
             ConvergenceRecord(half_width=n, h=result.h_used, energy=energy, delta=delta)

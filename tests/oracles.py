@@ -14,7 +14,8 @@ earlier trace-minimized mesh search (a log-spaced scan refined by golden
 section), the collocation trace summed over the full grid k = -N..N, and the
 potential (Horner's rule for a polynomial well, the composition of Chebyshev
 stages for a Chebyshev well) and W/cosh^2 written as plain expressions that
-allocate a new array at every step.
+allocate a new array at every step, and the eigenvalues of one parity block
+built and solved at 40 digits.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from descm.assembly import (CollocationOverflowError, check_half_width,
@@ -333,3 +335,38 @@ def transformed_potential_scaled_expression(potential: EvenPolynomialPotential, 
         sech2 = 1.0 / np.cosh(x) ** 2
         value = 0.25 * sech2 - 0.75 * sech2 * sech2 + plain_potential(potential, np.sinh(x))
     return float(value) if np.ndim(value) == 0 else value
+
+
+def mp_block_eigenvalues(potential: EvenPolynomialPotential, half_width: int, h: float,
+                         parity: int, dps: int = 40) -> list[float]:
+    """Ascending eigenvalues of the even (``parity`` +1) or odd (-1) block at
+    ``dps`` digits, from the closed-form entries in ``descm.assembly``:
+
+        (delta2(k-j) + parity delta2(j+k)) / (-h^2 s_j s_k),  s_k = cosh(kh),
+
+    with s_0 = sqrt(2) for row and column 0 of the even block, plus
+    W(kh)/cosh(kh)^2 on the diagonal, over k = 0..N (even) or 1..N (odd).
+    V is the well's polynomial in mpmath, ``mpmath.chebyt`` for a Chebyshev
+    well, and ``mpmath.eigsy`` solves the block.
+    """
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(h)
+
+        def delta2(r):
+            return -mpmath.pi**2 / 3 if r == 0 else mpmath.mpf(-2 * (-1) ** r) / (r * r)
+
+        def v(x):
+            if isinstance(potential, ChebyshevWell):
+                return mpmath.chebyt(2 * potential.degree_parameter, x) + potential.shift
+            return potential.constant + sum(
+                c * x ** (2 * i) for i, c in enumerate(map(mpmath.mpf, potential.coefficients), 1))
+
+        ks = range(0 if parity > 0 else 1, half_width + 1)
+        s = [mpmath.sqrt(2) if k == 0 else mpmath.cosh(k * h) for k in ks]
+        block = mpmath.matrix(len(ks))
+        for a, j in enumerate(ks):
+            for b, k in enumerate(ks):
+                block[a, b] = (delta2(k - j) + parity * delta2(j + k)) / (-h * h * s[a] * s[b])
+            sech2 = 1 / mpmath.cosh(j * h) ** 2
+            block[a, a] += sech2 / 4 - 3 * sech2**2 / 4 + v(mpmath.sinh(j * h))
+        return [float(e) for e in mpmath.eigsy(block, eigvals_only=True)]

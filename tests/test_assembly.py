@@ -8,6 +8,7 @@ from descm import (
     CollocationOverflowError,
     DescmProblem,
     EvenPolynomialPotential,
+    MeshStrategy,
     analytic_catalog,
     assemble_collocation_matrix,
     collocation_trace,
@@ -18,7 +19,7 @@ from descm import (
 )
 from conftest import random_potential
 from oracles import (assemble_generalized_pair, fd_second_derivative, full_collocation_matrix,
-                     parity_blocks_by_index, sinc_basis)
+                     mp_block_eigenvalues, parity_blocks_by_index, sinc_basis)
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 V1 = analytic_catalog()[0].potential
@@ -150,6 +151,18 @@ class TestParityBlocks:
             merged = block_spectrum(assemble_collocation_matrix(p, n, h))
             floor = EPS * np.abs(full).max()
             assert np.abs(merged[:10] - full[:10]).max() <= 8 * floor, (p, n)
+
+    @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()],
+                             ids=["optimal", "trace-min"])
+    def test_lowest_levels_match_40_digit_blocks(self, strategy):
+        # each block's three lowest levels against the same block built from
+        # the closed-form entries and solved at 40 digits
+        for p in BLOCK_WELLS:
+            result = solve(DescmProblem(p, strategy=strategy), 12)
+            for parity in (1, -1):
+                exact = np.array(mp_block_eigenvalues(p, 12, result.h_used, parity))
+                got = result.spectrum[result.parity == parity][:3]
+                assert np.abs(got - exact[:3]).max() <= 4 * EPS * np.abs(exact).max(), (p, parity)
 
     def test_unfolded_eigenvectors_are_orthonormal(self):
         for p in BLOCK_WELLS:

@@ -105,6 +105,19 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-0.1)
 
+    def test_within_64_ulp_of_mpmath_below_and_above_one(self):
+        # the stop is relative, |w e^w - z| <= 1e-14 z, so w ~ z below 1 is
+        # as accurate as above; an absolute stop was 2.5e8 ulp off at 1e-150.
+        # The rule allows about 64 ulp just below z = 2^-46, where the log1p
+        # seed alone passes it (63.0 at the worst of these points)
+        rng = np.random.default_rng(0x1A3B)
+        zs = np.concatenate([np.exp(rng.uniform(math.log(1e-150), math.log(1e300), 1500)),
+                             np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 500))])
+        with mpmath.workdps(40):
+            for z in zs.tolist():
+                exact = float(mpmath.lambertw(z).real)
+                assert abs(lambert_w0(z) - exact) <= 64 * math.ulp(exact), z
+
 
 class TestOptimalMeshSize:
     def test_quartic_at_seventeen(self):
@@ -151,6 +164,13 @@ class TestOptimalMeshSize:
             exact = float(mpmath.lambertw(mpmath.exp(log_z)).real)
         w = optimal_mesh_size(potential, n) * (m + 1) * n
         assert w == pytest.approx(exact, rel=1e-13)
+
+    def test_argument_below_one_matches_mpmath(self):
+        # poly:1e18 at N = 2: the argument 2 pi^2 * 2 * 2 / 1e9 is 7.9e-8
+        with mpmath.workdps(40):
+            exact = float(mpmath.lambertw(8 * mpmath.pi**2 / mpmath.mpf(10) ** 9).real / 4)
+        h = optimal_mesh_size(EvenPolynomialPotential((1e18,)), 2)
+        assert abs(h - exact) <= 4 * math.ulp(exact)
 
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
@@ -303,6 +323,14 @@ class TestTraceSlope:
     def test_rejects_half_width_below_one(self):
         with pytest.raises(ValueError, match="truncation half-width must be >= 1"):
             collocation_trace_slope(QUARTIC, 0, 0.3)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_trace_and_slope_reject_mesh_size_outside_zero_to_inf(self, h):
+        for fn in (collocation_trace, collocation_trace_slope):
+            with pytest.raises(ValueError, match="mesh size must be positive and finite"):
+                fn(QUARTIC, 3, h)
+            with pytest.raises(ValueError, match="mesh size must be positive and finite"):
+                fn(QUARTIC, 3, np.array([0.3, h]))
 
 
 class TestTraceMinimized:

@@ -9,6 +9,7 @@ from descm import (
     EvenPolynomialPotential,
     MeshStrategy,
     analytic_catalog,
+    assemble_collocation_matrix,
     chebyshev_well,
     converge,
     parse_potential,
@@ -227,6 +228,17 @@ class TestConverge:
         assert trace.converged
         reference = float(solve(problem, trace.final.half_width + 10).spectrum[0])
         assert abs(trace.final.energy - reference) <= 1e-10
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_double_well_level_is_read_from_its_parity_block(self, level):
+        # the lowest even and odd levels of poly:-20,1 change order between
+        # truncations; level n is the lowest of the block of parity (-1)^n
+        problem = DescmProblem(parse_potential("poly:-20,1"))
+        trace = converge(problem, level=level)
+        for record in trace.records:
+            matrix = assemble_collocation_matrix(problem.potential, record.half_width, record.h)
+            block = matrix.odd if level else matrix.even
+            assert record.energy == np.linalg.eigvalsh(block)[0], record.half_width
 
     def test_validation(self):
         with pytest.raises(ValueError):
