@@ -19,6 +19,8 @@ descm solve --potential 'poly:-20,1' --N 50 --levels 2 --format json | python -m
 descm converge --potential 'poly:1,1' --format json | python -m json.tool > /dev/null
 # double well: level 1 is read from the odd parity block at every N
 descm converge --potential 'poly:-20,1' --level 1 --format json | python -m json.tool > /dev/null
+# an odd level above 1: one odd block per truncation, from N = 2 on
+descm converge --potential 'poly:4,-6,1' --level 3 --format json | python -m json.tool > /dev/null
 # a stiff well: the closed-form Lambert-W argument is 7.9e-8, below 1
 descm solve --potential poly:1e18 --N 2 --format json | python -m json.tool > /dev/null
 # m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
@@ -26,3 +28,5 @@ descm converge --potential poly:1 --mesh trace-min --format json | python -m jso
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null
 descm validate --format json | python -m json.tool > /dev/null
 descm table --name 1 --format json | python -m json.tool > /dev/null
+# a table built from converge sweeps
+descm table --name 3 --format json | python -m json.tool > /dev/null

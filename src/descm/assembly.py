@@ -28,6 +28,8 @@ with row and column 0 of E scaled by 1/sqrt(2), each plus W(kh)/cosh(kh)^2
 on its diagonal. Both numerators are read from zero-copy views of the delta2
 table, and both blocks share one denominator and one division; cosh(kh) is
 evaluated once per point k = 0..N, and its square is shared with W/cosh^2.
+A caller that needs one parity only, such as a sweep following one level,
+asks for that block alone: the same steps then fill its slab and no other.
 Every step is symmetric in j and k, so both blocks are exactly symmetric.
 Neither the (2N+1)x(2N+1) matrix nor the generalized pair (stiffness
 matrix, diagonal weight) it was reduced from is ever formed.
@@ -55,6 +57,17 @@ def check_half_width(half_width: int) -> None:
     """Reject a truncation below N = 1, the one rule every layer shares."""
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
+
+
+def parity_blocks(parity) -> tuple[int, ...]:
+    """The parities of the blocks to build: (1, -1) for None, both blocks,
+    else the one block of parity +1 (even) or -1 (odd); any other value is
+    rejected."""
+    if parity is None:
+        return (1, -1)
+    if isinstance(parity, (int, np.integer)) and not isinstance(parity, bool) and parity in (1, -1):
+        return (int(parity),)
+    raise ValueError(f"parity must be None, +1 or -1, got {parity!r}")
 
 
 def check_mesh_size(h):
@@ -94,39 +107,46 @@ def transformed_potential_scaled(potential: EvenPolynomialPotential, x, cosh2=No
 class CollocationMatrix:
     """Parity blocks of the collocation matrix over points kh, k in [-N, N].
 
-    ``entries`` is one read-only (2, N+1, N+1) buffer. Slab 0 is the even
-    block over k = 0..N; slab 1 holds the odd block over k = 1..N in its
-    rows and columns 1..N, and in row and column 0 values no block reads.
-    ``even`` and ``odd`` are views of it.
+    ``entries`` is one read-only (len(parities), N+1, N+1) buffer, one slab
+    per built block in the order of ``parities``. The even block's slab
+    (parity +1) holds it over k = 0..N; the odd block's slab (parity -1)
+    holds it over k = 1..N in its rows and columns 1..N, and in row and
+    column 0 values no block reads. ``block(parity)``, ``even`` and ``odd``
+    are views of it.
     """
 
     half_width: int
     mesh: float
     entries: np.ndarray
+    parities: tuple[int, ...]
 
     def __post_init__(self):
         self.entries.setflags(write=False)
 
+    def block(self, parity: int) -> np.ndarray:
+        """The block of parity +1 or -1, a view; ValueError if it was not built."""
+        slab = self.entries[self.parities.index(parity)]
+        return slab if parity > 0 else slab[1:, 1:]
+
     @property
     def even(self) -> np.ndarray:
-        return self.entries[0]
+        return self.block(1)
 
     @property
     def odd(self) -> np.ndarray:
-        return self.entries[1, 1:, 1:]
+        return self.block(-1)
 
-    def unfold(self, even_vectors: np.ndarray, odd_vectors: np.ndarray) -> np.ndarray:
-        """Block eigenvectors as (2N+1)-long columns over k = -N..N: the even
-        block's columns first, then the odd block's. Each column is exactly
-        even or odd, and orthonormal columns stay orthonormal."""
+    def unfold(self, vectors: np.ndarray, parity: int) -> np.ndarray:
+        """Eigenvectors of the block of ``parity`` as (2N+1)-long columns over
+        k = -N..N. Each column is exactly even or odd, and orthonormal
+        columns stay orthonormal."""
         n = self.half_width
-        half = np.zeros((n + 1, 2 * n + 1))  # rows k = 0..N
-        half[0, : n + 1] = even_vectors[0]
-        half[1:, : n + 1] = even_vectors[1:] / _SQRT_TWO
-        half[1:, n + 1 :] = odd_vectors / _SQRT_TWO
-        full = np.concatenate([half[:0:-1], half])
-        full[:n, n + 1 :] *= -1.0
-        return full
+        half = np.zeros((n + 1, vectors.shape[1]))  # rows k = 0..N
+        if parity > 0:
+            half[0] = vectors[0]
+            vectors = vectors[1:]
+        half[1:] = vectors / _SQRT_TWO
+        return np.concatenate([parity * half[:0:-1], half])
 
 
 def _collocation_points(half_width: int, h: float) -> np.ndarray:
@@ -137,33 +157,36 @@ def _collocation_points(half_width: int, h: float) -> np.ndarray:
 
 
 def assemble_collocation_matrix(
-    potential: EvenPolynomialPotential, half_width: int, h: float
+    potential: EvenPolynomialPotential, half_width: int, h: float, parity: int | None = None
 ) -> CollocationMatrix:
-    """Build both parity blocks directly from their closed-form entries."""
+    """Build parity blocks directly from their closed-form entries: both for
+    ``parity`` None, else only the block of parity +1 or -1. Each block's
+    entries are the same bits whether it is built alone or with the other."""
     n = half_width
+    parities = parity_blocks(parity)
     points = _collocation_points(n, h)
     toeplitz = SincWeights.second_derivative(n).offset_matrix()
     kinetic = toeplitz[n:, n:]  # delta2(k - j), j, k = 0..N
     mirrored = toeplitz[n::-1, n:]  # delta2(j + k): rows reversed, still a view
-    entries = np.empty((2, n + 1, n + 1))
-    np.add(kinetic, mirrored, out=entries[0])
-    np.subtract(kinetic, mirrored, out=entries[1])
+    entries = np.empty((len(parities), n + 1, n + 1))
+    for slab, p in zip(entries, parities):
+        (np.add if p > 0 else np.subtract)(kinetic, mirrored, out=slab)
     # an overflow here leaves a non-finite entry, which the check below reports;
     # V(sinh kh) is +inf on the diagonal wherever cosh(kh) overflows
     with np.errstate(over="ignore"):
         c = np.cosh(points)
         # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
-        # in the denominator; row and column 0 of slab 1 are not read
+        # in the denominator; row and column 0 of an odd slab are not read
         scaled = c.copy()
         scaled[0] = _SQRT_TWO
         scale = np.multiply.outer(scaled, scaled)
         scale *= -(h * h)
         entries /= scale
-        entries.reshape(2, -1)[:, :: n + 2] += transformed_potential_scaled(
+        entries.reshape(len(parities), -1)[:, :: n + 2] += transformed_potential_scaled(
             potential, points, c * c)
     if not np.isfinite(entries).all():
         k = n - int(np.argmax(~np.isfinite(np.diagonal(entries[0])[::-1])))  # the outermost
         raise CollocationOverflowError(
             f"non-finite matrix entry at collocation point x = {k * h:.6g} (k = {k}, h = {h:.6g})"
         )
-    return CollocationMatrix(half_width=n, mesh=h, entries=entries)
+    return CollocationMatrix(half_width=n, mesh=h, entries=entries, parities=parities)

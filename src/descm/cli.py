@@ -275,10 +275,11 @@ def cmd_validate(args) -> int:
     rows = []
     for case in catalog:
         for strategy in (MeshStrategy.optimal(), MeshStrategy.trace_minimized()):
-            problem = DescmProblem(case.potential, strategy=strategy,
-                                   levels_requested=case.level_index + 1)
-            result = solve(problem, args.N)
-            energy = result.spectrum[case.level_index]
+            # level n is entry n // 2 of the block of parity (-1)^n, as in converge
+            index = case.level_index // 2
+            problem = DescmProblem(case.potential, strategy=strategy, levels_requested=index + 1)
+            result = solve(problem, args.N, parity=(-1) ** case.level_index)
+            energy = result.spectrum[index]
             error = abs(float(energy) - case.exact_energy)
             tol = _VALIDATE_TOLERANCES[case.name][0 if strategy.kind == "optimal" else 1]
             rows.append(_ValidateRow(case.name, case.level_index, strategy.kind, args.N,

@@ -1,29 +1,30 @@
 """High-level driver: spectra at fixed truncation, convergence sweeps with a
 successive-difference stopping rule, and wavefunction reconstruction.
 
-Each solve decomposes the even and the odd parity block of the collocation
+A solve decomposes the even and the odd parity block of the collocation
 matrix, one LAPACK call each, and merges the two spectra by a stable sort;
-every level keeps the parity of its block. A sweep identifies level n across
-truncations by its parity block: by the oscillation theorem the n-th state
-of an even potential has n nodes and parity (-1)^n, so it is entry n // 2 of
-the block of that parity at every N. The n-th smallest of the merged
-spectrum would not do: on a double well the two blocks' lowest levels
-change order between truncations, and a positional sweep then compares an
-even state at one N with an odd one at the next. The error proxy for level n
-is eps_n(N) = |E_n(N_prev) - E_n(N)| between consecutive recorded
-truncations.
+every level keeps the parity of its block. Asked for one parity, it
+assembles and decomposes that block alone. A sweep identifies level n
+across truncations by its parity block, and solves only that block: by the
+oscillation theorem the n-th state of an even potential has n nodes and
+parity (-1)^n, so it is entry n // 2 of the block of that parity at every N.
+The n-th smallest of the merged spectrum would not do: on a double well the
+two blocks' lowest levels change order between truncations, and a
+positional sweep then compares an even state at one N with an odd one at
+the next. The error proxy for level n is eps_n(N) = |E_n(N_prev) - E_n(N)|
+between consecutive recorded truncations.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy import sinc
 
-from .assembly import assemble_collocation_matrix, check_half_width
+from .assembly import assemble_collocation_matrix, check_half_width, parity_blocks
 from .mesh import MeshStrategy, mesh_size_for
 from .potential import EvenPolynomialPotential
 
@@ -45,11 +46,13 @@ class DescmProblem:
 class SpectrumResult:
     """Spectrum at one truncation; ``eigenvalues`` holds the requested levels.
 
-    ``spectrum`` keeps all 2N+1 computed eigenvalues, and ``eigenvalues`` is
-    a view of its head. ``parity`` labels each entry of ``spectrum``: +1 for
-    a level of the even block, -1 for one of the odd block. ``eigenvectors``
-    (columns over k = -N..N matching ``spectrum``, each exactly even or odd)
-    are present only when requested. All four are read-only.
+    ``spectrum`` keeps every computed eigenvalue, ascending: all 2N+1 of both
+    blocks, or the N+1 (even) or N (odd) of the one block solved.
+    ``eigenvalues`` is a view of its head. ``parity`` labels each entry of
+    ``spectrum``: +1 for a level of the even block, -1 for one of the odd
+    block. ``eigenvectors`` (columns over k = -N..N matching ``spectrum``,
+    each exactly even or odd) are present only when requested. All four are
+    read-only.
     """
 
     half_width: int
@@ -69,7 +72,7 @@ class SpectrumResult:
 
     @property
     def size(self) -> int:
-        return 2 * self.half_width + 1
+        return len(self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -100,20 +103,26 @@ def eigen_symmetric(matrix, want_vectors: bool = False):
     eigenvalue i), else None.
 
     LAPACK reads only the lower triangle; ``assemble_collocation_matrix``
-    builds both blocks exactly symmetric, which the tests pin bit for bit.
+    builds every block exactly symmetric, which the tests pin bit for bit.
     """
     if want_vectors:
         return np.linalg.eigh(matrix)
     return np.linalg.eigvalsh(matrix), None
 
 
-def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) -> SpectrumResult:
+def solve(
+    problem: DescmProblem, half_width: int, want_vectors: bool = False, parity: int | None = None
+) -> SpectrumResult:
     """Assemble, decompose, and report the lowest requested levels at one N.
 
-    Equal eigenvalues of the two blocks merge even level first.
+    With ``parity`` None both blocks are solved, and equal eigenvalues of the
+    two merge even level first. With +1 or -1 only that block is assembled
+    and solved, and the result holds its levels alone; they are the same
+    bits as the levels of that parity in a solve of both.
     """
     check_half_width(half_width)
-    size = 2 * half_width + 1
+    parities = parity_blocks(parity)
+    size = len(parities) * half_width + (1 in parities)
     if problem.levels_requested > size:
         raise ValueError(
             f"{problem.levels_requested} levels requested but only {size} "
@@ -121,22 +130,26 @@ def solve(problem: DescmProblem, half_width: int, want_vectors: bool = False) ->
         )
     start = time.perf_counter()
     h = mesh_size_for(problem.potential, half_width, problem.strategy)
-    matrix = assemble_collocation_matrix(problem.potential, half_width, h)
-    even_values, even_vectors = eigen_symmetric(matrix.even, want_vectors=want_vectors)
-    odd_values, odd_vectors = eigen_symmetric(matrix.odd, want_vectors=want_vectors)
-    values = np.concatenate([even_values, odd_values])
-    order = values.argsort(kind="stable")
-    spectrum = values[order]
+    matrix = assemble_collocation_matrix(problem.potential, half_width, h, parity)
+    blocks = [eigen_symmetric(matrix.block(p), want_vectors=want_vectors) for p in parities]
     vectors = None
     if want_vectors:
-        vectors = matrix.unfold(even_vectors, odd_vectors)[:, order]
+        vectors = np.hstack([matrix.unfold(v, p) for (_, v), p in zip(blocks, parities)])
+    if parity is None:
+        values = np.concatenate([block_values for block_values, _ in blocks])
+        order = values.argsort(kind="stable")
+        spectrum, labels = values[order], np.where(order <= half_width, 1, -1)
+        if want_vectors:
+            vectors = vectors[:, order]
+    else:  # one block: ascending already
+        spectrum, labels = blocks[0][0], np.full(size, parities[0])
     elapsed = time.perf_counter() - start
     return SpectrumResult(
         half_width=half_width,
         h_used=h,
         eigenvalues=spectrum[: problem.levels_requested],
         spectrum=spectrum,
-        parity=np.where(order <= half_width, 1, -1),
+        parity=labels,
         wall_time=elapsed,
         eigenvectors=vectors,
     )
@@ -153,7 +166,8 @@ def converge(
     """Sweep N upward until the successive difference of level ``level``,
     entry ``level // 2`` of the block of parity (-1)^level, drops below
     ``tolerance``; never raises on non-convergence, the returned trace says
-    so instead."""
+    so instead. Each truncation assembles and solves that block alone, so
+    the problem's ``levels_requested`` plays no part."""
     if not (0.0 < tolerance < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if n_step < 1:
@@ -165,12 +179,14 @@ def converge(
     first = max(n_start, math.ceil(level / 2))
     if first > n_max:
         raise ValueError(f"empty sweep: the first truncation N = {first} exceeds n_max = {n_max}")
+    parity, index = (-1) ** level, level // 2
+    problem = replace(problem, levels_requested=index + 1)
     records: list[ConvergenceRecord] = []
     previous: float | None = None
     converged = False
     for n in range(first, n_max + 1, n_step):
-        result = solve(problem, n)
-        energy = float(result.spectrum[result.parity == (-1) ** level][level // 2])
+        result = solve(problem, n, parity=parity)
+        energy = float(result.spectrum[index])
         delta = None if previous is None else abs(previous - energy)
         records.append(
             ConvergenceRecord(half_width=n, h=result.h_used, energy=energy, delta=delta)

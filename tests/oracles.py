@@ -14,8 +14,9 @@ earlier trace-minimized mesh search (a log-spaced scan refined by golden
 section), the collocation trace summed over the full grid k = -N..N, and the
 potential (Horner's rule for a polynomial well, the composition of Chebyshev
 stages for a Chebyshev well) and W/cosh^2 written as plain expressions that
-allocate a new array at every step, and the eigenvalues of one parity block
-built and solved at 40 digits.
+allocate a new array at every step, the eigenvalues of one parity block
+built and solved at 40 digits, and a convergence sweep that solves both
+blocks at every truncation and picks its level out of the merged spectrum.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from descm.assembly import (CollocationOverflowError, check_half_width,
 from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _SCAN_POINTS, collocation_trace
 from descm.potential import ChebyshevWell, EvenPolynomialPotential
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
+from descm.solver import ConvergenceRecord, DescmProblem, solve
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -370,3 +372,22 @@ def mp_block_eigenvalues(potential: EvenPolynomialPotential, half_width: int, h:
             sech2 = 1 / mpmath.cosh(j * h) ** 2
             block[a, a] += sech2 / 4 - 3 * sech2**2 / 4 + v(mpmath.sinh(j * h))
         return [float(e) for e in mpmath.eigsy(block, eigvals_only=True)]
+
+
+def two_block_converge(problem: DescmProblem, level: int = 0, tolerance: float = 5e-12,
+                       n_max: int = 100, n_start: int = 2) -> list[ConvergenceRecord]:
+    """The records of ``descm.converge``'s sweep, with both blocks solved at
+    every N and level n read from the merged spectrum as the n // 2-th level
+    labelled with parity (-1)^n."""
+    records: list[ConvergenceRecord] = []
+    previous = None
+    for n in range(max(n_start, math.ceil(level / 2)), n_max + 1):
+        result = solve(problem, n)
+        energy = float(result.spectrum[result.parity == (-1) ** level][level // 2])
+        delta = None if previous is None else abs(previous - energy)
+        records.append(ConvergenceRecord(half_width=n, h=result.h_used, energy=energy,
+                                         delta=delta))
+        previous = energy
+        if delta is not None and delta < tolerance:
+            break
+    return records

@@ -131,6 +131,29 @@ class TestParityBlocks:
             assert k.even.tobytes() == even.tobytes(), (p, n)
             assert k.odd.tobytes() == odd.tobytes(), (p, n)
 
+    def test_one_block_is_that_slab_alone_bit_for_bit(self):
+        for p, n, h in block_cases():
+            both = assemble_collocation_matrix(p, n, h)
+            for slab, parity in enumerate((1, -1)):
+                one = assemble_collocation_matrix(p, n, h, parity)
+                assert one.parities == (parity,)
+                assert one.entries.shape == (1, n + 1, n + 1)
+                assert one.entries.tobytes() == both.entries[slab].tobytes(), (p, n, parity)
+                assert one.block(parity).tobytes() == both.block(parity).tobytes()
+                assert not one.entries.flags.writeable
+
+    @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()],
+                             ids=["optimal", "trace-min"])
+    def test_one_block_solve_equals_its_levels_of_both(self, strategy):
+        for p in BLOCK_WELLS:
+            for n in BLOCK_SIZES:
+                both = solve(DescmProblem(p, strategy=strategy), n)
+                for parity in (1, -1):
+                    one = solve(DescmProblem(p, strategy=strategy), n, parity=parity)
+                    assert one.h_used == both.h_used, (p, n, parity)
+                    expected = both.spectrum[both.parity == parity]
+                    assert one.spectrum.tobytes() == expected.tobytes(), (p, n, parity)
+
     def test_blocks_fold_the_full_matrix(self):
         # E[j,k] = A[j,k] + A[j,-k] (times sqrt(2) in row and column 0) and
         # O[j,k] = A[j,k] - A[j,-k], up to the rounding of the fold itself

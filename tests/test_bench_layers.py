@@ -8,7 +8,9 @@ wrapping ``descm.solver.solve`` and ``descm.mesh.collocation_trace``; a path
 that bypassed them would fold its work into fewer, longer parts. The traced
 ``de_map.scaled`` layer wraps ``transformed_potential_scaled`` as the mesh and
 assembly modules name it; a trace or assembly that inlined it would leave
-that layer silent."""
+that layer silent. The traced ``eigensolver`` and ``assembly`` layers count
+calls, rows and bytes, so a sweep that solved both parity blocks again would
+show there as twice the work."""
 
 import importlib.util
 import json
@@ -96,3 +98,46 @@ def test_trace_and_assembly_each_call_the_scaled_potential_once(monkeypatch, cap
     assert counts["trace"] == 2 * len(records)  # a scan and a last pick per mesh choice
     assert counts["mesh.scaled"] == counts["trace"]
     assert counts["assembly.scaled"] == counts["assembly"]
+
+
+@pytest.fixture
+def block_work(monkeypatch):
+    """Rows of each eigensolve and (N, entries bytes) of each assembly that
+    ``solver.solve`` runs through the globals the benchmark wraps."""
+    work = {"eigen_rows": [], "slabs": []}
+    raw_eigen, raw_assembly = solver.eigen_symmetric, solver.assemble_collocation_matrix
+
+    def eigen(matrix, *args, **kwargs):
+        work["eigen_rows"].append(len(matrix))
+        return raw_eigen(matrix, *args, **kwargs)
+
+    def assemble(*args, **kwargs):
+        matrix = raw_assembly(*args, **kwargs)
+        work["slabs"].append((matrix.half_width, matrix.entries.nbytes))
+        return matrix
+
+    monkeypatch.setattr(solver, "eigen_symmetric", eigen)
+    monkeypatch.setattr(solver, "assemble_collocation_matrix", assemble)
+    return work
+
+
+def converge_records(capsys, mesh_kind, level):
+    code = cli.main(["converge", "--potential", "poly:4,-6,1", "--level", str(level),
+                     "--mesh", mesh_kind, "--format", "json"])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["records"]
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+@pytest.mark.parametrize("mesh_kind", ["optimal", "trace-min"])
+def test_cli_converge_makes_one_eigensolve_per_record(block_work, capsys, mesh_kind, level):
+    records = converge_records(capsys, mesh_kind, level)
+    # one block per truncation: N + 1 rows for an even level, N for an odd one
+    assert block_work["eigen_rows"] == [r["N"] + (level % 2 == 0) for r in records]
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+@pytest.mark.parametrize("mesh_kind", ["optimal", "trace-min"])
+def test_cli_converge_assembles_one_slab_per_record(block_work, capsys, mesh_kind, level):
+    records = converge_records(capsys, mesh_kind, level)
+    assert block_work["slabs"] == [(r["N"], 8 * (r["N"] + 1) ** 2) for r in records]

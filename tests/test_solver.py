@@ -16,7 +16,9 @@ from descm import (
     reconstruct_wavefunction,
     solve,
 )
+from descm.cli import _TABLE_ROWS
 from conftest import random_potential
+from oracles import two_block_converge
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 HARMONIC = EvenPolynomialPotential((1.0,))
@@ -88,6 +90,47 @@ class TestSolve:
     def test_too_many_levels_rejected(self):
         with pytest.raises(ValueError):
             solve(DescmProblem(QUARTIC, levels_requested=12), 5)
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_one_block_result_is_self_consistent(self, parity):
+        # N = 9: the even block has 10 levels, the odd block 9
+        result = solve(DescmProblem(QUARTIC, levels_requested=2), 9, parity=parity)
+        both = solve(DescmProblem(QUARTIC), 9)
+        assert result.size == len(result.spectrum) == (10 if parity > 0 else 9)
+        assert result.parity.tolist() == [parity] * result.size
+        assert not result.parity.flags.writeable
+        assert result.spectrum.tobytes() == both.spectrum[both.parity == parity].tobytes()
+        assert np.array_equal(result.eigenvalues, result.spectrum[:2])
+        assert np.all(np.diff(result.spectrum) >= 0.0)
+
+    def test_levels_requested_checked_against_the_block_solved(self):
+        solve(DescmProblem(QUARTIC, levels_requested=6), 5, parity=1)
+        solve(DescmProblem(QUARTIC, levels_requested=5), 5, parity=-1)
+        for levels, parity in ((7, 1), (6, -1)):
+            with pytest.raises(ValueError, match=f"only {levels - 1} eigenvalues exist"):
+                solve(DescmProblem(QUARTIC, levels_requested=levels), 5, parity=parity)
+
+    @pytest.mark.parametrize("parity", [0, 2, -2, 1.0, -1.0, True, np.float64(1.0), "even"])
+    def test_parity_other_than_none_or_plus_minus_one_rejected(self, parity):
+        with pytest.raises(ValueError, match="parity must be None, \\+1 or -1"):
+            solve(DescmProblem(QUARTIC), 5, parity=parity)
+        with pytest.raises(ValueError, match="parity must be None, \\+1 or -1"):
+            assemble_collocation_matrix(QUARTIC, 5, 0.3, parity)
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_one_block_vectors_are_its_unfolded_columns(self, parity):
+        both = solve(DescmProblem(QUARTIC), 9, want_vectors=True)
+        result = solve(DescmProblem(QUARTIC), 9, want_vectors=True, parity=parity)
+        assert result.eigenvectors.shape == (19, result.size)
+        assert result.eigenvectors.tobytes() == both.eigenvectors[:, both.parity == parity].tobytes()
+        assert not result.eigenvectors.flags.writeable
+        xs = np.array([-1.3, 0.4, 2.0])
+        for level in range(result.size):
+            full_level = int(np.flatnonzero(both.parity == parity)[level])
+            assert (reconstruct_wavefunction(result, level, xs).tobytes()
+                    == reconstruct_wavefunction(both, full_level, xs).tobytes())
+        with pytest.raises(ValueError, match="level"):
+            reconstruct_wavefunction(result, result.size, 0.0)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_half_width_below_one_rejected_before_the_level_count(self, n):
@@ -239,6 +282,25 @@ class TestConverge:
             matrix = assemble_collocation_matrix(problem.potential, record.half_width, record.h)
             block = matrix.odd if level else matrix.even
             assert record.energy == np.linalg.eigvalsh(block)[0], record.half_width
+
+    @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()],
+                             ids=["optimal", "trace-min"])
+    def test_records_equal_the_two_block_sweep(self, strategy):
+        # solving one block gives the very bits of that block's levels in a
+        # solve of both; repr round-trips every float, so equal text is equal bits
+        cases = [(EvenPolynomialPotential(c), 0) for name in (3, 4, 5, 6) for c in _TABLE_ROWS[name]]
+        cases += [(parse_potential("poly:-20,1"), level) for level in range(4)]
+        for p, level in cases:
+            problem = DescmProblem(p, strategy=strategy)
+            trace = converge(problem, level=level)
+            assert repr(list(trace.records)) == repr(two_block_converge(problem, level)), (p, level)
+
+    def test_levels_requested_plays_no_part(self):
+        # the sweep reports one level, so a problem asking for more than the
+        # first truncation holds still sweeps, to the same records
+        many = converge(DescmProblem(QUARTIC, levels_requested=50), level=3)
+        assert many.records == converge(DescmProblem(QUARTIC), level=3).records
+        assert many.records[0].half_width == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
