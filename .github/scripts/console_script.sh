@@ -30,3 +30,6 @@ descm validate --format json | python -m json.tool > /dev/null
 descm table --name 1 --format json | python -m json.tool > /dev/null
 # a table built from converge sweeps
 descm table --name 3 --format json | python -m json.tool > /dev/null
+# ten trace-minimized sweeps in one process: each new potential replaces the
+# first-scan table of the last
+descm table --name 5 --mesh trace-min --format json | python -m json.tool > /dev/null

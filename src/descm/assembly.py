@@ -25,11 +25,14 @@ A[j,-k] reads delta2(j+k), and for j, k = 0..N
     O[j,k] = (delta2(k-j) - delta2(j+k)) / (-h^2 cosh(jh) cosh(kh)),  j, k >= 1,
 
 with row and column 0 of E scaled by 1/sqrt(2), each plus W(kh)/cosh(kh)^2
-on its diagonal. Both numerators are read from zero-copy views of the delta2
-table, and both blocks share one denominator and one division; cosh(kh) is
-evaluated once per point k = 0..N, and its square is shared with W/cosh^2.
-A caller that needs one parity only, such as a sweep following one level,
-asks for that block alone: the same steps then fill its slab and no other.
+on its diagonal. Both numerators depend on neither h nor N, so one
+read-only table per process holds them, summed and differenced once from two
+views of the delta2 table and grown like it; each block divides its corner
+of that table by one shared denominator, the same two roundings as a fresh
+sum and division. cosh(kh) is evaluated once per point k = 0..N, and its
+square is shared with W/cosh^2. A caller that needs one parity only, such as
+a sweep following one level, asks for that block alone: the same steps then
+fill its slab and no other.
 Every step is symmetric in j and k, so both blocks are exactly symmetric.
 Neither the (2N+1)x(2N+1) matrix nor the generalized pair (stiffness
 matrix, diagonal weight) it was reduced from is ever formed.
@@ -149,6 +152,31 @@ class CollocationMatrix:
         return np.concatenate([parity * half[:0:-1], half])
 
 
+# delta2(k - j) + delta2(j + k) (slab 0, the even block's numerators) and
+# delta2(k - j) - delta2(j + k) (slab 1, the odd block's) for j, k = 0..M:
+# they depend on neither h nor N, so one read-only table serves every N <= M
+# and each block divides its corner. It is regrown to at least twice its
+# width when a larger N arrives, and never shrinks.
+_numerators = np.empty((2, 0, 0))
+
+
+def _parity_numerators(half_width: int) -> np.ndarray:
+    """The numerator table, covering j, k = 0..N at least."""
+    global _numerators
+    table = _numerators  # one read: a racing thread may swap in another
+    if table.shape[1] <= half_width:
+        m = max(half_width + 1, 2 * table.shape[1]) - 1
+        toeplitz = SincWeights.second_derivative(m).offset_matrix()
+        kinetic = toeplitz[m:, m:]  # delta2(k - j), j, k = 0..M
+        mirrored = toeplitz[m::-1, m:]  # delta2(j + k): rows reversed, still a view
+        table = np.empty((2, m + 1, m + 1))
+        np.add(kinetic, mirrored, out=table[0])
+        np.subtract(kinetic, mirrored, out=table[1])
+        table.setflags(write=False)
+        _numerators = table
+    return table
+
+
 def _collocation_points(half_width: int, h: float) -> np.ndarray:
     """Points kh for k = 0..N; the blocks need no point left of the centre."""
     check_half_width(half_width)
@@ -165,12 +193,8 @@ def assemble_collocation_matrix(
     n = half_width
     parities = parity_blocks(parity)
     points = _collocation_points(n, h)
-    toeplitz = SincWeights.second_derivative(n).offset_matrix()
-    kinetic = toeplitz[n:, n:]  # delta2(k - j), j, k = 0..N
-    mirrored = toeplitz[n::-1, n:]  # delta2(j + k): rows reversed, still a view
-    entries = np.empty((len(parities), n + 1, n + 1))
-    for slab, p in zip(entries, parities):
-        (np.add if p > 0 else np.subtract)(kinetic, mirrored, out=slab)
+    first = 0 if parities[0] > 0 else 1  # slab 0 even, slab 1 odd
+    numerators = _parity_numerators(n)[first : first + len(parities), : n + 1, : n + 1]
     # an overflow here leaves a non-finite entry, which the check below reports;
     # V(sinh kh) is +inf on the diagonal wherever cosh(kh) overflows
     with np.errstate(over="ignore"):
@@ -181,7 +205,7 @@ def assemble_collocation_matrix(
         scaled[0] = _SQRT_TWO
         scale = np.multiply.outer(scaled, scaled)
         scale *= -(h * h)
-        entries /= scale
+        entries = np.divide(numerators, scale)
         entries.reshape(len(parities), -1)[:, :: n + 2] += transformed_potential_scaled(
             potential, points, c * c)
     if not np.isfinite(entries).all():

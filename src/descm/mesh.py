@@ -15,7 +15,10 @@ form requiring no matrix assembly:
 which diverges at both h -> 0+ and h -> infinity, so an interior minimizer
 exists for every truncation N >= 1. Each point evaluates cosh once, for the
 kinetic term and W/cosh^2 alike. The first scan covers [1e-3, 5] on a grid
-built once per process, and widens toward an edge holding its minimum.
+built once per process, and widens toward an edge holding its minimum. The
+half diagonal over that grid does not depend on N, so the scan reads its
+first N+1 columns from a table kept for the last potential and grown once
+per sweep, not once per truncation.
 Inside the scan's best triple the minimizer is a zero of Tr'(h), which has a
 closed form as well (:func:`collocation_trace_slope`), so the search does
 not narrow the trace itself: vectorized slope passes across the triple
@@ -174,27 +177,60 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     grid, and equal ``np.trace`` of the full (2N+1)x(2N+1) matrix bit for
     bit. The parity blocks hold the same trace, summed in another order.
 
+    Called with the first window's grid ``_FIRST_GRID`` itself (not a copy),
+    the half diagonal is read from the first-scan table, which is built by
+    the same steps and holds the same bits.
+
     Where V(sinh kh) is -inf at some points and +inf at others, the trace is
     undefined and comes back as NaN, without a warning.
     """
     check_half_width(half_width)
+    first_window = h is _FIRST_GRID
     h = check_mesh_size(h)
     # far out cosh^2, V and the sum overflow to +inf (the kinetic term flushes
     # to zero) as expected; +inf and -inf entries sum to an undefined NaN; at
     # h below about 1e-162 h*h underflows to 0 and the kinetic term is +inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        half = _half_diagonal(potential, half_width, h)
+        if first_window:
+            half = _first_window_half_diagonal(potential, half_width)
+        else:
+            half = _half_diagonal(potential, half_width, h)
         trace = np.concatenate([half[..., :0:-1], half], axis=-1).sum(axis=-1)
     return float(trace) if trace.ndim == 0 else trace
 
 
-def _half_diagonal(potential: EvenPolynomialPotential, half_width: int, h: np.ndarray):
-    """Diagonal at k = 0..N on a new last axis of ``h``; call with overflow ignored."""
-    points = np.multiply.outer(h, np.arange(half_width + 1))
+def _half_diagonal(potential: EvenPolynomialPotential, half_width: int, h: np.ndarray,
+                   start: int = 0):
+    """Diagonal at k = start..N on a new last axis of ``h``; call with overflow ignored."""
+    points = np.multiply.outer(h, np.arange(start, half_width + 1))
     cosh2 = np.cosh(points) ** 2
     half = -D2_DIAGONAL / ((h * h)[..., np.newaxis] * cosh2)
     half += transformed_potential_scaled(potential, points, cosh2)
     return half
+
+
+# The half diagonal over _FIRST_GRID at k = 0..M depends on the potential
+# alone, not on N, so every first scan reads columns k = 0..N of one table.
+# It is held for the last potential only, keyed by identity (potentials are
+# frozen). A larger N extends it to at least twice its width; only the new
+# columns are evaluated, each element by the same steps as in a fresh call.
+_first_scan = (None, np.empty((_SCAN_POINTS, 0)))
+
+
+def _first_window_half_diagonal(potential: EvenPolynomialPotential, half_width: int):
+    """Columns k = 0..N of the first window's half diagonal, a read-only view;
+    call with overflow ignored."""
+    global _first_scan
+    owner, table = _first_scan  # one read: a racing thread may swap in another
+    if owner is not potential:
+        table = table[:, :0]
+    if table.shape[1] <= half_width:
+        width = max(half_width + 1, 2 * table.shape[1])
+        table = np.concatenate(
+            [table, _half_diagonal(potential, width - 1, _FIRST_GRID, table.shape[1])], axis=1)
+        table.setflags(write=False)
+        _first_scan = (potential, table)
+    return table[:, : half_width + 1]
 
 
 def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,

@@ -10,7 +10,9 @@ derivative values
 where r = k - j is the offset between collocation point and basis center.
 delta2 is even in r, so the parity blocks of the collocation matrix need
 only delta2(k - j) and delta2(j + k) for j, k = 0..N; both are zero-copy
-views of the Toeplitz matrix ``SincWeights.offset_matrix`` returns.
+views of the Toeplitz matrix ``SincWeights.offset_matrix`` returns. The
+assembly reads them only when its own table of their sum and difference
+grows.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ section), the collocation trace summed over the full grid k = -N..N, and the
 potential (Horner's rule for a polynomial well, the composition of Chebyshev
 stages for a Chebyshev well) and W/cosh^2 written as plain expressions that
 allocate a new array at every step, the eigenvalues of one parity block
-built and solved at 40 digits, and a convergence sweep that solves both
-blocks at every truncation and picks its level out of the merged spectrum.
+built and solved at 40 digits, true-value references of the two Chebyshev
+headline wells that the 40-digit blocks and a large-N solve produced, and a
+convergence sweep that solves both blocks at every truncation and picks its
+level out of the merged spectrum.
 """
 
 from __future__ import annotations
@@ -372,6 +374,21 @@ def mp_block_eigenvalues(potential: EvenPolynomialPotential, half_width: int, h:
             sech2 = 1 / mpmath.cosh(j * h) ** 2
             block[a, a] += sech2 / 4 - 3 * sech2**2 / 4 + v(mpmath.sinh(j * h))
         return [float(e) for e in mpmath.eigsy(block, eigvals_only=True)]
+
+
+# True-value references too slow for tier-1, pinned as data beside the call
+# that produced each; every one is under the trace-minimized mesh.
+#
+# The DESCM limit of E_0 of the ten-well cheb:20;shift=-1 (criterion 9). With
+# p = chebyshev_well(20, -1.0) and h = trace_minimized_mesh_size(p, N),
+#     mp_block_eigenvalues(p, N, h, 1)[0]
+# is 1.1193290968994232 at N = 120 (about 10 s) and 1.119329096899423 at
+# N = 160 (about 22 s): one ulp apart, so both lie at the limit.
+TEN_WELL_E0_LIMIT = 1.1193290968994232
+# E_0 of cheb:40;shift=-1 at N = 300, where the sweep's successive differences
+# are far below its stop's error: with p = chebyshev_well(40, -1.0),
+#     solve(DescmProblem(p, MeshStrategy.trace_minimized()), 300, parity=1).spectrum[0]
+CHEB40_E0_AT_300 = 1.3171164236205786
 
 
 def two_block_converge(problem: DescmProblem, level: int = 0, tolerance: float = 5e-12,

@@ -11,6 +11,7 @@ from descm import (
     MeshStrategy,
     analytic_catalog,
     assemble_collocation_matrix,
+    assembly,
     collocation_trace,
     optimal_mesh_size,
     parse_potential,
@@ -141,6 +142,26 @@ class TestParityBlocks:
                 assert one.entries.tobytes() == both.entries[slab].tobytes(), (p, n, parity)
                 assert one.block(parity).tobytes() == both.block(parity).tobytes()
                 assert not one.entries.flags.writeable
+
+    def test_blocks_from_a_grown_numerator_table_equal_a_reset_one_bit_for_bit(self, monkeypatch):
+        for p, n, h in block_cases():
+            for parity in (None, 1, -1):
+                monkeypatch.setattr(assembly, "_numerators", np.empty((2, 0, 0)))
+                fresh = assemble_collocation_matrix(p, n, h, parity)
+                assert assembly._numerators.shape == (2, n + 1, n + 1)
+                assembly._parity_numerators(2 * max(BLOCK_SIZES))  # well past N
+                grown = assemble_collocation_matrix(p, n, h, parity)
+                assert grown.parities == fresh.parities
+                assert grown.entries.tobytes() == fresh.entries.tobytes(), (p, n, parity)
+
+    def test_numerator_table_grows_to_at_least_double_and_never_shrinks(self, monkeypatch):
+        monkeypatch.setattr(assembly, "_numerators", np.empty((2, 0, 0)))
+        for n, width in [(3, 4), (4, 8), (2, 8), (7, 8), (8, 16), (40, 41), (1, 41)]:
+            previous = assembly._numerators.shape[1]
+            assemble_collocation_matrix(QUARTIC, n, 0.5, 1)
+            assert assembly._numerators.shape == (2, width, width)
+            assert n + 1 <= width <= max(n + 1, 2 * previous)
+            assert not assembly._numerators.flags.writeable
 
     @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()],
                              ids=["optimal", "trace-min"])

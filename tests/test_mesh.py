@@ -1,4 +1,7 @@
+import copy
 import math
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -20,7 +23,7 @@ from descm import (
     solve,
     trace_minimized_mesh_size,
 )
-from descm import CollocationOverflowError, mesh
+from descm import CollocationOverflowError, assembly, mesh
 from descm.mesh import (
     _FIRST_GRID, _FIRST_WINDOW, _POLISH, _RESOLUTION, _best_trace, _half_diagonal,
     _interpolated_zero, _linear_grid, collocation_trace_slope,
@@ -592,6 +595,103 @@ class TestTraceMinimized:
             assert math.isnan(trace[1])
             with pytest.raises(CollocationOverflowError):
                 trace_minimized_mesh_size(potential, 2)
+
+
+# the catalog, a deep double well, Chebyshev wells of five, ten and twenty
+# minima, and a well whose first scan has its minimum at an edge, so the
+# search widens the window past the table
+TABLE_WELLS = [case.potential for case in analytic_catalog()] + [
+    parse_potential(spec)
+    for spec in ("poly:-20,1", "cheb:10;shift=-1", "cheb:20;shift=-1", "cheb:40;shift=-1",
+                 "poly:1e308")
+]
+TABLE_SIZES = list(range(1, 121))
+
+
+@pytest.fixture(scope="module")
+def fresh_table_mesh_sizes():
+    """Trace-minimized h of every table well and N, each from a fresh first-scan
+    table: a copy of the potential is a new key, so its table is built at N."""
+    return {(i, n): trace_minimized_mesh_size(copy.copy(p), n)
+            for i, p in enumerate(TABLE_WELLS) for n in TABLE_SIZES}
+
+
+def table_calls(order):
+    """(well index, N) in the order a test visits them."""
+    wells = range(len(TABLE_WELLS))
+    if order == "ascending":
+        return [(i, n) for i in wells for n in TABLE_SIZES]
+    if order == "descending":
+        return [(i, n) for i in wells for n in reversed(TABLE_SIZES)]
+    # A, B, ..., A: every call switches potential, so each replaces the table
+    return [(i, n) for n in TABLE_SIZES for i in wells]
+
+
+class TestFirstScanTable:
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_trace_and_mesh_size_equal_the_uncached_ones_bit_for_bit(
+            self, monkeypatch, fresh_table_mesh_sizes, order):
+        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        for i, n in table_calls(order):
+            p = TABLE_WELLS[i]
+            owner, table = mesh._first_scan
+            previous = table.shape[1] if owner is p else 0
+            cached = collocation_trace(p, n, _FIRST_GRID)
+            assert cached.tobytes() == collocation_trace(p, n, _FIRST_GRID.copy()).tobytes(), (i, n)
+            owner, table = mesh._first_scan
+            assert owner is p
+            assert n + 1 <= table.shape[1] <= max(n + 1, 2 * previous), (i, n)
+            assert table.shape[0] == 64 and not table.flags.writeable
+            h = trace_minimized_mesh_size(p, n)
+            assert h.hex() == fresh_table_mesh_sizes[i, n].hex(), (i, n)
+
+    def test_table_grows_to_at_least_double_and_never_shrinks(self, monkeypatch):
+        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        for n, width in [(3, 4), (4, 8), (2, 8), (7, 8), (8, 16), (40, 41), (1, 41)]:
+            collocation_trace(QUARTIC, n, _FIRST_GRID)
+            assert mesh._first_scan[1].shape == (64, width)
+        collocation_trace(TRIPLE_WELL, 2, _FIRST_GRID)  # a new potential starts afresh
+        assert mesh._first_scan[0] is TRIPLE_WELL
+        assert mesh._first_scan[1].shape == (64, 3)
+
+    def test_threads_switching_potentials_read_their_own_tables(self, monkeypatch):
+        # each thread alternates its potential and N, so the held table is
+        # swapped under the others; every scan must still be its own
+        wells = TABLE_WELLS[:6]
+        expected = {(i, n): (collocation_trace(p, n, _FIRST_GRID.copy()).tobytes(),
+                             assemble_collocation_matrix(p, n, 0.3).entries.tobytes())
+                    for i, p in enumerate(wells) for n in range(1, 41)}
+        # the numerator table, shared by all potentials, grows under them too
+        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        monkeypatch.setattr(assembly, "_numerators", np.empty((2, 0, 0)))
+        mismatches = []
+
+        def work(offset):
+            for step in range(240):
+                i, n = (offset + step) % len(wells), 1 + (7 * step + offset) % 40
+                got = (collocation_trace(wells[i], n, _FIRST_GRID).tobytes(),
+                       assemble_collocation_matrix(wells[i], n, 0.3).entries.tobytes())
+                if got != expected[i, n]:
+                    mismatches.append((i, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_only_the_first_grid_object_reads_the_table(self, monkeypatch):
+        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        collocation_trace(QUARTIC, 5, _FIRST_GRID.copy())
+        collocation_trace(QUARTIC, 5, _FIRST_GRID[:10])
+        assert mesh._first_scan[0] is None
 
 
 class TestMeshStrategy:
