@@ -11,6 +11,13 @@ descm converge --potential 'cheb:20;shift=-1' --mesh trace-min > /dev/null
 descm converge --potential 'cheb:40;shift=-1' --mesh trace-min --N-max 30 > /dev/null || test $? -eq 3
 # h*h underflows to 0 at the first mesh size; the trace there is inf, with no warning
 descm trace-scan --potential poly:1,1 --N 3 --points 3 --h-min 1e-300 --h-max 1 > /dev/null
+# kh overflows at a fixed h = 1e308: exit 1 with the one-line diagnosis, not
+# a RuntimeWarning traceback, which also exits 1
+status=0
+err=$(descm solve --potential poly:1,1 --N 3 --mesh fixed --h 1e308 2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+test "$(printf '%s\n' "$err" | wc -l)" -eq 1
+case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
 descm solve --potential 'poly:1,1' --N 17 --levels 3 --format json | python -m json.tool > /dev/null
 # a spec read from a CRLF file ends in \r, which JSON must escape
 descm solve --potential $'poly:1,1\r' --N 17 --format json | python -m json.tool > /dev/null

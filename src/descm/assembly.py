@@ -26,10 +26,12 @@ A[j,-k] reads delta2(j+k), and for j, k = 0..N
 
 with row and column 0 of E scaled by 1/sqrt(2), each plus W(kh)/cosh(kh)^2
 on its diagonal. Both numerators depend on neither h nor N, so one
-read-only table per process holds them, summed and differenced once from two
-views of the delta2 table and grown like it; each block divides its corner
-of that table by one shared denominator, the same two roundings as a fresh
-sum and division. cosh(kh) is evaluated once per point k = 0..N, and its
+read-only table per process holds them, the only cache of the weights: it
+grows to at least twice its width when a larger N arrives, and only then
+are delta2 built from the closed form and summed and differenced from two
+views of their Toeplitz matrix. Each block divides its corner of that table
+by one shared denominator, the same two roundings as a fresh sum and
+division. cosh(kh) is evaluated once per point k = 0..N, and its
 square is shared with W/cosh^2. A caller that needs one parity only, such as
 a sweep following one level, asks for that block alone: the same steps then
 fill its slab and no other.
@@ -192,12 +194,13 @@ def assemble_collocation_matrix(
     entries are the same bits whether it is built alone or with the other."""
     n = half_width
     parities = parity_blocks(parity)
-    points = _collocation_points(n, h)
-    first = 0 if parities[0] > 0 else 1  # slab 0 even, slab 1 odd
-    numerators = _parity_numerators(n)[first : first + len(parities), : n + 1, : n + 1]
-    # an overflow here leaves a non-finite entry, which the check below reports;
-    # V(sinh kh) is +inf on the diagonal wherever cosh(kh) overflows
-    with np.errstate(over="ignore"):
+    # an overflow here leaves a non-finite entry, which the check below reports:
+    # kh overflows for a huge h, V(sinh kh) is +inf on the diagonal wherever
+    # cosh(kh) overflows, and a subnormal h makes the scale 0, so 0/0 or x/0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        points = _collocation_points(n, h)
+        first = 0 if parities[0] > 0 else 1  # slab 0 even, slab 1 odd
+        numerators = _parity_numerators(n)[first : first + len(parities), : n + 1, : n + 1]
         c = np.cosh(points)
         # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
         # in the denominator; row and column 0 of an odd slab are not read

@@ -11,8 +11,8 @@ where r = k - j is the offset between collocation point and basis center.
 delta2 is even in r, so the parity blocks of the collocation matrix need
 only delta2(k - j) and delta2(j + k) for j, k = 0..N; both are zero-copy
 views of the Toeplitz matrix ``SincWeights.offset_matrix`` returns. The
-assembly reads them only when its own table of their sum and difference
-grows.
+weights are built from the closed form only when the assembly's table of
+their sum and difference grows, the one cache of them.
 """
 
 from __future__ import annotations
@@ -26,33 +26,16 @@ import numpy as np
 D2_DIAGONAL = -(np.pi**2) / 3.0
 
 
-def _d2_table(half_width: int) -> np.ndarray:
-    """Read-only delta2 at offsets -2M..2M for M = ``half_width``."""
-    off = np.arange(-2 * half_width, 2 * half_width + 1)
-    values = np.empty(off.shape)
-    nz = off != 0
-    values[nz] = -2.0 * (-1.0) ** off[nz] / (off[nz] * off[nz])
-    values[2 * half_width] = D2_DIAGONAL
-    values.setflags(write=False)
-    return values
-
-
-# delta2(r) does not depend on the truncation, so one table serves every
-# N <= M. It is regrown to at least twice its half-width when a larger N
-# arrives, and never shrinks.
-_table = _d2_table(0)
-
-
 @dataclass(frozen=True)
 class SincWeights:
     """Collocation weights for offsets -2N..2N.
 
-    ``values`` is a read-only slice of one process-wide table, so no
-    truncation recomputes a weight. The kinetic part of the collocation
-    matrix is Toeplitz in the offset, and ``offset_matrix`` reads it straight
-    from that slice. Its lower right (N+1)x(N+1) corner holds delta2(k - j)
-    for j, k = 0..N, and the same corner with its rows reversed holds
-    delta2(j + k).
+    ``values`` is read-only and built from the closed form on each call;
+    the assembly caches what it derives from them, so nothing here does.
+    The kinetic part of the collocation matrix is Toeplitz in the offset,
+    and ``offset_matrix`` reads it straight from ``values``. Its lower right
+    (N+1)x(N+1) corner holds delta2(k - j) for j, k = 0..N, and the same
+    corner with its rows reversed holds delta2(j + k).
     """
 
     half_width: int
@@ -63,14 +46,13 @@ class SincWeights:
 
     @classmethod
     def second_derivative(cls, half_width: int) -> "SincWeights":
-        global _table
-        # slice the table read here, not the global: a racing thread may
-        # swap in another table, which then only costs a redundant build
-        table = _table
-        if half_width > len(table) // 4:
-            table = _table = _d2_table(max(half_width, len(table) // 2))
-        centre = len(table) // 2
-        values = table[centre - 2 * half_width : centre + 2 * half_width + 1]
+        if half_width < 0:
+            raise ValueError(f"weight half-width must be >= 0, got {half_width}")
+        off = np.arange(-2 * half_width, 2 * half_width + 1)
+        values = np.empty(off.shape)
+        nz = off != 0
+        values[nz] = -2.0 * (-1.0) ** off[nz] / (off[nz] * off[nz])
+        values[2 * half_width] = D2_DIAGONAL
         return cls(half_width=half_width, values=values)
 
     def offset_matrix(self) -> np.ndarray:

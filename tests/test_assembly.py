@@ -9,10 +9,12 @@ from descm import (
     DescmProblem,
     EvenPolynomialPotential,
     MeshStrategy,
+    SincWeights,
     analytic_catalog,
     assemble_collocation_matrix,
     assembly,
     collocation_trace,
+    converge,
     optimal_mesh_size,
     parse_potential,
     solve,
@@ -162,6 +164,29 @@ class TestParityBlocks:
             assert assembly._numerators.shape == (2, width, width)
             assert n + 1 <= width <= max(n + 1, 2 * previous)
             assert not assembly._numerators.flags.writeable
+
+    @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()],
+                             ids=["optimal", "trace-min"])
+    def test_weights_are_built_only_when_the_numerator_table_grows(self, monkeypatch, strategy):
+        # the numerator table is the one cache of the weights: a sweep builds
+        # them once per growth, and a repeated sweep never
+        monkeypatch.setattr(assembly, "_numerators", np.empty((2, 0, 0)))
+        built = []
+        build = SincWeights.second_derivative
+        monkeypatch.setattr(SincWeights, "second_derivative",
+                            classmethod(lambda cls, n: built.append(n) or build(n)))
+        problem = DescmProblem(parse_potential("poly:4,-6,1"), strategy=strategy)
+        trace = converge(problem, level=3)
+        width, expected = 0, []
+        for record in trace.records:
+            if record.half_width >= width:
+                width = max(record.half_width + 1, 2 * width)
+                expected.append(width - 1)
+        assert len(expected) >= 3
+        assert built == expected
+        built.clear()
+        assert converge(problem, level=3) == trace
+        assert built == []
 
     @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()],
                              ids=["optimal", "trace-min"])

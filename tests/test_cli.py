@@ -203,6 +203,19 @@ class TestSolveCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("descm: numerical failure: collocation trace overflows to -inf")
 
+    @pytest.mark.parametrize("h", ["1e308", "1e-320", "300"])
+    def test_fixed_mesh_non_finite_entries_exit_1_with_one_line(self, capsys, h):
+        # kh overflows (1e308), h*h underflows to 0 so the scale divides by 0
+        # (1e-320), or cosh(kh) overflows (300): the diagnosis, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "solve", "--potential", "poly:1,1", "--N", "3",
+                                 "--mesh", "fixed", "--h", h)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("descm: numerical failure: non-finite matrix entry")
+
     @pytest.mark.parametrize("m,leading", [(600, "1e-300"), (1100, "1")])
     def test_closed_form_beyond_double_range_exits_0(self, capsys, m, leading):
         # the closed-form argument overflows: 2^m for m >= 1024, the quotient

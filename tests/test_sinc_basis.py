@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import descm.sinc_basis as weights_module
 from descm import SincWeights
 from descm.solver import sinc
 from oracles import d2_weights, fd_second_derivative, gathered_d2_weights, sinc_basis
@@ -115,11 +114,9 @@ class TestSincWeights:
             m[0, 0] = 0.0
 
     @pytest.mark.parametrize("order", ["down-up", "up-down"])
-    def test_table_slices_match_gathered_oracle(self, monkeypatch, order):
-        # from a fresh one-entry table, so every growth step and every slice
-        # of a grown table is visited; values and the strided Toeplitz view
-        # must equal the per-truncation build and index gather bit for bit
-        monkeypatch.setattr(weights_module, "_table", weights_module._d2_table(0))
+    def test_table_slices_match_gathered_oracle(self, order):
+        # values and the strided Toeplitz view must equal the per-truncation
+        # build and index gather bit for bit, at every N in either order
         down, up = list(range(80, -1, -1)), list(range(81))
         for n in down + up if order == "down-up" else up + down:
             w = SincWeights.second_derivative(n)
@@ -132,8 +129,7 @@ class TestSincWeights:
             assert not w.values.flags.writeable and not m.flags.writeable
             assert np.shares_memory(m, w.values)
 
-    def test_table_grows_to_at_least_double_and_never_shrinks(self, monkeypatch):
-        monkeypatch.setattr(weights_module, "_table", weights_module._d2_table(0))
-        for n, table_half_width in [(3, 3), (4, 6), (2, 6), (6, 6), (20, 20), (21, 40), (0, 40)]:
+    @pytest.mark.parametrize("n", [-1, -2, -40])
+    def test_negative_half_width_rejected(self, n):
+        with pytest.raises(ValueError, match="half-width must be >= 0"):
             SincWeights.second_derivative(n)
-            assert len(weights_module._table) == 4 * table_half_width + 1
