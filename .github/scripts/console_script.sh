@@ -18,6 +18,15 @@ err=$(descm solve --potential poly:1,1 --N 3 --mesh fixed --h 1e308 2>&1 > /dev/
 test "$status" -eq 1
 test "$(printf '%s\n' "$err" | wc -l)" -eq 1
 case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
+# the well's minimum lies below the double range: the trace-min slope rises
+# from -inf, which places no zero, and the traces reach -inf; exit 1 with the
+# one-line diagnosis, not a NaN mesh size (exit 2) or an inf * 0 warning
+status=0
+err=$(descm solve --potential poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249 --mesh trace-min \
+    --N 1 --levels 2 2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+test "$(printf '%s\n' "$err" | wc -l)" -eq 1
+case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
 descm solve --potential 'poly:1,1' --N 17 --levels 3 --format json | python -m json.tool > /dev/null
 # a spec read from a CRLF file ends in \r, which JSON must escape
 descm solve --potential $'poly:1,1\r' --N 17 --format json | python -m json.tool > /dev/null

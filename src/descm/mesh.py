@@ -18,7 +18,11 @@ kinetic term and W/cosh^2 alike. The first scan covers [1e-3, 5] on a grid
 built once per process, and widens toward an edge holding its minimum. The
 half diagonal over that grid does not depend on N, so the scan reads its
 first N+1 columns from a table kept for the last potential and grown once
-per sweep, not once per truncation.
+per sweep, not once per truncation. The first slope pass after such a scan
+runs on one of 62 grids, fixed by the scan's best point (its cell), whose
+terms do not depend on N either: it sums the first N columns of a table of
+them, kept for the last cell of that potential and grown a few columns past
+N, since a sweep's cell changes every few truncations.
 Inside the scan's best triple the minimizer is a zero of Tr'(h), which has a
 closed form as well (:func:`collocation_trace_slope`), so the search does
 not narrow the trace itself: vectorized slope passes across the triple
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +59,14 @@ _POLISH = 32 * _RESOLUTION  # relative half-width of the last trace call around 
 _FIRST_GRID = np.exp(np.linspace(*map(math.log, _FIRST_WINDOW), _SCAN_POINTS))
 _FIRST_GRID.setflags(write=False)
 _RAMP = np.arange(_SCAN_POINTS, dtype=float)
+# Columns a first-pass slope table grows beyond N. A build or extension
+# costs about 25 us whatever its width, plus about 0.8 us per column (one
+# Xeon core), and the first scan keeps one cell for only 2.5-4 truncations
+# in a row. Over sweeps N = 2..60 of the 14 multiwell benchmark wells,
+# growing to N, N + 2, N + 4 and N + 8 takes 826, 402, 328 and 283 builds
+# (283 is one per cell visited) and 6024, 6404, 6838 and 7745 columns: past
+# 4 the builds saved are paid back in columns.
+_SLOPE_LOOKAHEAD = 4
 
 
 def _linear_grid(a, b) -> np.ndarray:
@@ -68,6 +81,23 @@ def _linear_grid(a, b) -> np.ndarray:
     grid = _RAMP * ((b - a) / (_SCAN_POINTS - 1)) + a
     grid[..., -1:] = b
     return grid
+
+
+def _first_pass_grids():
+    """The first slope pass's grid for each best point i = 1..62 of the first
+    scan, _linear_grid(_FIRST_GRID[i - 1], _FIRST_GRID[i + 1]) as a read-only
+    (1, 64) row, and each grid's 2 D2 / h^3 as the slope forms it."""
+    grids = _linear_grid(_FIRST_GRID[:-2], _FIRST_GRID[2:])
+    inverse = 1.0 / grids
+    kinetic = (2.0 * D2_DIAGONAL) * inverse * inverse * inverse
+    grids.setflags(write=False)
+    kinetic.setflags(write=False)
+    return tuple(grids[i : i + 1] for i in range(len(grids))), kinetic
+
+
+# built once; the slope recognizes each grid by identity, as the trace does _FIRST_GRID
+_FIRST_PASS, _FIRST_PASS_KINETIC = _first_pass_grids()
+_FIRST_PASS_CELL = {id(grid): cell for cell, grid in enumerate(_FIRST_PASS, 1)}
 
 
 @dataclass(frozen=True)
@@ -209,28 +239,64 @@ def _half_diagonal(potential: EvenPolynomialPotential, half_width: int, h: np.nd
     return half
 
 
-# The half diagonal over _FIRST_GRID at k = 0..M depends on the potential
-# alone, not on N, so every first scan reads columns k = 0..N of one table.
-# It is held for the last potential only, keyed by identity (potentials are
-# frozen). A larger N extends it to at least twice its width; only the new
-# columns are evaluated, each element by the same steps as in a fresh call.
-_first_scan = (None, np.empty((_SCAN_POINTS, 0)))
+# What depends on the potential alone, not on N, is kept in one record for
+# the last potential, keyed by identity (potentials are frozen):
+# - ``scan``: the half diagonal over _FIRST_GRID at k = 0..M, so every first
+#   scan reads its columns k = 0..N. A larger N extends it to at least twice
+#   its width.
+# - ``slope``: the slope terms t_k at k = 1..M over the first-pass grid of
+#   one first-scan ``cell`` (the last one asked for), so a first slope pass
+#   sums its columns k = 1..N. A larger N extends it to N + _SLOPE_LOOKAHEAD.
+# Only new columns are evaluated, each element by the same steps as in a
+# fresh call. Each table read takes the record once and swaps in a whole new
+# one, so a racing thread may replace it but never pairs one potential's
+# table with another's.
+class _Tables(NamedTuple):
+    potential: EvenPolynomialPotential | None
+    scan: np.ndarray
+    cell: int
+    slope: np.ndarray
+
+
+_NO_TABLE = np.empty((_SCAN_POINTS, 0))
+_NO_TABLE.setflags(write=False)
+_tables = _Tables(None, _NO_TABLE, 0, _NO_TABLE)
+
+
+def _tables_of(potential: EvenPolynomialPotential) -> _Tables:
+    """The held record if it is the potential's, else an empty one for it."""
+    tables = _tables  # one read: a racing thread may swap in another
+    return tables if tables.potential is potential else _Tables(potential, _NO_TABLE, 0, _NO_TABLE)
 
 
 def _first_window_half_diagonal(potential: EvenPolynomialPotential, half_width: int):
     """Columns k = 0..N of the first window's half diagonal, a read-only view;
     call with overflow ignored."""
-    global _first_scan
-    owner, table = _first_scan  # one read: a racing thread may swap in another
-    if owner is not potential:
-        table = table[:, :0]
+    global _tables
+    tables = _tables_of(potential)
+    table = tables.scan
     if table.shape[1] <= half_width:
         width = max(half_width + 1, 2 * table.shape[1])
         table = np.concatenate(
             [table, _half_diagonal(potential, width - 1, _FIRST_GRID, table.shape[1])], axis=1)
         table.setflags(write=False)
-        _first_scan = (potential, table)
+        _tables = tables._replace(scan=table)
     return table[:, : half_width + 1]
+
+
+def _first_pass_terms(potential: EvenPolynomialPotential, half_width: int, cell: int):
+    """Slope terms t_k at k = 1..N over ``cell``'s first-pass grid, a read-only
+    view; call with overflow and invalid ignored."""
+    global _tables
+    tables = _tables_of(potential)
+    table = tables.slope if tables.cell == cell else _NO_TABLE
+    if table.shape[1] < half_width:
+        k = np.arange(table.shape[1] + 1.0, half_width + _SLOPE_LOOKAHEAD + 1)
+        table = np.concatenate(
+            [table, _slope_terms(potential, _FIRST_PASS[cell - 1][0], k)[0]], axis=1)
+        table.setflags(write=False)
+        _tables = tables._replace(cell=cell, slope=table)
+    return table[:, :half_width]
 
 
 def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
@@ -248,33 +314,55 @@ def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
 
         t_k = u (2 D2 / h^3 + k tau (2 D2 / h^2 + 3u - 1/2)) + k V'(sinh kh) c.
 
+    Called with one of the search's first-pass grids ``_FIRST_PASS`` itself
+    (not a copy), the terms t_k are read from the first-pass table of that
+    grid, which holds the same bits, and their first N columns are summed.
+
     Far out the terms overflow to +inf, and the kinetic part is -inf where
     1/h^2 overflows, without a warning; mixed infinities give NaN.
     """
     check_half_width(half_width)
     h = check_mesh_size(h)
-    k = np.arange(1.0, half_width + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        inverse = 1.0 / h
-        kinetic = (2.0 * D2_DIAGONAL) * inverse * inverse  # 2 D2 / h^2
-        points = np.multiply.outer(h, k)
-        c = np.cosh(points)
-        sech2 = 1.0 / (c * c)
-        terms = 3.0 * sech2
-        terms += (kinetic - 0.5)[..., np.newaxis]
-        terms *= np.tanh(points)
-        terms *= k
-        kinetic *= inverse  # 2 D2 / h^3
-        terms += kinetic[..., np.newaxis]
-        terms *= sech2
-        potential_part = potential.derivative(np.sinh(points))
-        potential_part *= c
-        potential_part *= k
-        terms += potential_part
-        slope = terms.sum(axis=-1)
-        slope *= 2.0
-        slope += kinetic
+        slope = _slope_pass(potential, half_width, h)
     return float(slope) if slope.ndim == 0 else slope
+
+
+def _slope_pass(potential: EvenPolynomialPotential, half_width: int, h: np.ndarray):
+    """Tr'(h) over a valid ``h``, read from its table where ``h`` is a
+    first-pass grid; call with overflow and invalid ignored."""
+    cell = _FIRST_PASS_CELL.get(id(h))
+    if cell is None:
+        terms, kinetic = _slope_terms(potential, h, np.arange(1.0, half_width + 1))
+        slope = terms.sum(axis=-1)
+    else:
+        slope = _first_pass_terms(potential, half_width, cell).sum(axis=-1)[np.newaxis]
+        kinetic = _FIRST_PASS_KINETIC[cell - 1]
+    slope *= 2.0
+    slope += kinetic
+    return slope
+
+
+def _slope_terms(potential: EvenPolynomialPotential, h: np.ndarray, k: np.ndarray):
+    """The terms t_k on a new last axis of ``h``, and 2 D2 / h^3; call with
+    overflow and invalid ignored."""
+    inverse = 1.0 / h
+    kinetic = (2.0 * D2_DIAGONAL) * inverse * inverse  # 2 D2 / h^2
+    points = np.multiply.outer(h, k)
+    c = np.cosh(points)
+    sech2 = 1.0 / (c * c)
+    terms = 3.0 * sech2
+    terms += (kinetic - 0.5)[..., np.newaxis]
+    terms *= np.tanh(points)
+    terms *= k
+    kinetic *= inverse  # 2 D2 / h^3
+    terms += kinetic[..., np.newaxis]
+    terms *= sech2
+    potential_part = potential.derivative(np.sinh(points))
+    potential_part *= c
+    potential_part *= k
+    terms += potential_part
+    return terms, kinetic
 
 
 def _best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
@@ -340,7 +428,9 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     trace call over 64 points spanning +-32 * 1e-10 relative around every
     zero picks the lowest trace; where a pass saw several rises, that call
     also picks among them. If a pass sees none (the slope is NaN there, or
-    noise), that call picks among the pass's grid points instead.
+    noise), that call picks among the pass's grid points instead; so it does
+    where the slope rises only from -inf, where V' overflows below the
+    double range and no zero can be placed.
 
     A scanned trace of -inf raises :class:`CollocationOverflowError`, and an
     undefined (NaN) trace ranks as +inf.
@@ -356,19 +446,28 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
         else:
             break
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
-    a, b = grid[best - 1 : best], grid[best + 1 : best + 2]  # one cell per row
-    while True:
-        grid = _linear_grid(a, b)
-        slope = collocation_trace_slope(potential, half_width, grid)
-        row, i = np.nonzero((slope[:, :-1] < 0.0) & (slope[:, 1:] >= 0.0))
-        if len(i) == 0:
-            candidates = grid.ravel()
-            break
-        a, b = grid[row, i], grid[row, i + 1]
-        if (b - a <= _BRACKET * a).all():
-            zeros = np.array([_interpolated_zero(grid[r], slope[r], k) for r, k in zip(row, i)])
-            candidates = _linear_grid(zeros * (1.0 - _POLISH), zeros * (1.0 + _POLISH)).ravel()
-            break
+    if grid is _FIRST_GRID:
+        grid = _FIRST_PASS[best - 1]
+    else:
+        grid = _linear_grid(grid[best - 1 : best], grid[best + 1 : best + 2])  # one cell per row
+    # every grid here lies inside a scanned window, so none needs checking
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            slope = _slope_pass(potential, half_width, grid)
+            # a rise from -inf (V' below the double range) places no zero
+            left = slope[:, :-1]
+            row, i = np.nonzero((-math.inf < left) & (left < 0.0) & (slope[:, 1:] >= 0.0))
+            if len(i) == 0:
+                break
+            a, b = grid[row, i], grid[row, i + 1]
+            if (b - a <= _BRACKET * a).all():
+                break
+            grid = _linear_grid(a, b)
+    if len(i) == 0:
+        candidates = grid.ravel()
+    else:
+        zeros = np.array([_interpolated_zero(grid[r], slope[r], k) for r, k in zip(row, i)])
+        candidates = _linear_grid(zeros * (1.0 - _POLISH), zeros * (1.0 + _POLISH)).ravel()
     traces = collocation_trace(potential, half_width, candidates)
     return float(candidates[_best_trace(candidates, traces)])
 

@@ -53,6 +53,11 @@ class EvenPolynomialPotential:
             raise ValueError(
                 f"leading coefficient must be positive for confinement, got {coeffs[-1]}"
             )
+        # derivative's Horner coefficients 2i c_i / 2^p and its exact rescale 2^p
+        scale = 1 << (2 * len(coeffs) - 1).bit_length()
+        object.__setattr__(self, "_derivative_coefficients",
+                           tuple(c * (2 * i / scale) for i, c in enumerate(coeffs, 1)))
+        object.__setattr__(self, "_derivative_scale", scale)
 
     @property
     def degree_parameter(self) -> int:
@@ -70,16 +75,14 @@ class EvenPolynomialPotential:
     def derivative(self, x):
         """V'(x) = sum_i 2i c_i x^(2i-1); accepts scalars or numpy arrays.
 
-        Horner's rule in x^2 runs on the coefficients 2i c_i / 2^p, with 2^p
-        the least power of two >= 2m, then the sum is multiplied by x and by
-        2^p. Scaling by a power of two is exact, so the result is that of
-        Horner's rule on 2i c_i, except that no coefficient overflows: the
-        V' of ``poly:1e308`` is finite wherever its value is.
+        Horner's rule in x^2 runs on the coefficients 2i c_i / 2^p, formed at
+        construction, with 2^p the least power of two >= 2m, then the sum is
+        multiplied by x and by 2^p. Scaling by a power of two is exact, so the
+        result is that of Horner's rule on 2i c_i, except that no coefficient
+        overflows: the V' of ``poly:1e308`` is finite wherever its value is.
         """
-        scale = 1 << (2 * len(self.coefficients) - 1).bit_length()
-        acc = _horner_in_square(
-            tuple(c * (2 * i / scale) for i, c in enumerate(self.coefficients, 1)), 1, x)
-        acc *= scale
+        acc = _horner_in_square(self._derivative_coefficients, 1, x)
+        acc *= self._derivative_scale
         return acc
 
 

@@ -203,6 +203,22 @@ class TestSolveCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("descm: numerical failure: collocation trace overflows to -inf")
 
+    @pytest.mark.parametrize("n", ["1", "3", "5"])
+    def test_slope_rising_from_minus_inf_exits_1_with_one_line(self, capsys, n):
+        # the well's minimum lies below the double range: the widened scan's
+        # best cell holds a slope that jumps from -inf to +inf, which places
+        # no zero, so the traces pick, and they reach -inf; not a NaN mesh
+        # size (exit 2) or an inf * 0 warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "solve", "--potential",
+                                 "poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249",
+                                 "--mesh", "trace-min", "--N", n, "--levels", "2")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("descm: numerical failure: collocation trace overflows to -inf")
+
     @pytest.mark.parametrize("h", ["1e308", "1e-320", "300"])
     def test_fixed_mesh_non_finite_entries_exit_1_with_one_line(self, capsys, h):
         # kh overflows (1e308), h*h underflows to 0 so the scale divides by 0

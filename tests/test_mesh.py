@@ -23,7 +23,7 @@ from descm import (
     solve,
     trace_minimized_mesh_size,
 )
-from descm import CollocationOverflowError, assembly, mesh
+from descm import CollocationOverflowError, assembly, mesh, solver
 from descm.mesh import (
     _FIRST_GRID, _FIRST_WINDOW, _POLISH, _RESOLUTION, _best_trace, _half_diagonal,
     _interpolated_zero, _linear_grid, collocation_trace_slope,
@@ -494,7 +494,7 @@ class TestTraceMinimized:
             return wrapper
 
         monkeypatch.setattr(mesh, "collocation_trace", counted(collocation_trace))
-        monkeypatch.setattr(mesh, "collocation_trace_slope", counted(collocation_trace_slope))
+        monkeypatch.setattr(mesh, "_slope_pass", counted(mesh._slope_pass))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h = trace_minimized_mesh_size(parse_potential(spec), n)
@@ -515,8 +515,7 @@ class TestTraceMinimized:
             return wrapper
 
         monkeypatch.setattr(mesh, "collocation_trace", counted("trace", collocation_trace))
-        monkeypatch.setattr(mesh, "collocation_trace_slope",
-                            counted("slope", collocation_trace_slope))
+        monkeypatch.setattr(mesh, "_slope_pass", counted("slope", mesh._slope_pass))
         trace_minimized_mesh_size(parse_potential(spec), n)
         assert calls == ["trace", "slope", "slope", "trace"]
 
@@ -566,7 +565,7 @@ class TestTraceMinimized:
             return traces
 
         monkeypatch.setattr(mesh, "collocation_trace", record)
-        monkeypatch.setattr(mesh, "collocation_trace_slope",
+        monkeypatch.setattr(mesh, "_slope_pass",
                             lambda potential, half_width, h: np.ones(np.shape(h)))
         h_hat = trace_minimized_mesh_size(TRIPLE_WELL, 20)
         (scan, scanned), (grid, traces) = picked
@@ -606,6 +605,7 @@ TABLE_WELLS = [case.potential for case in analytic_catalog()] + [
                  "poly:1e308")
 ]
 TABLE_SIZES = list(range(1, 121))
+NO_TABLES = mesh._Tables(None, mesh._NO_TABLE, 0, mesh._NO_TABLE)  # as at import
 
 
 @pytest.fixture(scope="module")
@@ -631,14 +631,14 @@ class TestFirstScanTable:
     @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
     def test_trace_and_mesh_size_equal_the_uncached_ones_bit_for_bit(
             self, monkeypatch, fresh_table_mesh_sizes, order):
-        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         for i, n in table_calls(order):
             p = TABLE_WELLS[i]
-            owner, table = mesh._first_scan
+            owner, table = mesh._tables.potential, mesh._tables.scan
             previous = table.shape[1] if owner is p else 0
             cached = collocation_trace(p, n, _FIRST_GRID)
             assert cached.tobytes() == collocation_trace(p, n, _FIRST_GRID.copy()).tobytes(), (i, n)
-            owner, table = mesh._first_scan
+            owner, table = mesh._tables.potential, mesh._tables.scan
             assert owner is p
             assert n + 1 <= table.shape[1] <= max(n + 1, 2 * previous), (i, n)
             assert table.shape[0] == 64 and not table.flags.writeable
@@ -646,13 +646,13 @@ class TestFirstScanTable:
             assert h.hex() == fresh_table_mesh_sizes[i, n].hex(), (i, n)
 
     def test_table_grows_to_at_least_double_and_never_shrinks(self, monkeypatch):
-        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         for n, width in [(3, 4), (4, 8), (2, 8), (7, 8), (8, 16), (40, 41), (1, 41)]:
             collocation_trace(QUARTIC, n, _FIRST_GRID)
-            assert mesh._first_scan[1].shape == (64, width)
+            assert mesh._tables.scan.shape == (64, width)
         collocation_trace(TRIPLE_WELL, 2, _FIRST_GRID)  # a new potential starts afresh
-        assert mesh._first_scan[0] is TRIPLE_WELL
-        assert mesh._first_scan[1].shape == (64, 3)
+        assert mesh._tables.potential is TRIPLE_WELL
+        assert mesh._tables.scan.shape == (64, 3)
 
     def test_threads_switching_potentials_read_their_own_tables(self, monkeypatch):
         # each thread alternates its potential and N, so the held table is
@@ -662,7 +662,7 @@ class TestFirstScanTable:
                              assemble_collocation_matrix(p, n, 0.3).entries.tobytes())
                     for i, p in enumerate(wells) for n in range(1, 41)}
         # the numerator table, shared by all potentials, grows under them too
-        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         monkeypatch.setattr(assembly, "_numerators", np.empty((2, 0, 0)))
         mismatches = []
 
@@ -688,10 +688,120 @@ class TestFirstScanTable:
         assert mismatches == []
 
     def test_only_the_first_grid_object_reads_the_table(self, monkeypatch):
-        monkeypatch.setattr(mesh, "_first_scan", (None, np.empty((64, 0))))
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         collocation_trace(QUARTIC, 5, _FIRST_GRID.copy())
         collocation_trace(QUARTIC, 5, _FIRST_GRID[:10])
-        assert mesh._first_scan[0] is None
+        assert mesh._tables.potential is None
+
+
+# a Chebyshev well of twenty minima, a deep double well, the harmonic well
+# and a stiff quartic
+PASS_SPECS = ("cheb:40", "poly:-20,1", "poly:1", "poly:1e8,1e8")
+PASS_WELLS = [parse_potential(spec) for spec in PASS_SPECS]
+PASS_CELLS = (1, 30, 62)
+
+
+def assert_table_read_is_fresh(potential, n, cell):
+    grid = mesh._FIRST_PASS[cell - 1]
+    read = collocation_trace_slope(potential, n, grid)
+    fresh = collocation_trace_slope(potential, n, grid.copy())  # a copy is evaluated afresh
+    assert read.shape == (1, 64)
+    assert read.tobytes() == fresh.tobytes(), (potential, n, cell)
+
+
+class TestFirstPassTable:
+    def test_grids_are_the_searchs_linear_grids_byte_for_byte(self):
+        assert len(mesh._FIRST_PASS) == 62
+        for cell, grid in enumerate(mesh._FIRST_PASS, 1):
+            expected = _linear_grid(_FIRST_GRID[cell - 1 : cell], _FIRST_GRID[cell + 1 : cell + 2])
+            assert grid.shape == (1, 64) and not grid.flags.writeable
+            assert grid.tobytes() == expected.tobytes(), cell
+
+    @pytest.mark.parametrize("potential", PASS_WELLS, ids=PASS_SPECS)
+    def test_reads_equal_fresh_slopes_as_n_rises_and_falls(self, monkeypatch, potential):
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+        for cell in PASS_CELLS:
+            width = 0
+            for n in list(range(1, 121)) + list(range(120, 0, -1)):
+                assert_table_read_is_fresh(potential, n, cell)
+                tables = mesh._tables
+                assert tables.potential is potential and tables.cell == cell
+                if n > width:  # grown by the new columns and a few more
+                    width = n + mesh._SLOPE_LOOKAHEAD
+                assert tables.slope.shape == (64, width) and not tables.slope.flags.writeable
+
+    def test_reads_equal_fresh_slopes_switching_potentials_and_cells(self, monkeypatch):
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+        for n in range(1, 121):
+            for i, potential in enumerate(PASS_WELLS):
+                assert_table_read_is_fresh(potential, n, PASS_CELLS[(n + i) % len(PASS_CELLS)])
+        for n in range(120, 0, -1):  # one potential, a new cell at every call
+            assert_table_read_is_fresh(PASS_WELLS[0], n, PASS_CELLS[n % len(PASS_CELLS)])
+
+    def test_scan_and_first_pass_share_one_record(self, monkeypatch):
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+        trace_minimized_mesh_size(TRIPLE_WELL, 20)
+        tables = mesh._tables
+        assert tables.potential is TRIPLE_WELL
+        assert tables.scan.shape == (64, 21) and tables.slope.shape[1] > 20
+        collocation_trace(QUARTIC, 3, _FIRST_GRID)  # a new potential drops both tables
+        assert mesh._tables.potential is QUARTIC and mesh._tables.slope.shape == (64, 0)
+
+    def test_derivative_runs_once_per_second_pass_and_per_table_growth(self, monkeypatch):
+        potential = parse_potential("cheb:10;shift=-1")
+        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+        calls, passes = [], []
+        raw_derivative, raw_pass = type(potential).derivative, mesh._slope_pass
+
+        def derivative(self, x):
+            calls.append(x.shape)
+            return raw_derivative(self, x)
+
+        def slope_pass(p, n, h):
+            passes.append((mesh._FIRST_PASS_CELL.get(id(h)), n))
+            return raw_pass(p, n, h)
+
+        monkeypatch.setattr(type(potential), "derivative", derivative)
+        monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
+        problem = DescmProblem(potential, strategy=MeshStrategy.trace_minimized())
+        records = solver.converge(problem, level=0, tolerance=5e-12, n_max=60).records
+        # one first pass from the table and one second pass per truncation
+        assert [cell is not None for cell, _ in passes] == [True, False] * len(records)
+        held, width, growths = None, 0, 0
+        for cell, n in passes[::2]:
+            if cell != held or n > width:
+                held, width, growths = cell, n + mesh._SLOPE_LOOKAHEAD, growths + 1
+        assert len(calls) == len(records) + growths
+        assert growths < len(records) / 2
+        # a repeated choice at a covered N evaluates V' for the second pass only
+        calls.clear()
+        trace_minimized_mesh_size(potential, records[-1].half_width)
+        assert len(calls) == 1
+
+    def test_threads_sweeping_different_potentials_match_serial_calls(self):
+        # each thread's table read swaps the record under the others
+        wells = [parse_potential(spec) for spec in ("cheb:20;shift=-1", "poly:-20,1", "poly:1,1",
+                                                    "cheb:10;shift=-1")]
+        sizes = (list(range(1, 61)) + list(range(60, 0, -3))) * 2
+        expected = [[trace_minimized_mesh_size(copy.copy(p), n).hex() for n in sizes[:80]] * 2
+                    for p in wells]
+        got = [None] * len(wells)
+
+        def work(i):
+            got[i] = [trace_minimized_mesh_size(wells[i], n).hex() for n in sizes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(wells))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
 
 class TestMeshStrategy:
