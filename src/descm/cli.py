@@ -36,6 +36,7 @@ from .potential import (EvenPolynomialPotential, PotentialSpecError, analytic_ca
 from .solver import DescmProblem, converge, solve
 
 _NUMERIC_ERRORS = (CollocationOverflowError, np.linalg.LinAlgError)
+_TRACE_SCAN_BLOCK = 1 << 17  # values per trace-scan call, about 1 MB a temporary
 
 
 def _fmt(v: float) -> str:
@@ -223,7 +224,12 @@ def cmd_trace_scan(args) -> int:
     if args.points < 2 or not (0.0 < args.h_min < args.h_max < math.inf):
         raise ValueError("need --points >= 2 and 0 < h-min < h-max < inf")
     grid = np.exp(np.linspace(math.log(args.h_min), math.log(args.h_max), args.points))
-    traces = collocation_trace(potential, args.N, grid)
+    # a trace call's temporaries hold (2N+1) values per mesh size, so the grid
+    # goes in blocks of about _TRACE_SCAN_BLOCK values; each mesh size's trace
+    # is its own, so the blocks change no bit
+    rows = max(1, _TRACE_SCAN_BLOCK // (2 * args.N + 1))
+    traces = np.concatenate([collocation_trace(potential, args.N, grid[i : i + rows])
+                             for i in range(0, len(grid), rows)])
     h_opt = optimal_mesh_size(potential, args.N)
     h_min_trace = trace_minimized_mesh_size(potential, args.N)
     header = "h,trace"

@@ -35,6 +35,14 @@ and where the slope rises through zero more than once it picks the dip. So
 a mesh choice from the first window costs two trace calls and two slope
 calls, against eight trace calls for grid refinement, and the
 trace-minimized h depends on the potential and N alone.
+
+A slope pass runs over 64-point cells, one per rise of the pass before. Nearly
+every choice sees one rise per pass: its cell is a 1-D grid and the rise a
+bracket of two Python floats, on which the bracket test and the arithmetic of
+the next cell and of the pick's grid around the zero run. Several rises
+(Chebyshev wells at N <= 2, widened windows) make several cells, the rows of
+one 2-D grid evaluated in one call, and every one of them is refined in the
+same pass.
 """
 
 from __future__ import annotations
@@ -72,13 +80,14 @@ _SLOPE_LOOKAHEAD = 4
 def _linear_grid(a, b) -> np.ndarray:
     """np.linspace(a, b, 64) byte for byte, by linspace's arithmetic on a fixed ramp.
 
-    ``a`` and ``b`` may be arrays of one shape; each pair's grid then lies
-    along a new last axis, as np.linspace(a, b, 64, axis=-1) gives it at
-    about twice the cost.
+    ``a`` and ``b`` are floats, whose grid is 1-D, or arrays of one shape;
+    each pair's grid then lies along a new last axis, as
+    np.linspace(a, b, 64, axis=-1) gives it at about twice the cost.
     """
-    a = np.asarray(a)[..., np.newaxis]
-    b = np.asarray(b)[..., np.newaxis]
-    grid = _RAMP * ((b - a) / (_SCAN_POINTS - 1)) + a
+    if isinstance(a, np.ndarray):
+        a, b = a[..., np.newaxis], b[..., np.newaxis]
+    grid = _RAMP * ((b - a) / (_SCAN_POINTS - 1))
+    grid += a
     grid[..., -1:] = b
     return grid
 
@@ -86,13 +95,13 @@ def _linear_grid(a, b) -> np.ndarray:
 def _first_pass_grids():
     """The first slope pass's grid for each best point i = 1..62 of the first
     scan, _linear_grid(_FIRST_GRID[i - 1], _FIRST_GRID[i + 1]) as a read-only
-    (1, 64) row, and each grid's 2 D2 / h^3 as the slope forms it."""
+    1-D cell, and each grid's 2 D2 / h^3 as the slope forms it."""
     grids = _linear_grid(_FIRST_GRID[:-2], _FIRST_GRID[2:])
     inverse = 1.0 / grids
     kinetic = (2.0 * D2_DIAGONAL) * inverse * inverse * inverse
     grids.setflags(write=False)
     kinetic.setflags(write=False)
-    return tuple(grids[i : i + 1] for i in range(len(grids))), kinetic
+    return tuple(grids), kinetic
 
 
 # built once; the slope recognizes each grid by identity, as the trace does _FIRST_GRID
@@ -209,14 +218,17 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
 
     Called with the first window's grid ``_FIRST_GRID`` itself (not a copy),
     the half diagonal is read from the first-scan table, which is built by
-    the same steps and holds the same bits.
+    the same steps and holds the same bits; that read-only grid is valid by
+    construction, so its mesh sizes are not checked again. Every other ``h``
+    is.
 
     Where V(sinh kh) is -inf at some points and +inf at others, the trace is
     undefined and comes back as NaN, without a warning.
     """
     check_half_width(half_width)
     first_window = h is _FIRST_GRID
-    h = check_mesh_size(h)
+    if not first_window:
+        h = check_mesh_size(h)
     # far out cosh^2, V and the sum overflow to +inf (the kinetic term flushes
     # to zero) as expected; +inf and -inf entries sum to an undefined NaN; at
     # h below about 1e-162 h*h underflows to 0 and the kinetic term is +inf
@@ -293,7 +305,7 @@ def _first_pass_terms(potential: EvenPolynomialPotential, half_width: int, cell:
     if table.shape[1] < half_width:
         k = np.arange(table.shape[1] + 1.0, half_width + _SLOPE_LOOKAHEAD + 1)
         table = np.concatenate(
-            [table, _slope_terms(potential, _FIRST_PASS[cell - 1][0], k)[0]], axis=1)
+            [table, _slope_terms(potential, _FIRST_PASS[cell - 1], k)[0]], axis=1)
         table.setflags(write=False)
         _tables = tables._replace(cell=cell, slope=table)
     return table[:, :half_width]
@@ -336,7 +348,7 @@ def _slope_pass(potential: EvenPolynomialPotential, half_width: int, h: np.ndarr
         terms, kinetic = _slope_terms(potential, h, np.arange(1.0, half_width + 1))
         slope = terms.sum(axis=-1)
     else:
-        slope = _first_pass_terms(potential, half_width, cell).sum(axis=-1)[np.newaxis]
+        slope = _first_pass_terms(potential, half_width, cell).sum(axis=-1)
         kinetic = _FIRST_PASS_KINETIC[cell - 1]
     slope *= 2.0
     slope += kinetic
@@ -382,18 +394,41 @@ def _best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
     return best
 
 
+def _rises(slope: np.ndarray) -> list[int]:
+    """Flat indices j of a pass's slope where it rises through 0 from point j
+    to point j + 1 of one 64-point cell: slope[j] < 0 <= slope[j + 1]. A rise
+    from -inf (V' below the double range) places no zero and is left out."""
+    flat = slope.reshape(-1)
+    nonnegative = flat >= 0.0
+    # a NaN is neither, so one that precedes a nonnegative slope is dropped below
+    steps = (nonnegative[1:] > nonnegative[:-1]).nonzero()[0].tolist()
+    return [j for j in steps
+            if j % _SCAN_POINTS != _SCAN_POINTS - 1 and -math.inf < flat.item(j) < 0.0]
+
+
+def _cells(a: list[float], b: list[float]) -> np.ndarray:
+    """The 64-point linear grid over each bracket [a[r], b[r]]: one 1-D cell
+    for one bracket, else one cell per row."""
+    if len(a) == 1:
+        return _linear_grid(a[0], b[0])
+    return _linear_grid(np.array(a), np.array(b))
+
+
 def _interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> float:
     """Zero of the slope between grid[i] and grid[i + 1], where it rises through 0.
 
     Inverse cubic interpolation: the Lagrange polynomial in the slope through
     the four grid points nearest the bracket, evaluated at slope 0. Where
     those four slopes do not rise strictly, or the cubic leaves the bracket,
-    the zero of the secant through the bracket's ends is taken instead.
+    the zero of the secant through the bracket's ends is taken instead. All
+    arithmetic is on Python floats, where a division by 0 would raise; none
+    occurs, since the bracket's slopes straddle 0 and the cubic's four rise
+    strictly.
     """
-    a, b, sa, sb = grid[i], grid[i + 1], slope[i], slope[i + 1]
-    secant = float(a - sa * ((b - a) / (sb - sa)))
     j = min(max(i - 1, 0), len(grid) - 4)
     xs, ss = grid[j : j + 4].tolist(), slope[j : j + 4].tolist()
+    a, b, sa, sb = xs[i - j], xs[i - j + 1], ss[i - j], ss[i - j + 1]
+    secant = a - sa * ((b - a) / (sb - sa))
     if not all(s < t for s, t in zip(ss, ss[1:])):
         return secant
     zero = 0.0
@@ -420,16 +455,18 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     one, so the window stops growing to the right.
 
     Inside the triple the minimum is a zero of Tr'(h) where the slope rises
-    through 0. Slope passes over 64-point linear grids narrow to each cell
+    through 0. Slope passes over 64-point linear cells narrow to each cell
     holding such a rise, until the cells are 1e-4 relative wide: two passes
-    across a triple of the first window, more across a widened one. The zero
-    is then interpolated in each remaining cell. Neighbouring traces differ
-    by rounding alone within about 1e-8 relative of the zero, so one last
-    trace call over 64 points spanning +-32 * 1e-10 relative around every
-    zero picks the lowest trace; where a pass saw several rises, that call
-    also picks among them. If a pass sees none (the slope is NaN there, or
-    noise), that call picks among the pass's grid points instead; so it does
-    where the slope rises only from -inf, where V' overflows below the
+    across a triple of the first window, more across a widened one. A pass
+    evaluates all its cells in one call: one cell is a 1-D grid, several are
+    the rows of one, and each rise is kept as a bracket of two floats. The
+    zero is then interpolated in each remaining cell. Neighbouring traces
+    differ by rounding alone within about 1e-8 relative of the zero, so one
+    last trace call over 64 points spanning +-32 * 1e-10 relative around
+    every zero picks the lowest trace; where a pass saw several rises, that
+    call also picks among them. If a pass sees none (the slope is NaN there,
+    or noise), that call picks among the pass's grid points instead; so it
+    does where the slope rises only from -inf, where V' overflows below the
     double range and no zero can be placed.
 
     A scanned trace of -inf raises :class:`CollocationOverflowError`, and an
@@ -449,27 +486,30 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     if grid is _FIRST_GRID:
         grid = _FIRST_PASS[best - 1]
     else:
-        grid = _linear_grid(grid[best - 1 : best], grid[best + 1 : best + 2])  # one cell per row
+        grid = _linear_grid(grid.item(best - 1), grid.item(best + 1))
     # every grid here lies inside a scanned window, so none needs checking
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             slope = _slope_pass(potential, half_width, grid)
-            # a rise from -inf (V' below the double range) places no zero
-            left = slope[:, :-1]
-            row, i = np.nonzero((-math.inf < left) & (left < 0.0) & (slope[:, 1:] >= 0.0))
-            if len(i) == 0:
+            rises = _rises(slope)
+            if not rises:
                 break
-            a, b = grid[row, i], grid[row, i + 1]
-            if (b - a <= _BRACKET * a).all():
+            points = grid.reshape(-1)
+            a = [points.item(j) for j in rises]
+            b = [points.item(j + 1) for j in rises]
+            if all(right - left <= _BRACKET * left for left, right in zip(a, b)):
                 break
-            grid = _linear_grid(a, b)
-    if len(i) == 0:
-        candidates = grid.ravel()
+            grid = _cells(a, b)
+    if not rises:
+        candidates = grid.reshape(-1)
     else:
-        zeros = np.array([_interpolated_zero(grid[r], slope[r], k) for r, k in zip(row, i)])
-        candidates = _linear_grid(zeros * (1.0 - _POLISH), zeros * (1.0 + _POLISH)).ravel()
+        cells, slopes = grid.reshape(-1, _SCAN_POINTS), slope.reshape(-1, _SCAN_POINTS)
+        zeros = [_interpolated_zero(cells[r], slopes[r], i)
+                 for r, i in (divmod(j, _SCAN_POINTS) for j in rises)]
+        candidates = _cells([z * (1.0 - _POLISH) for z in zeros],
+                            [z * (1.0 + _POLISH) for z in zeros]).reshape(-1)
     traces = collocation_trace(potential, half_width, candidates)
-    return float(candidates[_best_trace(candidates, traces)])
+    return candidates.item(_best_trace(candidates, traces))
 
 
 def mesh_size_for(

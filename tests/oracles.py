@@ -10,8 +10,9 @@ offset), the eigenvalues of a small symmetric matrix by determinant sign
 changes and bisection, the full (2N+1)x(2N+1) collocation matrix that the
 parity blocks split, those blocks folded from full-grid data by index, the
 unreduced collocation pair whose conjugation gives the full matrix, the
-earlier trace-minimized mesh search (a log-spaced scan refined by golden
-section), the collocation trace summed over the full grid k = -N..N, and the
+earlier trace-minimized mesh searches (a log-spaced scan refined by golden
+section, and the slope search that refined every bracketing cell of a pass
+in lockstep as the rows of one 2-D grid), the collocation trace summed over the full grid k = -N..N, and the
 potential (Horner's rule for a polynomial well, the composition of Chebyshev
 stages for a Chebyshev well) and W/cosh^2 written as plain expressions that
 allocate a new array at every step, the eigenvalues of one parity block
@@ -31,7 +32,8 @@ import numpy as np
 
 from descm.assembly import (CollocationOverflowError, check_half_width,
                             transformed_potential_scaled)
-from descm.mesh import _FIRST_WINDOW, _RESOLUTION, _SCAN_POINTS, collocation_trace
+from descm.mesh import (_BRACKET, _FIRST_GRID, _FIRST_WINDOW, _POLISH, _RESOLUTION, _SCAN_POINTS,
+                        collocation_trace, collocation_trace_slope)
 from descm.potential import ChebyshevWell, EvenPolynomialPotential
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
 from descm.solver import ConvergenceRecord, DescmProblem, solve
@@ -269,6 +271,87 @@ def golden_section_mesh_size(potential: EvenPolynomialPotential, half_width: int
             d = a + _INV_PHI * (b - a)
             fd = collocation_trace(potential, half_width, d)
     return 0.5 * (a + b)
+
+
+def _lockstep_best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
+    """Index of the smallest trace, a NaN ranked as +inf; a best trace of -inf raises."""
+    best = int(traces.argmin())
+    if not math.isfinite(traces[best]):
+        if math.isnan(traces[best]):  # argmin returns the first NaN, if any
+            best = int(np.where(np.isnan(traces), np.inf, traces).argmin())
+        if traces[best] == -math.inf:
+            raise CollocationOverflowError(
+                f"collocation trace overflows to -inf at h = {grid[best]:.6g}"
+            )
+    return best
+
+
+def _lockstep_interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> float:
+    """Zero of the slope between grid[i] and grid[i + 1] by inverse cubic
+    interpolation through the four nearest points, or by the secant through
+    the bracket's ends where those slopes do not rise strictly or the cubic
+    leaves the bracket; on numpy scalars."""
+    a, b, sa, sb = grid[i], grid[i + 1], slope[i], slope[i + 1]
+    secant = float(a - sa * ((b - a) / (sb - sa)))
+    j = min(max(i - 1, 0), len(grid) - 4)
+    xs, ss = grid[j : j + 4].tolist(), slope[j : j + 4].tolist()
+    if not all(s < t for s, t in zip(ss, ss[1:])):
+        return secant
+    zero = 0.0
+    for k, (x, s) in enumerate(zip(xs, ss)):
+        for m, t in enumerate(ss):
+            if m != k:
+                x *= t / (t - s)
+        zero += x
+    return zero if a <= zero <= b else secant
+
+
+def lockstep_trace_minimized_mesh_size(potential: EvenPolynomialPotential,
+                                       half_width: int) -> float:
+    """The trace-minimized mesh size by the search that refined (rows x 64)
+    grids in lockstep, one bracketing cell per row.
+
+    The first scan and its widening are the package's. Every pass evaluates
+    the slope afresh through :func:`collocation_trace_slope` over
+    ``np.linspace`` grids; each cell where the slope rises through 0 from a
+    finite value becomes a row of the next pass, until every such cell is
+    ``_BRACKET`` relative wide or a pass shows no rise. One trace call then
+    picks among 64 points spanning +-``_POLISH`` around each interpolated
+    zero, or among that pass's points if it showed none.
+    """
+    lo, hi = _FIRST_WINDOW
+    grid = _FIRST_GRID
+    while True:
+        best = _lockstep_best_trace(grid, collocation_trace(potential, half_width, grid))
+        if best == 0:
+            lo = lo * lo / hi
+        elif best == _SCAN_POINTS - 1:
+            hi = hi * hi / lo
+        else:
+            break
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
+    grid = np.linspace(grid[best - 1 : best], grid[best + 1 : best + 2], _SCAN_POINTS, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            slope = collocation_trace_slope(potential, half_width, grid)
+            # a rise from -inf (V' below the double range) places no zero
+            left = slope[:, :-1]
+            row, i = np.nonzero((-math.inf < left) & (left < 0.0) & (slope[:, 1:] >= 0.0))
+            if len(i) == 0:
+                break
+            a, b = grid[row, i], grid[row, i + 1]
+            if (b - a <= _BRACKET * a).all():
+                break
+            grid = np.linspace(a, b, _SCAN_POINTS, axis=-1)
+    if len(i) == 0:
+        candidates = grid.ravel()
+    else:
+        zeros = np.array([_lockstep_interpolated_zero(grid[r], slope[r], k)
+                          for r, k in zip(row, i)])
+        candidates = np.linspace(zeros * (1.0 - _POLISH), zeros * (1.0 + _POLISH), _SCAN_POINTS,
+                                 axis=-1).ravel()
+    traces = collocation_trace(potential, half_width, candidates)
+    return float(candidates[_lockstep_best_trace(candidates, traces)])
 
 
 def full_grid_collocation_trace(potential: EvenPolynomialPotential, half_width: int,

@@ -1,11 +1,15 @@
+import collections
 import json
 import math
+import random
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from descm import cli
 from descm.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -396,6 +400,30 @@ class TestTraceScanCommand:
         _, rows = csv_rows(out)
         assert [r[1] for r in rows] == ["inf", "2.3029076935874624e+301", "20729.106789537102"]
 
+    @pytest.mark.parametrize("block", [1, 5 * 41, 10**9], ids=["row", "uneven", "whole"])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_blocks_leave_the_output_bytes_unchanged(self, capsys, monkeypatch, block, output):
+        argv = ("trace-scan", "--potential", "cheb:10;shift=-1", "--N", "20", "--points", "333",
+                "--h-min", "1e-4", "--h-max", "60", "--format", output)
+        monkeypatch.setattr(cli, "_TRACE_SCAN_BLOCK", 2**62)  # the whole grid in one call
+        whole = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_TRACE_SCAN_BLOCK", block)
+        assert run(capsys, *argv) == whole
+        assert whole[0] == 0 and whole[1].count("\n") > 333
+
+    def test_peak_memory_stays_bounded_at_large_points_and_truncation(self, capsys):
+        # the whole 2000 x 8001 grid at once peaked near 580 MB of RSS
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "trace-scan", "--potential", "poly:1,1", "--N", "4000",
+                                 "--points", "2000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert len(csv_rows(out)[1]) == 2000
+        assert peak < 64 * 2**20, peak
+
     def test_zero_truncation_exits_2(self, capsys):
         code, _, _ = run(capsys, "trace-scan", "--potential", "poly:1,1", "--N", "0")
         assert code == 2
@@ -570,6 +598,73 @@ class TestRejectedInput:
         assert reason in err
         if not err.startswith("usage:"):
             assert err.startswith("descm: ") and len(err.splitlines()) == 1
+
+
+def _draw_coefficient(rng):
+    """Uniform on [-10, 10], or +-(1-9) 10^e with e uniform in [-320, 308],
+    which may lie beyond the double range."""
+    if rng.random() < 0.5:
+        return repr(rng.uniform(-10.0, 10.0))
+    return f"{rng.choice('+-')}{rng.randint(1, 9)}e{rng.randint(-320, 308)}"
+
+
+def _draw_argv(rng):
+    """One seeded CLI call: a poly: well of 1-12 coefficients with a positive
+    leading one (30% with c0) or a cheb: well of even degree 2..120 (half
+    with a shift), solved at one N or swept to N = 25, under either mesh."""
+    if rng.random() < 0.75:
+        coefficients = [_draw_coefficient(rng) for _ in range(rng.randint(1, 12))]
+        coefficients[-1] = coefficients[-1].lstrip("+-")
+        spec = "poly:" + ",".join(coefficients)
+        if rng.random() < 0.3:
+            spec += f";c0={_draw_coefficient(rng)}"
+    else:
+        spec = f"cheb:{2 * rng.randint(1, 60)}"
+        if rng.random() < 0.5:
+            spec += f";shift={rng.uniform(-2.0, 2.0)!r}"
+    mesh = rng.choice(("optimal", "trace-min"))
+    if rng.random() < 0.5:
+        command = ["solve", "--N", str(rng.choice((1, 2, 3, 7, 20, 60))), "--levels", "2"]
+    else:
+        command = ["converge", "--N-max", "25", "--level", str(rng.randint(0, 3))]
+    return command + ["--potential", spec, "--mesh", mesh, "--format", "json"]
+
+
+def _energies(command, payload):
+    if command == "solve":
+        return payload["eigenvalues"]
+    return [payload["E_final"]] + [record["E_n"] for record in payload["records"]]
+
+
+class TestSeededSweep:
+    def test_every_call_exits_with_finite_energies_or_one_diagnosis(self, capsys):
+        # warnings are errors, so one that escapes the library fails its call
+        rng = random.Random(7)
+        outcomes, faults = collections.Counter(), []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(600):
+                argv = _draw_argv(rng)
+                try:
+                    code, out, err = run(capsys, *argv)
+                except Exception as exc:  # noqa: BLE001 - reported with its call
+                    faults.append((argv, repr(exc)))
+                    continue
+                outcomes[code] += 1
+                if code in (0, 3):
+                    energies = _energies(argv[0], json.loads(out))
+                    # JSON writes a non-finite float as null and an integral one as an int
+                    if not all(type(e) in (int, float) and math.isfinite(e) for e in energies):
+                        faults.append((argv, energies))
+                elif code in (1, 2):
+                    if len(err.splitlines()) != 1:
+                        faults.append((argv, err))
+                else:
+                    faults.append((argv, code))
+        assert faults == []
+        # the draw reaches every outcome but the rare exit 2 (a coefficient
+        # beyond the double range), so the checks above are not vacuous
+        assert min(outcomes[0], outcomes[1], outcomes[3]) >= 20, outcomes
 
 
 class TestTenWellExtended:

@@ -29,7 +29,9 @@ from descm.mesh import (
     _interpolated_zero, _linear_grid, collocation_trace_slope,
 )
 from conftest import random_potential
-from oracles import full_collocation_matrix, full_grid_collocation_trace, golden_section_mesh_size
+import oracles
+from oracles import (full_collocation_matrix, full_grid_collocation_trace, golden_section_mesh_size,
+                     lockstep_trace_minimized_mesh_size)
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 TRIPLE_WELL = EvenPolynomialPotential((4.0, -6.0, 1.0))
@@ -705,7 +707,7 @@ def assert_table_read_is_fresh(potential, n, cell):
     grid = mesh._FIRST_PASS[cell - 1]
     read = collocation_trace_slope(potential, n, grid)
     fresh = collocation_trace_slope(potential, n, grid.copy())  # a copy is evaluated afresh
-    assert read.shape == (1, 64)
+    assert read.shape == (64,)
     assert read.tobytes() == fresh.tobytes(), (potential, n, cell)
 
 
@@ -713,8 +715,8 @@ class TestFirstPassTable:
     def test_grids_are_the_searchs_linear_grids_byte_for_byte(self):
         assert len(mesh._FIRST_PASS) == 62
         for cell, grid in enumerate(mesh._FIRST_PASS, 1):
-            expected = _linear_grid(_FIRST_GRID[cell - 1 : cell], _FIRST_GRID[cell + 1 : cell + 2])
-            assert grid.shape == (1, 64) and not grid.flags.writeable
+            expected = _linear_grid(float(_FIRST_GRID[cell - 1]), float(_FIRST_GRID[cell + 1]))
+            assert grid.shape == (64,) and not grid.flags.writeable
             assert grid.tobytes() == expected.tobytes(), cell
 
     @pytest.mark.parametrize("potential", PASS_WELLS, ids=PASS_SPECS)
@@ -802,6 +804,67 @@ class TestFirstPassTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == expected
+
+
+# the 14 wells of the multiwell benchmark (seed 1), and a plain and a stiff quartic
+REFERENCE_SPECS = (
+    "poly:1,-4,1", "poly:4,-6,1", "poly:1.640625,-5.375,1,-1,1", "poly:2.640625,-7.375,1,-1,1",
+    "poly:-20,1", "cheb:10;shift=-1", "cheb:20;shift=-1", "poly:0.1,0.1,0.1,0.1,0.1",
+    "poly:0.1,0.1,-1,-1,1", "poly:-10,-10,-10,-10,10", "cheb:40;shift=-1", "poly:-15.28,1",
+    "cheb:8;shift=-0.97", "poly:4.97,-4.85,1", "poly:1,1", "poly:1e8,1e8",
+)
+REFERENCE_SIZES = list(range(1, 131)) + list(range(200, 3, -4))
+# V' lies below the double range, so its slope rises from -inf and places no zero
+MINUS_INF_RISE = "poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249"
+
+
+def reference_cases():
+    """(spec, N) in the order the reference test visits them."""
+    cases = [(spec, n) for spec in REFERENCE_SPECS for n in REFERENCE_SIZES]
+    cases += [(spec, n) for spec in ("cheb:20;shift=-1", "cheb:40;shift=-1") for n in (1, 2)]
+    cases += [("poly:1e10,1e10", 100)]
+    cases += [(spec, n) for spec in ("poly:1e308", "poly:1e-300") for n in (1, 100)]
+    return cases + [(MINUS_INF_RISE, n) for n in (1, 3, 5)]
+
+
+def mesh_size_or_overflow(search, potential, n):
+    """The hex of the chosen h, or the CollocationOverflowError it raised."""
+    try:
+        return search(potential, n).hex()
+    except CollocationOverflowError as exc:
+        return f"CollocationOverflowError: {exc}"
+
+
+class TestLockstepReference:
+    def test_search_equals_the_lockstep_search_bit_for_bit(self, monkeypatch):
+        calls = []
+
+        def recorded(name, function):
+            def wrapper(potential, half_width, h):
+                calls.append((name, np.shape(h)))
+                return function(potential, half_width, h)
+            return wrapper
+
+        monkeypatch.setattr(oracles, "collocation_trace", recorded("trace", collocation_trace))
+        monkeypatch.setattr(oracles, "collocation_trace_slope",
+                            recorded("slope", collocation_trace_slope))
+        potentials, mismatches, several_rises, widened, overflows = {}, [], 0, 0, 0
+        for spec, n in reference_cases():
+            potential = potentials.setdefault(spec, parse_potential(spec))
+            calls.clear()
+            expected = mesh_size_or_overflow(lockstep_trace_minimized_mesh_size, potential, n)
+            got = mesh_size_or_overflow(trace_minimized_mesh_size, potential, n)
+            if got != expected:
+                mismatches.append((spec, n, got, expected))
+            # a pass of several cells, or a last pick around several zeros
+            several_rises += any(math.prod(shape) > 64 for _, shape in calls)
+            widened += [name for name, _ in calls].count("trace") > 2
+            overflows += expected.startswith("CollocationOverflowError")
+        assert mismatches == []
+        # so that the cases cannot pass vacuously: lockstep cells, widened
+        # windows and a -inf trace all occur
+        assert several_rises >= 1 and widened >= 1 and overflows >= 1, (
+            several_rises, widened, overflows)
 
 
 class TestMeshStrategy:
