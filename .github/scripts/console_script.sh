@@ -39,6 +39,8 @@ descm converge --potential 'poly:-20,1' --level 1 --format json | python -m json
 descm converge --potential 'poly:4,-6,1' --level 3 --format json | python -m json.tool > /dev/null
 # a stiff well: the closed-form Lambert-W argument is 7.9e-8, below 1
 descm solve --potential poly:1e18 --N 2 --format json | python -m json.tool > /dev/null
+# several dips in the scan's best triple: one trace call over their zeros picks the lowest
+descm solve --potential 'cheb:20;shift=-1' --mesh trace-min --N 1 --levels 2 --format json | python -m json.tool > /dev/null
 # m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
 descm converge --potential poly:1 --mesh trace-min --format json | python -m json.tool > /dev/null
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null

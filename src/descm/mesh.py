@@ -28,21 +28,20 @@ closed form as well (:func:`collocation_trace_slope`), so the search does
 not narrow the trace itself: vectorized slope passes across the triple
 bracket the zero to 1e-4 relative (two passes from the first window), and
 inverse cubic interpolation places it, to 1e-13 relative on smooth wells and
-1e-9 on the roughest tested. The trace does not resolve h much below 1e-8:
-neighbouring traces differ by a few ulp there. One more trace call over a
-grid spanning +-3.2e-9 relative around the zero picks the lowest of them,
-and where the slope rises through zero more than once it picks the dip. So
-a mesh choice from the first window costs two trace calls and two slope
-calls, against eight trace calls for grid refinement, and the
-trace-minimized h depends on the potential and N alone.
+1e-9 on the roughest tested. That zero is the mesh size: the trace does not
+resolve h much below 1e-8, where neighbouring traces differ by a few ulp, so
+a trace call around it would pick rounding. Only where the slope rises
+through zero more than once does one more trace call, over those zeros,
+pick the lowest dip. So a mesh choice from the first window costs one trace
+call and two slope calls, against eight trace calls for grid refinement,
+and the trace-minimized h depends on the potential and N alone.
 
 A slope pass runs over 64-point cells, one per rise of the pass before. Nearly
 every choice sees one rise per pass: its cell is a 1-D grid and the rise a
 bracket of two Python floats, on which the bracket test and the arithmetic of
-the next cell and of the pick's grid around the zero run. Several rises
-(Chebyshev wells at N <= 2, widened windows) make several cells, the rows of
-one 2-D grid evaluated in one call, and every one of them is refined in the
-same pass.
+the next cell run. Several rises (Chebyshev wells at N <= 2, widened windows)
+make several cells, the rows of one 2-D grid evaluated in one call, and every
+one of them is refined in the same pass.
 """
 
 from __future__ import annotations
@@ -61,9 +60,7 @@ from .sinc_basis import D2_DIAGONAL
 MESH_KINDS = ("optimal", "trace-min", "fixed")  # the values of MeshStrategy.kind
 _FIRST_WINDOW = (1e-3, 5.0)
 _SCAN_POINTS = 64
-_RESOLUTION = 1e-10  # relative step of the last trace call around the zero of Tr'(h)
 _BRACKET = 1e-4  # relative width of the slope's bracket at which interpolation takes over
-_POLISH = 32 * _RESOLUTION  # relative half-width of the last trace call around a zero
 _FIRST_GRID = np.exp(np.linspace(*map(math.log, _FIRST_WINDOW), _SCAN_POINTS))
 _FIRST_GRID.setflags(write=False)
 _RAMP = np.arange(_SCAN_POINTS, dtype=float)
@@ -460,12 +457,12 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     across a triple of the first window, more across a widened one. A pass
     evaluates all its cells in one call: one cell is a 1-D grid, several are
     the rows of one, and each rise is kept as a bracket of two floats. The
-    zero is then interpolated in each remaining cell. Neighbouring traces
-    differ by rounding alone within about 1e-8 relative of the zero, so one
-    last trace call over 64 points spanning +-32 * 1e-10 relative around
-    every zero picks the lowest trace; where a pass saw several rises, that
-    call also picks among them. If a pass sees none (the slope is NaN there,
-    or noise), that call picks among the pass's grid points instead; so it
+    zero is then interpolated in each remaining cell. One zero is the mesh
+    size as it stands: neighbouring traces differ by rounding alone within
+    about 1e-8 relative of it, so no trace call is made. Where the last pass
+    saw several rises, one trace call over their zeros picks the lowest
+    (the first, on a tie). If a pass sees none (the slope is NaN there, or
+    noise), a trace call picks among the pass's grid points instead; so it
     does where the slope rises only from -inf, where V' overflows below the
     double range and no zero can be placed.
 
@@ -506,8 +503,9 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
         cells, slopes = grid.reshape(-1, _SCAN_POINTS), slope.reshape(-1, _SCAN_POINTS)
         zeros = [_interpolated_zero(cells[r], slopes[r], i)
                  for r, i in (divmod(j, _SCAN_POINTS) for j in rises)]
-        candidates = _cells([z * (1.0 - _POLISH) for z in zeros],
-                            [z * (1.0 + _POLISH) for z in zeros]).reshape(-1)
+        if len(zeros) == 1:
+            return zeros[0]
+        candidates = np.array(zeros)
     traces = collocation_trace(potential, half_width, candidates)
     return candidates.item(_best_trace(candidates, traces))
 

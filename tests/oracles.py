@@ -32,13 +32,14 @@ import numpy as np
 
 from descm.assembly import (CollocationOverflowError, check_half_width,
                             transformed_potential_scaled)
-from descm.mesh import (_BRACKET, _FIRST_GRID, _FIRST_WINDOW, _POLISH, _RESOLUTION, _SCAN_POINTS,
-                        collocation_trace, collocation_trace_slope)
+from descm.mesh import (_BRACKET, _FIRST_GRID, _FIRST_WINDOW, _SCAN_POINTS, collocation_trace,
+                        collocation_trace_slope)
 from descm.potential import ChebyshevWell, EvenPolynomialPotential
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
 from descm.solver import ConvergenceRecord, DescmProblem, solve
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_RESOLUTION = 1e-10  # relative bracket width at which golden section stops
 
 
 def transformed_potential(potential: EvenPolynomialPotential, t):
@@ -315,9 +316,9 @@ def lockstep_trace_minimized_mesh_size(potential: EvenPolynomialPotential,
     the slope afresh through :func:`collocation_trace_slope` over
     ``np.linspace`` grids; each cell where the slope rises through 0 from a
     finite value becomes a row of the next pass, until every such cell is
-    ``_BRACKET`` relative wide or a pass shows no rise. One trace call then
-    picks among 64 points spanning +-``_POLISH`` around each interpolated
-    zero, or among that pass's points if it showed none.
+    ``_BRACKET`` relative wide or a pass shows no rise. A single interpolated
+    zero is the mesh size; one trace call picks the lowest of several zeros,
+    or of that pass's points if it showed none.
     """
     lo, hi = _FIRST_WINDOW
     grid = _FIRST_GRID
@@ -346,10 +347,10 @@ def lockstep_trace_minimized_mesh_size(potential: EvenPolynomialPotential,
     if len(i) == 0:
         candidates = grid.ravel()
     else:
-        zeros = np.array([_lockstep_interpolated_zero(grid[r], slope[r], k)
-                          for r, k in zip(row, i)])
-        candidates = np.linspace(zeros * (1.0 - _POLISH), zeros * (1.0 + _POLISH), _SCAN_POINTS,
-                                 axis=-1).ravel()
+        candidates = np.array([_lockstep_interpolated_zero(grid[r], slope[r], k)
+                               for r, k in zip(row, i)])
+        if len(candidates) == 1:
+            return float(candidates[0])
     traces = collocation_trace(potential, half_width, candidates)
     return float(candidates[_lockstep_best_trace(candidates, traces)])
 

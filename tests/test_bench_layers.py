@@ -95,28 +95,33 @@ def test_trace_and_assembly_each_call_the_scaled_potential_once(monkeypatch, cap
     records = json.loads(capsys.readouterr().out)["records"]
     assert code == 0
     assert counts["assembly"] == len(records)
-    assert counts["trace"] == 2 * len(records)  # a scan and a last pick per mesh choice
+    # a scan per mesh choice; a choice makes one more trace call, a pick among
+    # the slope's zeros, only where it sees several dips, and none here does
+    assert counts["trace"] == len(records)
     # the scan reads the first window's table, which evaluates W/cosh^2 only
     # when it grows (to max(N + 1, twice its width), from empty at a new potential)
     width = growths = 0
     for record in records:
         if record["N"] >= width:
             width, growths = max(record["N"] + 1, 2 * width), growths + 1
-    assert counts["mesh.scaled"] == len(records) + growths  # the last picks and the growths
+    assert counts["mesh.scaled"] == growths
     assert counts["assembly.scaled"] == counts["assembly"]
 
 
 def test_a_covered_first_scan_evaluates_the_scaled_potential_only_for_the_last_pick(
         monkeypatch):
-    potential = parse_potential("cheb:10;shift=-1")
-    mesh.trace_minimized_mesh_size(potential, 30)  # the first-scan table now covers N <= 30
+    # a choice with one dip takes the slope's zero and evaluates no trace
+    # beyond the scan; cheb:20 at N = 1 sees several dips and picks among them
     raw, calls = mesh.transformed_potential_scaled, []
     monkeypatch.setattr(mesh, "transformed_potential_scaled",
                         lambda *args: calls.append(args) or raw(*args))
-    for n in (30, 12, 1):
-        calls.clear()
-        mesh.trace_minimized_mesh_size(potential, n)
-        assert len(calls) == 1, n
+    for spec, picks in (("cheb:10;shift=-1", (0, 0, 0)), ("cheb:20;shift=-1", (0, 0, 1))):
+        potential = parse_potential(spec)
+        mesh.trace_minimized_mesh_size(potential, 30)  # the first-scan table now covers N <= 30
+        for n, expected in zip((30, 12, 1), picks):
+            calls.clear()
+            mesh.trace_minimized_mesh_size(potential, n)
+            assert len(calls) == expected, (spec, n)
 
 
 @pytest.fixture

@@ -474,11 +474,13 @@ class TestValidateCommand:
         # at N = 8 with trace-min the lowest odd level of V2 falls below the
         # lowest even one, so entry 1 of the merged spectrum is the even
         # block's -9.42550; level 1 has one node and is the odd block's -9.42699
+        # (at the trace-min h, the 40-digit odd block of
+        # oracles.mp_block_eigenvalues reads -9.426993631397458)
         code, out, _ = run(capsys, "validate", "--case", "1", "--N", "8", "--format", "json")
         assert code == 1
         (result,) = [r for r in json.loads(out)["results"] if r["mesh"] == "trace-min"]
         assert result["level"] == 1
-        assert result["energy"] == pytest.approx(-9.426993627037966, rel=1e-12)
+        assert result["energy"] == pytest.approx(-9.426993631397458, rel=1e-12)
 
     def test_case_filter(self, capsys):
         code, out, _ = run(capsys, "validate", "--case", "2")

@@ -328,14 +328,11 @@ class TestChebyshevHeadlineWells:
     """The ten-well of criterion 9 and cheb:40;shift=-1 under the
     trace-minimized mesh, held against true-value references."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the ten-well sweep stops at N = 83 with E_0 1.67e-11 above its limit: most of "
-        "that is discretization, and float noise at these N is about 1e-11, so no successive "
-        "difference in float64 certifies 5e-12 (ROADMAP items 2 and 3: say when a stop is "
-        "precision-limited or unconfirmed, and refine the level in extended precision)",
-    )
     def test_ten_well_ground_state_within_tolerance_of_its_limit(self):
+        # the sweep stops at N = 85, 3.8e-12 above the limit, on a last
+        # difference of 3.9e-12. The 40-digit block at N = 85 lies 8.0e-12
+        # above it: float noise at these N, about 1e-11, puts this stop inside
+        # the bound, and no difference in float64 certifies 5e-12
         problem = DescmProblem(chebyshev_well(20, -1.0), strategy=MeshStrategy.trace_minimized())
         trace = converge(problem, level=0, tolerance=5e-12, n_max=1000)
         assert trace.converged
@@ -351,9 +348,9 @@ class TestChebyshevHeadlineWells:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="cheb:40;shift=-1 stops at N = 174 with E_0 = 1.3171164318546205, 8.2e-9 above "
-        "the N = 300 solve, on a difference of 4.7e-12 that the next truncation does not "
-        "repeat (1.5e-10); the confirmation solve of ROADMAP item 2 would refuse this stop",
+        reason="cheb:40;shift=-1 stops at N = 218 with E_0 = 1.3171164238063695, 1.9e-10 above "
+        "the N = 300 reference, on a difference of 3.5e-12 that the next truncation does not "
+        "repeat (6.9e-11); the confirmation solve of ROADMAP item 2 would refuse this stop",
     )
     def test_cheb40_stop_agrees_with_a_far_larger_truncation(self, cheb40_sweep):
         assert cheb40_sweep.converged
