@@ -41,6 +41,11 @@ descm converge --potential 'poly:4,-6,1' --level 3 --format json | python -m jso
 descm solve --potential poly:1e18 --N 2 --format json | python -m json.tool > /dev/null
 # several dips in the scan's best triple: one trace call over their zeros picks the lowest
 descm solve --potential 'cheb:20;shift=-1' --mesh trace-min --N 1 --levels 2 --format json | python -m json.tool > /dev/null
+# the last slope pass reads a 6-point slice of its cell, moved once where the
+# first slice misses the rise (cheb:40 at N = 100)
+descm solve --potential 'cheb:40;shift=-1' --mesh trace-min --N 100 --levels 2 --format json | python -m json.tool > /dev/null
+# a widened first window: more than two slope passes before the slice
+descm solve --potential poly:1e10,1e10 --mesh trace-min --N 100 --format json | python -m json.tool > /dev/null
 # m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
 descm converge --potential poly:1 --mesh trace-min --format json | python -m json.tool > /dev/null
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null

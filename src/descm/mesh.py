@@ -16,8 +16,8 @@ which diverges at both h -> 0+ and h -> infinity, so an interior minimizer
 exists for every truncation N >= 1. Each point evaluates cosh once, for the
 kinetic term and W/cosh^2 alike. The first scan covers [1e-3, 5] on a grid
 built once per process, and widens toward an edge holding its minimum. The
-half diagonal over that grid does not depend on N, so the scan reads its
-first N+1 columns from a table kept for the last potential and grown once
+diagonal over that grid does not depend on N, so the scan sums columns
+k = -N..N of a mirrored table kept for the last potential and grown once
 per sweep, not once per truncation. The first slope pass after such a scan
 runs on one of 62 grids, fixed by the scan's best point (its cell), whose
 terms do not depend on N either: it sums the first N columns of a table of
@@ -32,16 +32,20 @@ inverse cubic interpolation places it, to 1e-13 relative on smooth wells and
 resolve h much below 1e-8, where neighbouring traces differ by a few ulp, so
 a trace call around it would pick rounding. Only where the slope rises
 through zero more than once does one more trace call, over those zeros,
-pick the lowest dip. So a mesh choice from the first window costs one trace
-call and two slope calls, against eight trace calls for grid refinement,
-and the trace-minimized h depends on the potential and N alone.
+pick the lowest dip. The last pass needs only the four slopes around the
+rise: the pass before predicts where the rise lies, and the last pass
+evaluates a 6-point slice of its 64-point cell there, the same floats with
+the same slopes. So a mesh choice from the first window costs one trace
+call, one tabled slope pass and one 6-point slice (a second slice where the
+first misses the rise), against eight trace calls for grid refinement, and
+the trace-minimized h depends on the potential and N alone.
 
-A slope pass runs over 64-point cells, one per rise of the pass before. Nearly
-every choice sees one rise per pass: its cell is a 1-D grid and the rise a
-bracket of two Python floats, on which the bracket test and the arithmetic of
-the next cell run. Several rises (Chebyshev wells at N <= 2, widened windows)
-make several cells, the rows of one 2-D grid evaluated in one call, and every
-one of them is refined in the same pass.
+A full slope pass runs over 64-point cells, one per rise of the pass before.
+Nearly every choice sees one rise per pass: its cell is a 1-D grid and the
+rise a bracket of two Python floats, on which the bracket test and the
+arithmetic of the next cell run. Several rises (Chebyshev wells at N <= 2,
+widened windows) make several cells, the rows of one 2-D grid evaluated in
+one call, and every one of them is refined in the same pass.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ MESH_KINDS = ("optimal", "trace-min", "fixed")  # the values of MeshStrategy.kin
 _FIRST_WINDOW = (1e-3, 5.0)
 _SCAN_POINTS = 64
 _BRACKET = 1e-4  # relative width of the slope's bracket at which interpolation takes over
+_LAST_CELL = (_SCAN_POINTS - 1) * _BRACKET  # relative width of a bracket whose cell is the last
+_SLICE = 6  # points of the last cell evaluated around its predicted zero
 _FIRST_GRID = np.exp(np.linspace(*map(math.log, _FIRST_WINDOW), _SCAN_POINTS))
 _FIRST_GRID.setflags(write=False)
 _RAMP = np.arange(_SCAN_POINTS, dtype=float)
@@ -214,10 +220,10 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     bit. The parity blocks hold the same trace, summed in another order.
 
     Called with the first window's grid ``_FIRST_GRID`` itself (not a copy),
-    the half diagonal is read from the first-scan table, which is built by
-    the same steps and holds the same bits; that read-only grid is valid by
-    construction, so its mesh sizes are not checked again. Every other ``h``
-    is.
+    the mirrored diagonal is read from the first-scan table, which is built
+    by the same steps and holds the same bits in the same order, and each
+    row is summed in place; that read-only grid is valid by construction, so
+    its mesh sizes are not checked again. Every other ``h`` is.
 
     Where V(sinh kh) is -inf at some points and +inf at others, the trace is
     undefined and comes back as NaN, without a warning.
@@ -231,10 +237,11 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     # h below about 1e-162 h*h underflows to 0 and the kinetic term is +inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if first_window:
-            half = _first_window_half_diagonal(potential, half_width)
+            diagonal = _first_window_diagonal(potential, half_width)
         else:
             half = _half_diagonal(potential, half_width, h)
-        trace = np.concatenate([half[..., :0:-1], half], axis=-1).sum(axis=-1)
+            diagonal = np.concatenate([half[..., :0:-1], half], axis=-1)
+        trace = diagonal.sum(axis=-1)
     return float(trace) if trace.ndim == 0 else trace
 
 
@@ -250,9 +257,10 @@ def _half_diagonal(potential: EvenPolynomialPotential, half_width: int, h: np.nd
 
 # What depends on the potential alone, not on N, is kept in one record for
 # the last potential, keyed by identity (potentials are frozen):
-# - ``scan``: the half diagonal over _FIRST_GRID at k = 0..M, so every first
-#   scan reads its columns k = 0..N. A larger N extends it to at least twice
-#   its width.
+# - ``scan``: the diagonal over _FIRST_GRID at k = -M..M, mirrored from
+#   k = 0..M as the trace mirrors it, so every first scan sums its columns
+#   k = -N..N in place. A larger N extends it on both sides to at least twice
+#   its half width M + 1.
 # - ``slope``: the slope terms t_k at k = 1..M over the first-pass grid of
 #   one first-scan ``cell`` (the last one asked for), so a first slope pass
 #   sums its columns k = 1..N. A larger N extends it to N + _SLOPE_LOOKAHEAD.
@@ -278,19 +286,21 @@ def _tables_of(potential: EvenPolynomialPotential) -> _Tables:
     return tables if tables.potential is potential else _Tables(potential, _NO_TABLE, 0, _NO_TABLE)
 
 
-def _first_window_half_diagonal(potential: EvenPolynomialPotential, half_width: int):
-    """Columns k = 0..N of the first window's half diagonal, a read-only view;
-    call with overflow ignored."""
+def _first_window_diagonal(potential: EvenPolynomialPotential, half_width: int):
+    """Columns k = -N..N of the first window's mirrored diagonal, a read-only
+    view; call with overflow ignored."""
     global _tables
     tables = _tables_of(potential)
     table = tables.scan
-    if table.shape[1] <= half_width:
-        width = max(half_width + 1, 2 * table.shape[1])
-        table = np.concatenate(
-            [table, _half_diagonal(potential, width - 1, _FIRST_GRID, table.shape[1])], axis=1)
+    reach = (table.shape[1] + 1) // 2  # columns k = 0..reach - 1
+    if reach <= half_width:
+        width = max(half_width + 1, 2 * reach)
+        new = _half_diagonal(potential, width - 1, _FIRST_GRID, reach)
+        table = np.concatenate([new[:, ::-1] if reach else new[:, :0:-1], table, new], axis=1)
         table.setflags(write=False)
         _tables = tables._replace(scan=table)
-    return table[:, : half_width + 1]
+        reach = width
+    return table[:, reach - 1 - half_width : reach + half_width]
 
 
 def _first_pass_terms(potential: EvenPolynomialPotential, half_width: int, cell: int):
@@ -411,6 +421,11 @@ def _cells(a: list[float], b: list[float]) -> np.ndarray:
     return _linear_grid(np.array(a), np.array(b))
 
 
+def _stencil(i: int, points: int) -> int:
+    """First of the four grid points that interpolate a rise at point i of ``points``."""
+    return min(max(i - 1, 0), points - 4)
+
+
 def _interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> float:
     """Zero of the slope between grid[i] and grid[i + 1], where it rises through 0.
 
@@ -422,7 +437,7 @@ def _interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> float:
     occurs, since the bracket's slopes straddle 0 and the cubic's four rise
     strictly.
     """
-    j = min(max(i - 1, 0), len(grid) - 4)
+    j = _stencil(i, len(grid))
     xs, ss = grid[j : j + 4].tolist(), slope[j : j + 4].tolist()
     a, b, sa, sb = xs[i - j], xs[i - j + 1], ss[i - j], ss[i - j + 1]
     secant = a - sa * ((b - a) / (sb - sa))
@@ -435,6 +450,49 @@ def _interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> float:
                 x *= t / (t - s)
         zero += x
     return zero if a <= zero <= b else secant
+
+
+def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: float, b: float,
+                      guess: float) -> float | None:
+    """The zero that the last slope pass, over the cell _linear_grid(a, b),
+    interpolates, read from _SLICE of its points around the predicted zero
+    ``guess``; call with overflow and invalid ignored.
+
+    The slice holds the cell's own floats and each slope sums its own row, so
+    its slopes are the full pass's bit for bit. One rise whose four
+    interpolation points lie in the slice, and whose bracket is _BRACKET
+    relative wide, gives the full pass's zero, provided that pass sees no
+    other rise. A slice without such a rise is moved once, to the secant zero
+    through its ends. None, so that the full pass runs, where that slice
+    fails too, where a slice shows several rises, or where the bracket is
+    still wider.
+    """
+    cell = _linear_grid(a, b)
+    step = (b - a) / (_SCAN_POINTS - 1)
+    start = None
+    for _ in range(2):
+        if not math.isfinite(guess):
+            return None
+        previous = start
+        # the slice holds points i - 2..i + 3 around the predicted bracket [i, i + 1]
+        start = min(max(int((guess - a) / step) - 2, 0), _SCAN_POINTS - _SLICE)
+        if start == previous:
+            return None
+        points = cell[start : start + _SLICE]
+        slope = _slope_pass(potential, half_width, points)
+        rises = _rises(slope)
+        if len(rises) > 1:
+            return None
+        if rises and _stencil(start + rises[0], _SCAN_POINTS) == start + _stencil(rises[0], _SLICE):
+            i = rises[0]
+            if points.item(i + 1) - points.item(i) > _BRACKET * points.item(i):
+                return None
+            return _interpolated_zero(points, slope, i)
+        (x0, x1), (s0, s1) = points[:: _SLICE - 1].tolist(), slope[:: _SLICE - 1].tolist()
+        if not s0 < s1:
+            return None
+        guess = x0 - s0 * ((x1 - x0) / (s1 - s0))
+    return None
 
 
 def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> float:
@@ -457,14 +515,20 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     across a triple of the first window, more across a widened one. A pass
     evaluates all its cells in one call: one cell is a 1-D grid, several are
     the rows of one, and each rise is kept as a bracket of two floats. The
-    zero is then interpolated in each remaining cell. One zero is the mesh
-    size as it stands: neighbouring traces differ by rounding alone within
-    about 1e-8 relative of it, so no trace call is made. Where the last pass
-    saw several rises, one trace call over their zeros picks the lowest
-    (the first, on a tie). If a pass sees none (the slope is NaN there, or
-    noise), a trace call picks among the pass's grid points instead; so it
-    does where the slope rises only from -inf, where V' overflows below the
-    double range and no zero can be placed.
+    zero is then interpolated in each remaining cell. Where a 1-D pass sees
+    one rise whose cell will be the last, its own zero predicts where the
+    rise lies in that cell, and the last pass evaluates only 6 of the cell's
+    64 points there, moved once if they miss the rise. Their slopes are the
+    full pass's bit for bit; the full pass runs where no slice shows the
+    rise alone.
+
+    One zero is the mesh size as it stands: neighbouring traces differ by
+    rounding alone within about 1e-8 relative of it, so no trace call is
+    made. Where the last pass saw several rises, one trace call over their
+    zeros picks the lowest (the first, on a tie). If a pass sees none (the
+    slope is NaN there, or noise), a trace call picks among the pass's grid
+    points instead; so it does where the slope rises only from -inf, where
+    V' overflows below the double range and no zero can be placed.
 
     A scanned trace of -inf raises :class:`CollocationOverflowError`, and an
     undefined (NaN) trace ranks as +inf.
@@ -496,6 +560,11 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
             b = [points.item(j + 1) for j in rises]
             if all(right - left <= _BRACKET * left for left, right in zip(a, b)):
                 break
+            if grid.ndim == 1 and len(rises) == 1 and b[0] - a[0] <= _LAST_CELL * a[0]:
+                zero = _sliced_last_pass(potential, half_width, a[0], b[0],
+                                         _interpolated_zero(grid, slope, rises[0]))
+                if zero is not None:
+                    return zero
             grid = _cells(a, b)
     if not rises:
         candidates = grid.reshape(-1)

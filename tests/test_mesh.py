@@ -427,14 +427,23 @@ class TestTraceMinimized:
 
         monkeypatch.setattr(mesh, "_slope_pass", record)
         trace_minimized_mesh_size(parse_potential(spec), n)
-        # every slope pass runs over 64-point linspace cells, one per row, and
-        # each cell of a pass lies inside the grid of the pass before
-        assert len(passes) >= 2
-        for previous, grid in zip([None] + passes, passes):
+        # every full slope pass runs over 64-point linspace cells, one per row,
+        # and each cell of a pass lies inside the grid of the full pass before;
+        # the last pass is a 6-point slice, byte for byte a contiguous run of
+        # the linspace cell over a bracket of the full pass before it
+        assert len(passes) >= 2 and passes[0].size >= 64 and passes[-1].shape == (6,)
+        previous = None
+        for grid in passes:
+            if grid.shape == (6,):
+                cells = [np.linspace(a, b, 64) for a, b in zip(previous, previous[1:])]
+                assert any(cell[start : start + 6].tobytes() == grid.tobytes()
+                           for cell in cells for start in range(59))
+                continue
             for cell in grid.reshape(-1, 64):
                 assert cell.tobytes() == np.linspace(cell[0], cell[-1], 64).tobytes()
                 if previous is not None:
                     assert previous.min() <= cell[0] < cell[-1] <= previous.max()
+            previous = grid
 
     @pytest.mark.parametrize("spec,n", BEYOND_FIRST_WINDOW)
     def test_minimum_beyond_first_window_matches_dense_scan(self, spec, n):
@@ -514,9 +523,11 @@ class TestTraceMinimized:
     @pytest.mark.parametrize("spec,n", [("poly:1,1", 5), ("poly:1,-4,1", 40),
                                         ("cheb:20;shift=-1", 1), ("cheb:40;shift=-1", 100)])
     def test_first_window_costs_two_trace_and_two_slope_calls(self, monkeypatch, spec, n):
-        # one scan and two slope passes, whose one rise gives h as the slope's
-        # zero; a second trace call only where the passes see several dips
-        # (cheb:20 at N = 1), over their zeros alone, picks the lowest
+        # one scan, the tabled first slope pass and a 6-point slice of the last
+        # cell, whose one rise gives h as the slope's zero; the slice is moved
+        # once where it misses the rise (cheb:40 at N = 100). A second trace
+        # call only where the passes see several dips (cheb:20 at N = 1), over
+        # their zeros alone, picks the lowest
         calls = []
 
         def counted(name, function):
@@ -534,7 +545,9 @@ class TestTraceMinimized:
             zeros = calls[-1][1]
             assert zeros.ndim == 1 and 1 < len(zeros) < 64 and h_hat in zeros
         else:
-            assert names == ["trace", "slope", "slope"]
+            slices = [(6,)] * (2 if spec == "cheb:40;shift=-1" else 1)
+            assert names == ["trace"] + ["slope"] * (1 + len(slices))
+            assert [h.shape for _, h in calls[1:]] == [(64,)] + slices
 
     @pytest.mark.parametrize("potential,tolerance", SLOPE_ZERO_TOLERANCES)
     def test_is_the_slope_zero(self, potential, tolerance):
@@ -565,6 +578,45 @@ class TestTraceMinimized:
         assert _interpolated_zero(grid, line, 30) == pytest.approx(30.25, abs=1e-12)
         for curved in (line**3, np.exp(grid) - math.exp(30.25), np.cbrt(line)):
             assert 30.0 <= _interpolated_zero(grid, curved, 30) <= 31.0
+
+    def test_slice_of_the_last_cell_reads_the_full_cells_zero_or_defers(self, monkeypatch):
+        # made-up slopes over the cell [1, 1.005], whose 64 points lie 7.9e-5 apart
+        a, b = 1.0, 1.005
+        cell = _linear_grid(a, b)
+        zero = cell.item(40) + 0.3 * (cell.item(41) - cell.item(40))
+        passes = []
+
+        def last_pass(slope, guess, lo=a, hi=b):
+            passes.clear()
+
+            def slope_pass(potential, half_width, h):
+                passes.append(h.tobytes())
+                return slope(h)
+
+            monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
+            return mesh._sliced_last_pass(QUARTIC, 5, lo, hi, guess)
+
+        def alternating(h):  # rises at points 39 and 41
+            return np.where(np.isin(h, cell[1::2]), -1.0, 1.0)
+
+        def step(h):  # one rise, at point 38, the slice's first
+            return np.where(h < cell[39], -1.0, 1.0)
+
+        # one rise: the full cell's zero, from its points 38..43 alone
+        rising = cell - zero
+        assert last_pass(lambda h: h - zero, zero) == _interpolated_zero(cell, rising, 40)
+        assert passes == [cell[38:44].tobytes()]
+        # a guess that misses: the secant through the slice's ends moves it once
+        assert last_pass(lambda h: h - zero, cell.item(5)) == _interpolated_zero(cell, rising, 40)
+        assert passes == [cell[3:9].tobytes(), cell[38:44].tobytes()]
+        # the full pass runs where the moved slice misses too (or would be the
+        # same slice, or the slice's ends place no secant zero), where a slice
+        # shows several rises, and where the bracket is still wider than 1e-4
+        assert last_pass(lambda h: h - 2.0, zero) is None and len(passes) == 2
+        assert last_pass(step, zero) is None and len(passes) == 1
+        assert last_pass(lambda h: np.full(h.shape, -1.0), zero) is None and len(passes) == 1
+        assert last_pass(alternating, zero) is None and len(passes) == 1
+        assert last_pass(lambda h: h - 1.05, 1.05, 1.0, 1.1) is None and len(passes) == 1
 
     def test_slope_that_resolves_no_dip_leaves_the_pick_to_the_trace(self, monkeypatch):
         picked = []
@@ -645,24 +697,27 @@ class TestFirstScanTable:
         for i, n in table_calls(order):
             p = TABLE_WELLS[i]
             owner, table = mesh._tables.potential, mesh._tables.scan
-            previous = table.shape[1] if owner is p else 0
+            previous = (table.shape[1] + 1) // 2 if owner is p else 0  # columns k >= 0
             cached = collocation_trace(p, n, _FIRST_GRID)
             assert cached.tobytes() == collocation_trace(p, n, _FIRST_GRID.copy()).tobytes(), (i, n)
             owner, table = mesh._tables.potential, mesh._tables.scan
             assert owner is p
-            assert n + 1 <= table.shape[1] <= max(n + 1, 2 * previous), (i, n)
+            # mirrored: columns k = -M..M, M + 1 at least N + 1 and at most double
+            assert table.shape[1] % 2 == 1
+            assert n + 1 <= (table.shape[1] + 1) // 2 <= max(n + 1, 2 * previous), (i, n)
             assert table.shape[0] == 64 and not table.flags.writeable
             h = trace_minimized_mesh_size(p, n)
             assert h.hex() == fresh_table_mesh_sizes[i, n].hex(), (i, n)
 
     def test_table_grows_to_at_least_double_and_never_shrinks(self, monkeypatch):
         monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+        # the columns k = 0..M, mirrored to k = -M..M
         for n, width in [(3, 4), (4, 8), (2, 8), (7, 8), (8, 16), (40, 41), (1, 41)]:
             collocation_trace(QUARTIC, n, _FIRST_GRID)
-            assert mesh._tables.scan.shape == (64, width)
+            assert mesh._tables.scan.shape == (64, 2 * width - 1)
         collocation_trace(TRIPLE_WELL, 2, _FIRST_GRID)  # a new potential starts afresh
         assert mesh._tables.potential is TRIPLE_WELL
-        assert mesh._tables.scan.shape == (64, 3)
+        assert mesh._tables.scan.shape == (64, 5)
 
     def test_threads_switching_potentials_read_their_own_tables(self, monkeypatch):
         # each thread alternates its potential and N, so the held table is
@@ -753,7 +808,7 @@ class TestFirstPassTable:
         trace_minimized_mesh_size(TRIPLE_WELL, 20)
         tables = mesh._tables
         assert tables.potential is TRIPLE_WELL
-        assert tables.scan.shape == (64, 21) and tables.slope.shape[1] > 20
+        assert tables.scan.shape == (64, 41) and tables.slope.shape[1] > 20
         collocation_trace(QUARTIC, 3, _FIRST_GRID)  # a new potential drops both tables
         assert mesh._tables.potential is QUARTIC and mesh._tables.slope.shape == (64, 0)
 
@@ -821,6 +876,8 @@ REFERENCE_SPECS = (
     "poly:0.1,0.1,-1,-1,1", "poly:-10,-10,-10,-10,10", "cheb:40;shift=-1", "poly:-15.28,1",
     "cheb:8;shift=-0.97", "poly:4.97,-4.85,1", "poly:1,1", "poly:1e8,1e8",
 )
+# cheb:40 takes the moved slice at 91 of N = 1..130 (50 of N = 30..100), and
+# the full last pass at N = 4, 5, 6 and 13
 REFERENCE_SIZES = list(range(1, 131)) + list(range(200, 3, -4))
 # V' lies below the double range, so its slope rises from -inf and places no zero
 MINUS_INF_RISE = "poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249"
@@ -830,7 +887,7 @@ def reference_cases():
     """(spec, N) in the order the reference test visits them."""
     cases = [(spec, n) for spec in REFERENCE_SPECS for n in REFERENCE_SIZES]
     cases += [(spec, n) for spec in ("cheb:20;shift=-1", "cheb:40;shift=-1") for n in (1, 2)]
-    cases += [("poly:1e10,1e10", 100)]
+    cases += [("poly:1e10,1e10", n) for n in (100, 400)]  # widened: more than two passes
     cases += [(spec, n) for spec in ("poly:1e308", "poly:1e-300") for n in (1, 100)]
     return cases + [(MINUS_INF_RISE, n) for n in (1, 3, 5)]
 
@@ -856,12 +913,25 @@ class TestLockstepReference:
         monkeypatch.setattr(oracles, "collocation_trace", recorded("trace", collocation_trace))
         monkeypatch.setattr(oracles, "collocation_trace_slope",
                             recorded("slope", collocation_trace_slope))
+        passes, raw_pass = [], mesh._slope_pass
+
+        def slope_pass(potential, half_width, h):
+            passes.append(np.shape(h))
+            return raw_pass(potential, half_width, h)
+
+        monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
         potentials, mismatches, several_rises, widened, overflows = {}, [], 0, 0, 0
+        last_passes = {"first slice": 0, "moved slice": 0, "full after a slice": 0}
         for spec, n in reference_cases():
             potential = potentials.setdefault(spec, parse_potential(spec))
             calls.clear()
             expected = mesh_size_or_overflow(lockstep_trace_minimized_mesh_size, potential, n)
+            passes.clear()
             got = mesh_size_or_overflow(trace_minimized_mesh_size, potential, n)
+            slices = passes.count((6,))
+            if slices:
+                last_passes["full after a slice" if passes[-1] != (6,) else
+                            "moved slice" if slices == 2 else "first slice"] += 1
             if got != expected:
                 mismatches.append((spec, n, got, expected))
             # a pass of several cells, or a last pick among several zeros
@@ -873,9 +943,11 @@ class TestLockstepReference:
             overflows += expected.startswith("CollocationOverflowError")
         assert mismatches == []
         # so that the cases cannot pass vacuously: lockstep cells, widened
-        # windows and a -inf trace all occur
+        # windows and a -inf trace all occur, and the last pass is read from
+        # the first slice, from the moved slice and from the full cell
         assert several_rises >= 1 and widened >= 1 and overflows >= 1, (
             several_rises, widened, overflows)
+        assert min(last_passes.values()) >= 1, last_passes
 
 
 class TestMeshStrategy:

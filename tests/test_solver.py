@@ -348,7 +348,7 @@ class TestChebyshevHeadlineWells:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="cheb:40;shift=-1 stops at N = 218 with E_0 = 1.3171164238063695, 1.9e-10 above "
+        reason="cheb:40;shift=-1 stops at N = 218 with E_0 = 1.3171164238063695, 1.6e-10 above "
         "the N = 300 reference, on a difference of 3.5e-12 that the next truncation does not "
         "repeat (6.9e-11); the confirmation solve of ROADMAP item 2 would refuse this stop",
     )
