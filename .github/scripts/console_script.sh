@@ -18,6 +18,14 @@ err=$(descm solve --potential poly:1,1 --N 3 --mesh fixed --h 1e308 2>&1 > /dev/
 test "$status" -eq 1
 test "$(printf '%s\n' "$err" | wc -l)" -eq 1
 case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
+# the same h on one odd block, as a sweep for level 1 builds it: only the
+# slab's diagonal is tested for overflow, and kh overflows there from k = 2 on
+status=0
+err=$(descm converge --potential poly:1,1 --level 1 --mesh fixed --h 1e308 2>&1 > /dev/null) \
+    || status=$?
+test "$status" -eq 1
+test "$(printf '%s\n' "$err" | wc -l)" -eq 1
+case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
 # the well's minimum lies below the double range: the trace-min slope rises
 # from -inf, which places no zero, and the traces reach -inf; exit 1 with the
 # one-line diagnosis, not a NaN mesh size (exit 2) or an inf * 0 warning

@@ -33,8 +33,10 @@ views of their Toeplitz matrix. Each block divides its corner of that table
 by one shared denominator, the same two roundings as a fresh sum and
 division. cosh(kh) is evaluated once per point k = 0..N, and its
 square is shared with W/cosh^2. A caller that needs one parity only, such as
-a sweep following one level, asks for that block alone: the same steps then
-fill its slab and no other.
+a sweep following one level, asks for that block alone: its corner is then
+divided into the denominator's own buffer, the one slab built. Only the
+diagonals are tested for overflow; an off-diagonal entry is non-finite only
+where a diagonal one is.
 Every step is symmetric in j and k, so both blocks are exactly symmetric.
 Neither the (2N+1)x(2N+1) matrix nor the generalized pair (stiffness
 matrix, diagonal weight) it was reduced from is ever formed.
@@ -79,7 +81,8 @@ def check_mesh_size(h):
     """``h`` as a float array, rejected unless every entry lies in (0, inf):
     the one mesh-size rule of the trace, its slope and the assembly. A
     single h is compared as a float, since ufuncs on a 0-d array cost
-    microseconds, and the assembly checks one h per solve."""
+    microseconds; the assembly, one h per solve, compares a float h itself
+    and passes any other h, or one that fails, here."""
     h = np.asarray(h, dtype=float)
     if not (0.0 < float(h) < math.inf if h.ndim == 0 else ((h > 0.0) & (h < math.inf)).all()):
         raise ValueError(f"mesh size must be positive and finite, got {h}")
@@ -112,8 +115,9 @@ def transformed_potential_scaled(potential: EvenPolynomialPotential, x, cosh2=No
 class CollocationMatrix:
     """Parity blocks of the collocation matrix over points kh, k in [-N, N].
 
-    ``entries`` is one read-only (len(parities), N+1, N+1) buffer, one slab
-    per built block in the order of ``parities``. The even block's slab
+    ``entries`` is one read-only (len(parities), N+1, N+1) array, one slab
+    per built block in the order of ``parities`` (for one block, a view of
+    its slab with a leading axis of 1). The even block's slab
     (parity +1) holds it over k = 0..N; the odd block's slab (parity -1)
     holds it over k = 1..N in its rows and columns 1..N, and in row and
     column 0 values no block reads. ``block(parity)``, ``even`` and ``odd``
@@ -179,13 +183,11 @@ def _parity_numerators(half_width: int) -> np.ndarray:
     return table
 
 
-def _collocation_points(half_width: int, h: float) -> np.ndarray:
-    """Points kh for k = 0..N; the blocks need no point left of the centre."""
-    check_half_width(half_width)
-    check_mesh_size(h)
-    return np.arange(half_width + 1) * h
-
-
+# an overflow here leaves a non-finite entry, which the check at the end
+# reports: kh overflows for a huge h, V(sinh kh) is +inf on the diagonal
+# wherever cosh(kh) overflows, and a subnormal h makes the scale 0, so 0/0 or
+# x/0; as a decorator, the error state costs half what a with block does
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def assemble_collocation_matrix(
     potential: EvenPolynomialPotential, half_width: int, h: float, parity: int | None = None
 ) -> CollocationMatrix:
@@ -194,26 +196,40 @@ def assemble_collocation_matrix(
     entries are the same bits whether it is built alone or with the other."""
     n = half_width
     parities = parity_blocks(parity)
-    # an overflow here leaves a non-finite entry, which the check below reports:
-    # kh overflows for a huge h, V(sinh kh) is +inf on the diagonal wherever
-    # cosh(kh) overflows, and a subnormal h makes the scale 0, so 0/0 or x/0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        points = _collocation_points(n, h)
-        first = 0 if parities[0] > 0 else 1  # slab 0 even, slab 1 odd
-        numerators = _parity_numerators(n)[first : first + len(parities), : n + 1, : n + 1]
-        c = np.cosh(points)
-        # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
-        # in the denominator; row and column 0 of an odd slab are not read
-        scaled = c.copy()
-        scaled[0] = _SQRT_TWO
-        scale = np.multiply.outer(scaled, scaled)
-        scale *= -(h * h)
-        entries = np.divide(numerators, scale)
-        entries.reshape(len(parities), -1)[:, :: n + 2] += transformed_potential_scaled(
-            potential, points, c * c)
-    if not np.isfinite(entries).all():
-        k = n - int(np.argmax(~np.isfinite(np.diagonal(entries[0])[::-1])))  # the outermost
+    check_half_width(n)
+    if not (isinstance(h, float) and 0.0 < h < math.inf):
+        check_mesh_size(h)  # raises, or passes an h that is not a float
+    points = np.arange(n + 1.0) * h  # the blocks need no point left of the centre
+    scaled = np.cosh(points)
+    cosh2 = scaled * scaled
+    # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
+    # in the denominator; row and column 0 of an odd slab are not read
+    scaled[0] = _SQRT_TWO
+    scale = np.multiply.outer(scaled, scaled)
+    scale *= -(h * h)
+    numerators = _parity_numerators(n)
+    if len(parities) == 1:  # one slab, divided in place
+        slab = 0 if parities[0] > 0 else 1
+        entries = np.divide(numerators[slab, : n + 1, : n + 1], scale, out=scale)[np.newaxis]
+    else:
+        entries = np.divide(numerators[:, : n + 1, : n + 1], scale)
+    diagonal = entries.reshape(len(parities), -1)[:, :: n + 2]
+    diagonal += transformed_potential_scaled(potential, points, cosh2)
+    # The diagonals alone decide finiteness. With s = ``scaled``, entry (j, k)
+    # is a numerator over s_j s_k h^2. For j != k >= 1 the numerator is at most
+    # 2 + 2/9 in size against at least pi^2/3 - 1/2 on the diagonal, and
+    # s_j s_k >= s_m^2 at m = min(j, k); in row and column 0 of E, |entry| h^2
+    # is at most 4/sqrt(2) against |E[0,0]| h^2 = pi^2/3. Rounding is monotone,
+    # so an off-diagonal entry overflows only where a diagonal one does. It is
+    # NaN only when s_j s_k h^2 is 0 or NaN, which needs h*h == 0, and then
+    # every diagonal entry is non-finite as well. An overflowing cosh makes
+    # V(sinh kh) = +inf on the diagonal. A finite sum proves every entry
+    # finite in one call; finite entries whose sum overflows are told apart
+    # from a non-finite entry by the entrywise test.
+    if not math.isfinite(diagonal.sum()) and not np.isfinite(diagonal).all():
+        k = n - int(np.argmax(~np.isfinite(diagonal[0, ::-1])))  # the outermost
         raise CollocationOverflowError(
-            f"non-finite matrix entry at collocation point x = {k * h:.6g} (k = {k}, h = {h:.6g})"
+            f"non-finite matrix entry at collocation point t = kh = {k * h:.6g} "
+            f"(k = {k}, h = {h:.6g})"
         )
     return CollocationMatrix(half_width=n, mesh=h, entries=entries, parities=parities)

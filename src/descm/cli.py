@@ -46,22 +46,34 @@ def _fmt(v: float) -> str:
 _json_text = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _json(value, pad: str = "") -> str:
-    """JSON text of a payload value: floats at 17 significant digits, a dict or
-    list one member per line, two spaces past ``pad`` (its closing bracket's
-    indent), and strings escaped by ``json``. Floats, nearly every value, come first."""
-    if isinstance(value, float):
-        return _fmt(value) if math.isfinite(value) else "null"  # JSON has no inf/nan
-    if type(value) is int:  # not bool
-        return str(value)
-    if isinstance(value, (dict, list)):
-        inner = pad + "  "
-        if isinstance(value, dict):
-            brackets, members = "{}", [f'{inner}"{k}": {_json(v, inner)}' for k, v in value.items()]
+def _json(payload, pad: str = "") -> str:
+    """JSON text of a dict or list: one member per line, two spaces past
+    ``pad`` (its closing bracket's indent), floats at 17 significant digits,
+    and strings escaped by ``json``. A scalar member's line, indent and key
+    included, is one f-string, not a call of its own; floats, nearly every
+    value, come first."""
+    inner = pad + "  "
+    members = []
+    if isinstance(payload, dict):
+        for k, v in payload.items():
+            if isinstance(v, float):  # JSON has no inf or nan
+                members.append(f'{inner}"{k}": {v:.17g}' if math.isfinite(v)
+                               else f'{inner}"{k}": null')
+            elif type(v) is int:  # not bool
+                members.append(f'{inner}"{k}": {v}')
+            else:
+                members.append(f'{inner}"{k}": ' + (_json(v, inner) if isinstance(v, (dict, list))
+                                                     else _json_text(v)))
+        return "{\n" + ",\n".join(members) + f"\n{pad}}}"
+    for v in payload:
+        if isinstance(v, float):
+            members.append(f"{inner}{v:.17g}" if math.isfinite(v) else f"{inner}null")
+        elif type(v) is int:
+            members.append(f"{inner}{v}")
         else:
-            brackets, members = "[]", [f"{inner}{_json(v, inner)}" for v in value]
-        return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{pad}{brackets[1]}"
-    return _json_text(value)
+            members.append(inner + (_json(v, inner) if isinstance(v, (dict, list))
+                                    else _json_text(v)))
+    return "[\n" + ",\n".join(members) + f"\n{pad}]"
 
 
 def _cell(value) -> str:

@@ -19,18 +19,23 @@ allocate a new array at every step, the eigenvalues of one parity block
 built and solved at 40 digits, true-value references of the two Chebyshev
 headline wells that the 40-digit blocks and a large-N solve produced, and a
 convergence sweep that solves both blocks at every truncation and picks its
-level out of the merged spectrum.
+level out of the merged spectrum. Two earlier forms of package steps serve
+as oracles of the faster ones: the assembly that divided a fresh slab per
+block and tested every entry for finiteness, and the JSON writer that
+recursed once per value.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from descm.assembly import (CollocationOverflowError, check_half_width,
+from descm.assembly import (_SQRT_TWO, CollocationOverflowError, _parity_numerators,
+                            check_half_width, check_mesh_size, parity_blocks,
                             transformed_potential_scaled)
 from descm.mesh import (_BRACKET, _FIRST_GRID, _FIRST_WINDOW, _SCAN_POINTS, collocation_trace,
                         collocation_trace_slope)
@@ -494,3 +499,61 @@ def two_block_converge(problem: DescmProblem, level: int = 0, tolerance: float =
         if delta is not None and delta < tolerance:
             break
     return records
+
+
+def full_slab_collocation_matrix(potential: EvenPolynomialPotential, half_width: int, h: float,
+                                 parity: int | None = None) -> np.ndarray:
+    """The parity slabs as ``assemble_collocation_matrix`` built them when it
+    divided the numerators into a fresh (len(parities), N+1, N+1) array and
+    tested every entry, off the diagonal too, for finiteness. Returns that
+    array, or raises CollocationOverflowError with the package's message,
+    naming the outermost non-finite diagonal entry of the first slab."""
+    n = half_width
+    parities = parity_blocks(parity)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        check_half_width(n)
+        check_mesh_size(h)
+        points = np.arange(n + 1) * h
+        first = 0 if parities[0] > 0 else 1
+        numerators = _parity_numerators(n)[first : first + len(parities), : n + 1, : n + 1]
+        c = np.cosh(points)
+        scaled = c.copy()
+        scaled[0] = _SQRT_TWO
+        scale = np.multiply.outer(scaled, scaled)
+        scale *= -(h * h)
+        entries = np.divide(numerators, scale)
+        entries.reshape(len(parities), -1)[:, :: n + 2] += transformed_potential_scaled(
+            potential, points, c * c)
+    if not np.isfinite(entries).all():
+        k = n - int(np.argmax(~np.isfinite(np.diagonal(entries[0])[::-1])))  # the outermost
+        raise CollocationOverflowError(
+            f"non-finite matrix entry at collocation point t = kh = {k * h:.6g} "
+            f"(k = {k}, h = {h:.6g})"
+        )
+    return entries
+
+
+def _fmt(v: float) -> str:
+    return f"{float(v):.17g}"
+
+
+_json_text = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def recursive_json(value, pad: str = "") -> str:
+    """JSON text of a payload value: floats at 17 significant digits, a dict or
+    list one member per line, two spaces past ``pad`` (its closing bracket's
+    indent), and strings escaped by ``json``. Floats, nearly every value, come first."""
+    if isinstance(value, float):
+        return _fmt(value) if math.isfinite(value) else "null"  # JSON has no inf/nan
+    if type(value) is int:  # not bool
+        return str(value)
+    if isinstance(value, (dict, list)):
+        inner = pad + "  "
+        if isinstance(value, dict):
+            brackets, members = "{}", [f'{inner}"{k}": {recursive_json(v, inner)}'
+                                       for k, v in value.items()]
+        else:
+            brackets, members = "[]", [f"{inner}{recursive_json(v, inner)}" for v in value]
+        return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{pad}{brackets[1]}"
+    return _json_text(value)

@@ -22,7 +22,8 @@ from descm import (
 )
 from conftest import random_potential
 from oracles import (assemble_generalized_pair, fd_second_derivative, full_collocation_matrix,
-                     mp_block_eigenvalues, parity_blocks_by_index, sinc_basis)
+                     full_slab_collocation_matrix, mp_block_eigenvalues, parity_blocks_by_index,
+                     sinc_basis)
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 V1 = analytic_catalog()[0].potential
@@ -314,9 +315,81 @@ class TestOverflowGuards:
                 with pytest.raises(CollocationOverflowError):
                     assemble_collocation_matrix(QUARTIC, n, h)
 
+    @pytest.mark.parametrize("parity", [1, -1, None])
+    @pytest.mark.parametrize("spec, n, h", [
+        ("poly:1,1", 3, 1e308),  # kh overflows from k = 2 on, and h*h
+        ("poly:1,1", 1, 1e308),
+        ("poly:1,1", 3, 1e-170),  # h*h underflows to 0
+        ("poly:1,1", 3, 1e-320),  # a subnormal h
+        ("poly:1e-300", 40, 20.0),  # cosh overflows from k = 36 on
+        ("poly:1,1", 300, 2.3),
+        ("poly:1,1", 12, 0.3),  # finite
+    ])
+    def test_diagonal_check_raises_where_the_full_slab_check_does(self, spec, n, h, parity):
+        self.assert_checks_agree(parse_potential(spec), n, h, parity)
+
+    @pytest.mark.parametrize("parity", [1, -1, None])
+    def test_diagonal_check_agrees_where_the_kinetic_term_overflows(self, parity):
+        # h*h = c / max float: diagonal entry k overflows for c below its
+        # numerator's size, pi^2/3 +- 1/(2k^2) (pi^2/3 at k = 0 of E), and an
+        # entry off it for c below 4/sqrt(2) at most, so for c between those
+        # bounds only diagonal entries overflow
+        biggest = np.finfo(float).max
+        rng = np.random.default_rng(0x51AB)
+        for c in [2.0, 2.5, 2.78, 2.8, 2.82, 2.84, 3.0, 3.28, 3.3, 3.5, 3.78, 3.8, 5.0,
+                  *rng.uniform(2.0, 4.0, size=20)]:
+            for n in (1, 2, 7):
+                self.assert_checks_agree(QUARTIC, n, math.sqrt(c / biggest), parity)
+
+    @pytest.mark.parametrize("spec, n, h, parity", [
+        ("poly:1e308", 1, 1.0, None),  # 1.38e308 on each block's diagonal
+        ("poly:1.3e308", 2, 0.48, 1),  # 3.2e307 and 1.59e308
+        ("poly:1.3e308", 2, 0.48, -1),
+    ])
+    def test_finite_diagonal_whose_sum_overflows_is_not_reported(self, spec, n, h, parity):
+        matrix = assemble_collocation_matrix(parse_potential(spec), n, h, parity)
+        diagonal = np.diagonal(matrix.entries, axis1=1, axis2=2)
+        assert np.isfinite(matrix.entries).all()
+        with np.errstate(over="ignore"):
+            assert diagonal.sum() == math.inf
+        self.assert_checks_agree(parse_potential(spec), n, h, parity)
+
+    @staticmethod
+    def assert_checks_agree(potential, n, h, parity):
+        try:
+            expected = full_slab_collocation_matrix(potential, n, h, parity)
+        except CollocationOverflowError as error:
+            with pytest.raises(CollocationOverflowError) as info:
+                assemble_collocation_matrix(potential, n, h, parity)
+            assert str(info.value) == str(error), (n, h, parity)
+        else:
+            matrix = assemble_collocation_matrix(potential, n, h, parity)
+            assert matrix.entries.tobytes() == expected.tobytes(), (n, h, parity)
+
+    def test_overflow_message_names_t(self):
+        with pytest.raises(CollocationOverflowError) as info:
+            assemble_collocation_matrix(QUARTIC, 3, 1e308, -1)
+        assert str(info.value) == ("non-finite matrix entry at collocation point "
+                                   "t = kh = inf (k = 3, h = 1e+308)")
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             assemble_collocation_matrix(QUARTIC, 0, 0.1)
         for h in (-0.1, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 assemble_collocation_matrix(QUARTIC, 3, h)
+
+    @pytest.mark.parametrize("h", [-0.1, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                                   np.float64(-1.0), np.float64(math.nan), 0, -2])
+    def test_bad_mesh_size_gets_the_shared_rule_and_message(self, h):
+        with pytest.raises(ValueError) as shared:
+            assembly.check_mesh_size(h)
+        with pytest.raises(ValueError) as info:
+            assemble_collocation_matrix(QUARTIC, 3, h, 1)
+        assert str(info.value) == str(shared.value)
+
+    def test_mesh_size_that_is_not_a_float_is_checked_by_the_shared_rule(self):
+        for h in (np.float64(0.3), 1, np.array(0.3)):
+            matrix = assemble_collocation_matrix(QUARTIC, 3, h, 1)
+            expected = assemble_collocation_matrix(QUARTIC, 3, float(h), 1)
+            assert matrix.entries.tobytes() == expected.entries.tobytes()

@@ -11,6 +11,7 @@ import pytest
 
 from descm import cli
 from descm.cli import build_parser, main
+from oracles import recursive_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -575,6 +576,46 @@ class TestJsonMatchesCsv:
             shared = [cells[header.index(k)] for k in result]
             assert_same_values(shared, list(result.values()))
         assert payload["all_pass"] is all(r[-1] == "pass" for r in rows)
+
+
+class TestJsonWriter:
+    """``cli._json`` writes the bytes of the writer that recursed once per value."""
+
+    SCALARS = (0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan, None,
+               True, False, 0, -7, 2**70, "", 'say "hi"\r\n', "back\\slash\ttab",
+               "\uff11\u00e9\u2603", "ctrl\x01\x1f", "poly:1,1\r")
+
+    def scalar(self, rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+        if kind == 1:
+            return np.float64(rng.choice((rng.gauss(0.0, 1e3), math.inf, -math.inf, math.nan)))
+        if kind == 2:
+            return rng.randint(-10**6, 10**6)
+        return rng.choice(self.SCALARS)
+
+    def payload(self, rng, depth):
+        size = rng.randrange(0 if depth else 1, 6)
+        values = [self.payload(rng, depth + 1) if depth < 3 and rng.random() < 0.3
+                  else self.scalar(rng) for _ in range(size)]
+        if depth and rng.random() < 0.4:
+            return values
+        return {f"k{i}_{rng.randrange(100)}": v for i, v in enumerate(values)}
+
+    def test_random_payloads_match_the_recursive_writer_byte_for_byte(self):
+        rng = random.Random(0x15C0)
+        for _ in range(400):
+            payload = self.payload(rng, 0)
+            assert cli._json(payload) == recursive_json(payload), payload
+
+    def test_every_scalar_kind_in_a_dict_and_a_list(self):
+        values = list(self.SCALARS) + [np.float64(0.1), np.float64(math.nan), -np.float64(math.inf)]
+        payload = {"one": values, "many": {f"v{i}": v for i, v in enumerate(values)},
+                   "empty": [], "nothing": {}, "nested": [[], {}, [[1.5]]]}
+        text = cli._json(payload)
+        assert text == recursive_json(payload)
+        assert json.loads(text)["one"][8] is True
 
 
 class TestRejectedInput:

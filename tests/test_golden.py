@@ -23,11 +23,17 @@ CASES = {
         ["converge", "--potential", "cheb:10;shift=-1", "--mesh", "trace-min", "--N-max", "30"],
         3,
     ),
+    "converge_cheb10_tracemin.json": (
+        ["converge", "--potential", "cheb:10;shift=-1", "--mesh", "trace-min", "--N-max", "30",
+         "--format", "json"],
+        3,
+    ),
     "trace_scan_v1.csv": (
         ["trace-scan", "--potential", "poly:1,-4,1", "--N", "20", "--points", "50"], 0),
     "validate.csv": (["validate"], 0),
     "validate.json": (["validate", "--format", "json"], 0),
     "table_1.csv": (["table", "--name", "1"], 0),
+    "table_1.json": (["table", "--name", "1", "--format", "json"], 0),
     "table_3.csv": (["table", "--name", "3"], 0),
 }
 
