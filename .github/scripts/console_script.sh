@@ -7,10 +7,20 @@ set -euo pipefail
 descm validate > /dev/null
 descm converge --potential 'cheb:20;shift=-1' --mesh trace-min > /dev/null
 # Chebyshev composition and the trace slope, past the first truncations (exit 3:
-# the sweep does not converge by N = 30)
-descm converge --potential 'cheb:40;shift=-1' --mesh trace-min --N-max 30 > /dev/null || test $? -eq 3
-# h*h underflows to 0 at the first mesh size; the trace there is inf, with no warning
+# the sweep does not converge by N = 30); JSON rows come straight from the
+# table, and the first record's eps_n is null
+status=0
+out=$(descm converge --potential 'cheb:40;shift=-1' --mesh trace-min --N-max 30 --format json) \
+    || status=$?
+test "$status" -eq 3
+printf '%s\n' "$out" | python -m json.tool \
+    | python -c 'import json, sys; assert json.load(sys.stdin)["records"][0]["eps_n"] is None'
+# h*h underflows to 0 at the first mesh size; the trace there is inf, with no
+# warning, and null in JSON
 descm trace-scan --potential poly:1,1 --N 3 --points 3 --h-min 1e-300 --h-max 1 > /dev/null
+descm trace-scan --potential poly:1,1 --N 3 --points 3 --h-min 1e-300 --h-max 1 --format json \
+    | python -m json.tool \
+    | python -c 'import json, sys; assert json.load(sys.stdin)["scan"][0]["trace"] is None'
 # kh overflows at a fixed h = 1e308: exit 1 with the one-line diagnosis, not
 # a RuntimeWarning traceback, which also exits 1
 status=0

@@ -232,4 +232,4 @@ def assemble_collocation_matrix(
             f"non-finite matrix entry at collocation point t = kh = {k * h:.6g} "
             f"(k = {k}, h = {h:.6g})"
         )
-    return CollocationMatrix(half_width=n, mesh=h, entries=entries, parities=parities)
+    return CollocationMatrix(n, h, entries, parities)

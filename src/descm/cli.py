@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -46,34 +47,43 @@ def _fmt(v: float) -> str:
 _json_text = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _json(payload, pad: str = "") -> str:
-    """JSON text of a dict or list: one member per line, two spaces past
-    ``pad`` (its closing bracket's indent), floats at 17 significant digits,
-    and strings escaped by ``json``. A scalar member's line, indent and key
-    included, is one f-string, not a call of its own; floats, nearly every
-    value, come first."""
+class _Table(NamedTuple):
+    """CSV rows as a JSON value: a list of objects keyed by the header's columns."""
+
+    header: str
+    rows: list
+
+
+def _json_values(values, pad: str) -> list[str]:
+    """JSON text of each value, the one formatter of every scalar: a float
+    (numpy's too) at 17 significant digits by ``%``, faster than format(),
+    or null if not finite; an int, not a bool, in full; a dict, list or
+    ``_Table`` by ``_json`` at ``pad``; anything else as ``json`` writes it,
+    strings escaped."""
+    return [("%.17g" % v if math.isfinite(v) else "null") if isinstance(v, float)
+            else str(v) if type(v) is int
+            else _json(v, pad) if isinstance(v, (dict, list, _Table))
+            else _json_text(v) for v in values]
+
+
+def _json(value, pad: str = "") -> str:
+    """JSON text of a dict, list or ``_Table``: one member per line, two
+    spaces past ``pad`` (its closing bracket's indent). A table is written
+    straight from its header and rows, with no record built: each row is
+    one object pairing the header's keys (which hold no ``%``) with its
+    values, and a row template repeated once per row is filled by a single
+    ``%`` with the text of every value in row order."""
     inner = pad + "  "
-    members = []
-    if isinstance(payload, dict):
-        for k, v in payload.items():
-            if isinstance(v, float):  # JSON has no inf or nan
-                members.append(f'{inner}"{k}": {v:.17g}' if math.isfinite(v)
-                               else f'{inner}"{k}": null')
-            elif type(v) is int:  # not bool
-                members.append(f'{inner}"{k}": {v}')
-            else:
-                members.append(f'{inner}"{k}": ' + (_json(v, inner) if isinstance(v, (dict, list))
-                                                     else _json_text(v)))
+    if isinstance(value, dict):
+        members = [f'{inner}"{k}": {text}'
+                   for k, text in zip(value, _json_values(value.values(), inner))]
         return "{\n" + ",\n".join(members) + f"\n{pad}}}"
-    for v in payload:
-        if isinstance(v, float):
-            members.append(f"{inner}{v:.17g}" if math.isfinite(v) else f"{inner}null")
-        elif type(v) is int:
-            members.append(f"{inner}{v}")
-        else:
-            members.append(inner + (_json(v, inner) if isinstance(v, (dict, list))
-                                    else _json_text(v)))
-    return "[\n" + ",\n".join(members) + f"\n{pad}]"
+    if isinstance(value, _Table):
+        fields = ",\n".join(f'{inner}  "{column}": %s' for column in value.header.split(","))
+        rows = ",\n".join([f"{inner}{{\n{fields}\n{inner}}}"] * len(value.rows))
+        texts = _json_values(chain.from_iterable(value.rows), inner + "  ")
+        return f"[\n{rows % tuple(texts)}\n{pad}]"
+    return "[\n" + ",\n".join([inner + text for text in _json_values(value, inner)]) + f"\n{pad}]"
 
 
 def _cell(value) -> str:
@@ -92,12 +102,6 @@ def _csv(header: str, rows, comments=()) -> str:
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     lines.extend(f"# {c}" for c in comments)
     return "\n".join(lines) + "\n"
-
-
-def _records(header: str, rows) -> list[dict]:
-    """JSON records of CSV rows, keyed by the header's column names."""
-    columns = header.split(",")
-    return [dict(zip(columns, row)) for row in rows]
 
 
 def _write(args, payload: dict, header: str, rows, comments=()) -> None:
@@ -219,7 +223,7 @@ def cmd_converge(args) -> int:
         "converged": trace.converged,
         "N_final": trace.final.half_width,
         "E_final": trace.final.energy,
-        "records": _records(header, rows),
+        "records": _Table(header, rows),
     }
     _write(args, payload, header, rows)
     if not trace.converged:
@@ -251,7 +255,7 @@ def cmd_trace_scan(args) -> int:
         "N": args.N,
         "h_optimal": h_opt,
         "h_trace_min": h_min_trace,
-        "scan": _records(header, rows),
+        "scan": _Table(header, rows),
     }
     comments = (f"h_optimal = {_fmt(h_opt)}", f"h_trace_min = {_fmt(h_min_trace)}")
     _write(args, payload, header, rows, comments)
@@ -351,7 +355,7 @@ def cmd_table(args) -> int:
             final = converge(problem, level=0, tolerance=5e-12, n_max=100).final
             rows.append((*map(float, coeffs), final.half_width, final.energy, final.delta))
         header = ",".join(f"c{i + 1}" for i in range(len(presets[0]))) + ",N,E_0,eps_0"
-    payload = {"name": args.name, "mesh": strategy.kind, "rows": _records(header, rows)}
+    payload = {"name": args.name, "mesh": strategy.kind, "rows": _Table(header, rows)}
     _write(args, payload, header, rows)
     return 0
 

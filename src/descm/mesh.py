@@ -206,6 +206,11 @@ def optimal_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> fl
     return w / ((m + 1) * half_width)
 
 
+# far out cosh^2, V and the sum overflow to +inf (the kinetic term flushes
+# to zero) as expected; +inf and -inf entries sum to an undefined NaN; at
+# h below about 1e-162 h*h underflows to 0 and the kinetic term is +inf; as
+# a decorator, like every error state here, it costs half a with block's
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
                       h: float | np.ndarray) -> float | np.ndarray:
     """Trace of the reduced collocation matrix, without assembling it.
@@ -232,16 +237,12 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     first_window = h is _FIRST_GRID
     if not first_window:
         h = check_mesh_size(h)
-    # far out cosh^2, V and the sum overflow to +inf (the kinetic term flushes
-    # to zero) as expected; +inf and -inf entries sum to an undefined NaN; at
-    # h below about 1e-162 h*h underflows to 0 and the kinetic term is +inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if first_window:
-            diagonal = _first_window_diagonal(potential, half_width)
-        else:
-            half = _half_diagonal(potential, half_width, h)
-            diagonal = np.concatenate([half[..., :0:-1], half], axis=-1)
-        trace = diagonal.sum(axis=-1)
+    if first_window:
+        diagonal = _first_window_diagonal(potential, half_width)
+    else:
+        half = _half_diagonal(potential, half_width, h)
+        diagonal = np.concatenate([half[..., :0:-1], half], axis=-1)
+    trace = diagonal.sum(axis=-1)
     return float(trace) if trace.ndim == 0 else trace
 
 
@@ -318,6 +319,7 @@ def _first_pass_terms(potential: EvenPolynomialPotential, half_width: int, cell:
     return table[:, :half_width]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
                             h: float | np.ndarray) -> float | np.ndarray:
     """dTr/dh in closed form; ``h`` may be an array, as for :func:`collocation_trace`.
@@ -341,9 +343,7 @@ def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
     1/h^2 overflows, without a warning; mixed infinities give NaN.
     """
     check_half_width(half_width)
-    h = check_mesh_size(h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = _slope_pass(potential, half_width, h)
+    slope = _slope_pass(potential, half_width, check_mesh_size(h))
     return float(slope) if slope.ndim == 0 else slope
 
 
@@ -495,6 +495,7 @@ def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: fl
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # for the slope passes
 def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> float:
     """Mesh size minimizing the collocation trace.
 
@@ -549,23 +550,22 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     else:
         grid = _linear_grid(grid.item(best - 1), grid.item(best + 1))
     # every grid here lies inside a scanned window, so none needs checking
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            slope = _slope_pass(potential, half_width, grid)
-            rises = _rises(slope)
-            if not rises:
-                break
-            points = grid.reshape(-1)
-            a = [points.item(j) for j in rises]
-            b = [points.item(j + 1) for j in rises]
-            if all(right - left <= _BRACKET * left for left, right in zip(a, b)):
-                break
-            if grid.ndim == 1 and len(rises) == 1 and b[0] - a[0] <= _LAST_CELL * a[0]:
-                zero = _sliced_last_pass(potential, half_width, a[0], b[0],
-                                         _interpolated_zero(grid, slope, rises[0]))
-                if zero is not None:
-                    return zero
-            grid = _cells(a, b)
+    while True:
+        slope = _slope_pass(potential, half_width, grid)
+        rises = _rises(slope)
+        if not rises:
+            break
+        points = grid.reshape(-1)
+        a = [points.item(j) for j in rises]
+        b = [points.item(j + 1) for j in rises]
+        if all(right - left <= _BRACKET * left for left, right in zip(a, b)):
+            break
+        if grid.ndim == 1 and len(rises) == 1 and b[0] - a[0] <= _LAST_CELL * a[0]:
+            zero = _sliced_last_pass(potential, half_width, a[0], b[0],
+                                     _interpolated_zero(grid, slope, rises[0]))
+            if zero is not None:
+                return zero
+        grid = _cells(a, b)
     if not rises:
         candidates = grid.reshape(-1)
     else:

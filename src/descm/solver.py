@@ -52,7 +52,10 @@ class SpectrumResult:
     ``spectrum``: +1 for a level of the even block, -1 for one of the odd
     block. ``eigenvectors`` (columns over k = -N..N matching ``spectrum``,
     each exactly even or odd) are present only when requested. All four are
-    read-only.
+    read-only: ``solve`` flags the spectrum it gets from LAPACK or the merge
+    once, so its head is read-only too, and a one-block solve slices its
+    labels from a read-only table; construction flags whatever array is
+    still writable, such as one passed in by hand.
     """
 
     half_width: int
@@ -64,11 +67,9 @@ class SpectrumResult:
     eigenvectors: np.ndarray | None = None
 
     def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.spectrum.setflags(write=False)
-        self.parity.setflags(write=False)
-        if self.eigenvectors is not None:
-            self.eigenvectors.setflags(write=False)
+        for array in (self.eigenvalues, self.spectrum, self.parity, self.eigenvectors):
+            if array is not None and array.flags.writeable:
+                array.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -110,6 +111,24 @@ def eigen_symmetric(matrix, want_vectors: bool = False):
     return np.linalg.eigvalsh(matrix), None
 
 
+# The parity labels of a one-block solve, +1 in row 0 and -1 in row 1, each
+# block's a read-only slice of its row. The table only grows, to at least
+# twice its width, and is replaced whole, so a racing thread may build
+# another but never sees one change.
+_labels = np.empty((2, 0), dtype=int)
+
+
+def _block_labels(parity: int, size: int) -> np.ndarray:
+    """``size`` labels of the block of ``parity``, a read-only view."""
+    global _labels
+    table = _labels  # one read: a racing thread may swap in another
+    if table.shape[1] < size:
+        table = np.repeat(np.array([[1], [-1]]), max(size, 2 * table.shape[1]), axis=1)
+        table.setflags(write=False)
+        _labels = table
+    return table[0 if parity > 0 else 1, :size]
+
+
 def solve(
     problem: DescmProblem, half_width: int, want_vectors: bool = False, parity: int | None = None
 ) -> SpectrumResult:
@@ -131,7 +150,7 @@ def solve(
     start = time.perf_counter()
     h = mesh_size_for(problem.potential, half_width, problem.strategy)
     matrix = assemble_collocation_matrix(problem.potential, half_width, h, parity)
-    blocks = [eigen_symmetric(matrix.block(p), want_vectors=want_vectors) for p in parities]
+    blocks = [eigen_symmetric(matrix.block(p), want_vectors) for p in parities]
     vectors = None
     if want_vectors:
         vectors = np.hstack([matrix.unfold(v, p) for (_, v), p in zip(blocks, parities)])
@@ -142,17 +161,10 @@ def solve(
         if want_vectors:
             vectors = vectors[:, order]
     else:  # one block: ascending already
-        spectrum, labels = blocks[0][0], np.full(size, parities[0])
-    elapsed = time.perf_counter() - start
-    return SpectrumResult(
-        half_width=half_width,
-        h_used=h,
-        eigenvalues=spectrum[: problem.levels_requested],
-        spectrum=spectrum,
-        parity=labels,
-        wall_time=elapsed,
-        eigenvectors=vectors,
-    )
+        spectrum, labels = blocks[0][0], _block_labels(parity, size)
+    spectrum.setflags(write=False)  # and with it the head below
+    return SpectrumResult(half_width, h, spectrum[: problem.levels_requested], spectrum, labels,
+                          time.perf_counter() - start, vectors)
 
 
 def converge(
@@ -188,9 +200,7 @@ def converge(
         result = solve(problem, n, parity=parity)
         energy = float(result.spectrum[index])
         delta = None if previous is None else abs(previous - energy)
-        records.append(
-            ConvergenceRecord(half_width=n, h=result.h_used, energy=energy, delta=delta)
-        )
+        records.append(ConvergenceRecord(n, result.h_used, energy, delta))
         previous = energy
         if delta is not None and delta < tolerance:
             converged = True

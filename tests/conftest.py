@@ -1,7 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
 from descm import EvenPolynomialPotential
+
+
+def pytest_report_header(config):
+    """The numpy kernels the run used: several goldens and bit-for-bit tests
+    hold only on the SIMD path they were pinned on, so a failure names it."""
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    kernels = "; ".join(f"{key}: {', '.join(value)}" for key, value in simd.items())
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES")
+    return (f"numpy {np.__version__}; SIMD {kernels or 'unknown'}; "
+            f"NPY_DISABLE_CPU_FEATURES={disabled if disabled is not None else '(unset)'}")
 
 
 @pytest.fixture

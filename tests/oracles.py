@@ -19,10 +19,10 @@ allocate a new array at every step, the eigenvalues of one parity block
 built and solved at 40 digits, true-value references of the two Chebyshev
 headline wells that the 40-digit blocks and a large-N solve produced, and a
 convergence sweep that solves both blocks at every truncation and picks its
-level out of the merged spectrum. Two earlier forms of package steps serve
-as oracles of the faster ones: the assembly that divided a fresh slab per
-block and tested every entry for finiteness, and the JSON writer that
-recursed once per value.
+level out of the merged spectrum. Earlier forms of package steps serve as
+oracles of the faster ones: the assembly that divided a fresh slab per
+block and tested every entry for finiteness, the JSON writer that recursed
+once per value, and the records it wrote for CSV rows, one dict per row.
 """
 
 from __future__ import annotations
@@ -557,3 +557,9 @@ def recursive_json(value, pad: str = "") -> str:
             brackets, members = "[]", [f"{inner}{recursive_json(v, inner)}" for v in value]
         return f"{brackets[0]}\n" + ",\n".join(members) + f"\n{pad}{brackets[1]}"
     return _json_text(value)
+
+
+def records(header: str, rows) -> list[dict]:
+    """JSON records of CSV rows, keyed by the header's column names."""
+    columns = header.split(",")
+    return [dict(zip(columns, row)) for row in rows]

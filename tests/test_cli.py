@@ -11,7 +11,7 @@ import pytest
 
 from descm import cli
 from descm.cli import build_parser, main
-from oracles import recursive_json
+from oracles import records, recursive_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -616,6 +616,36 @@ class TestJsonWriter:
         text = cli._json(payload)
         assert text == recursive_json(payload)
         assert json.loads(text)["one"][8] is True
+
+    ROW_SCALARS = (0, -7, 2**70, 0.0, -0.0, 5e-324, 1.5, math.inf, -math.inf, math.nan, None,
+                   np.float64(0.1), np.float64(math.inf), -np.float64(math.inf),
+                   np.float64(math.nan))
+    HEADERS = ("N,h,E_n,eps_n", "h,trace", "c1,c2,N,E_0,eps_0", "N,E_0,E_1,E_2", "x")
+
+    def row_value(self, rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-10**6, 10**6)
+        if kind == 1:
+            return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+        if kind == 2:
+            return np.float64(rng.gauss(0.0, 1e3))
+        return rng.choice(self.ROW_SCALARS)
+
+    @pytest.mark.parametrize("size", [0, 1, 30])
+    def test_seeded_tables_match_the_records_of_the_recursive_writer(self, size):
+        # rows are written straight from the table, with no record built
+        rng = random.Random(0x7AB1E + size)
+        for _ in range(50):
+            header = rng.choice(self.HEADERS)
+            rows = [tuple(self.row_value(rng) for _ in header.split(","))
+                    for _ in range(size)]
+            payload = {"command": "converge", "converged": False,
+                       "records": cli._Table(header, rows)}
+            expected = {"command": "converge", "converged": False,
+                        "records": records(header, rows)}
+            assert cli._json(payload) == recursive_json(expected), (header, rows)
+            assert cli._json(cli._Table(header, rows)) == recursive_json(records(header, rows))
 
 
 class TestRejectedInput:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from descm import (
     parse_potential,
     reconstruct_wavefunction,
     solve,
+    solver,
 )
 from descm.cli import _TABLE_ROWS
 from conftest import random_potential
@@ -171,6 +174,64 @@ def minimum_of(potential):
     roots = np.roots(slope[::-1]) if len(slope) > 1 else np.array([])
     squares = [r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0]
     return min(float(potential(math.sqrt(r))) for r in [0.0, *squares])
+
+
+class TestOneBlockResult:
+    """A one-block solve slices its parity labels from a table that only
+    grows, and flags the spectrum read-only once; neither may show in the
+    result."""
+
+    # both parities interleaved, N = 1 to past several widths of a fresh table
+    ORDER = [(n, parity) for n in range(1, 41) for parity in (1, -1)]
+
+    @staticmethod
+    def problems(result, parity):
+        expected = np.full(result.size, parity)
+        found = []
+        if result.parity.dtype != expected.dtype or not np.array_equal(result.parity, expected):
+            found.append("labels")
+        if any(a.flags.writeable for a in (result.eigenvalues, result.spectrum, result.parity)):
+            found.append("writable")
+        if not np.shares_memory(result.eigenvalues, result.spectrum):
+            found.append("eigenvalues not a view")
+        return found
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_labels_and_flags_from_a_fresh_label_table(self, monkeypatch, threads):
+        monkeypatch.setattr(solver, "_labels", np.empty((2, 0), dtype=int))
+        problem = DescmProblem(QUARTIC)
+        failures, first = [], {}
+
+        def work(t):
+            order = self.ORDER if t == 0 else [(n, -p) for n, p in reversed(self.ORDER)]
+            for n, parity in order:
+                result = solve(problem, n, parity=parity)
+                first.setdefault((t, parity), result)
+                failures.extend((t, n, parity, f) for f in self.problems(result, parity))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert failures == []
+        # a grown table replaces the old one, so earlier labels never change
+        for (_, parity), result in first.items():
+            assert self.problems(result, parity) == []
+        assert solver._labels.shape[1] >= 41 and not solver._labels.flags.writeable
+
+    def test_a_result_built_from_writable_arrays_comes_back_read_only(self):
+        spectrum, labels, vectors = np.arange(5.0), np.array([1, -1, 1, -1, 1]), np.eye(5)
+        result = solver.SpectrumResult(2, 0.5, spectrum[:2], spectrum, labels, 0.0, vectors)
+        for array in (result.eigenvalues, result.spectrum, result.parity, result.eigenvectors):
+            assert not array.flags.writeable
+        assert result.eigenvalues.base is spectrum and result.parity is labels
 
 
 class TestSeededProperties:
