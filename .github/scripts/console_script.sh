@@ -67,6 +67,9 @@ descm solve --potential poly:1e10,1e10 --mesh trace-min --N 100 --format json | 
 # m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
 descm converge --potential poly:1 --mesh trace-min --format json | python -m json.tool > /dev/null
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null
+# a large truncation: the slope's table of term indices k = 1..N grows to it
+descm trace-scan --potential 'cheb:20;shift=-1' --N 5000 --points 2 --format json \
+    | python -m json.tool > /dev/null
 descm validate --format json | python -m json.tool > /dev/null
 descm table --name 1 --format json | python -m json.tool > /dev/null
 # a table built from converge sweeps

@@ -208,12 +208,13 @@ def assemble_collocation_matrix(
     scale = np.multiply.outer(scaled, scaled)
     scale *= -(h * h)
     numerators = _parity_numerators(n)
-    if len(parities) == 1:  # one slab, divided in place
+    if len(parities) == 1:  # one slab, divided in place; its diagonal a 1-D view
         slab = 0 if parities[0] > 0 else 1
-        entries = np.divide(numerators[slab, : n + 1, : n + 1], scale, out=scale)[np.newaxis]
+        np.divide(numerators[slab, : n + 1, : n + 1], scale, out=scale)
+        entries, diagonal = scale[np.newaxis], scale.reshape(-1)[:: n + 2]
     else:
         entries = np.divide(numerators[:, : n + 1, : n + 1], scale)
-    diagonal = entries.reshape(len(parities), -1)[:, :: n + 2]
+        diagonal = entries.reshape(2, -1)[:, :: n + 2]
     diagonal += transformed_potential_scaled(potential, points, cosh2)
     # The diagonals alone decide finiteness. With s = ``scaled``, entry (j, k)
     # is a numerator over s_j s_k h^2. For j != k >= 1 the numerator is at most
@@ -227,7 +228,8 @@ def assemble_collocation_matrix(
     # finite in one call; finite entries whose sum overflows are told apart
     # from a non-finite entry by the entrywise test.
     if not math.isfinite(diagonal.sum()) and not np.isfinite(diagonal).all():
-        k = n - int(np.argmax(~np.isfinite(diagonal[0, ::-1])))  # the outermost
+        first = diagonal.reshape(-1, n + 1)[0]  # the first block's diagonal
+        k = n - int(np.argmax(~np.isfinite(first[::-1])))  # the outermost
         raise CollocationOverflowError(
             f"non-finite matrix entry at collocation point t = kh = {k * h:.6g} "
             f"(k = {k}, h = {h:.6g})"

@@ -34,11 +34,13 @@ a trace call around it would pick rounding. Only where the slope rises
 through zero more than once does one more trace call, over those zeros,
 pick the lowest dip. The last pass needs only the four slopes around the
 rise: the pass before predicts where the rise lies, and the last pass
-evaluates a 6-point slice of its 64-point cell there, the same floats with
-the same slopes. So a mesh choice from the first window costs one trace
-call, one tabled slope pass and one 6-point slice (a second slice where the
-first misses the rise), against eight trace calls for grid refinement, and
-the trace-minimized h depends on the potential and N alone.
+evaluates a slice of its 64-point cell there, six points formed alone as
+Python floats by the cell's own arithmetic, the same floats with the same
+slopes; the slice's rises and its cubic zero are read on Python floats
+too. So a mesh choice from the first window costs one trace call, one
+tabled slope pass and one 6-point slice (a second slice where the first
+misses the rise), against eight trace calls for grid refinement, and the
+trace-minimized h depends on the potential and N alone.
 
 A full slope pass runs over 64-point cells, one per rise of the pass before.
 Nearly every choice sees one rise per pass: its cell is a 1-D grid and the
@@ -93,6 +95,23 @@ def _linear_grid(a, b) -> np.ndarray:
     grid += a
     grid[..., -1:] = b
     return grid
+
+
+# The term indices k = 1..M of the slope as floats, a read-only table that
+# only grows, to at least twice its length, and is replaced whole, so a
+# racing thread may build another but never sees one change.
+_indices = np.empty(0)
+
+
+def _term_indices(stop: int) -> np.ndarray:
+    """k = 1..stop as floats, np.arange(1.0, stop + 1) bit for bit, a read-only view."""
+    global _indices
+    table = _indices  # one read: a racing thread may swap in another
+    if len(table) < stop:
+        table = np.arange(1.0, max(stop, 2 * len(table)) + 1)
+        table.setflags(write=False)
+        _indices = table
+    return table[:stop]
 
 
 def _first_pass_grids():
@@ -311,7 +330,7 @@ def _first_pass_terms(potential: EvenPolynomialPotential, half_width: int, cell:
     tables = _tables_of(potential)
     table = tables.slope if tables.cell == cell else _NO_TABLE
     if table.shape[1] < half_width:
-        k = np.arange(table.shape[1] + 1.0, half_width + _SLOPE_LOOKAHEAD + 1)
+        k = _term_indices(half_width + _SLOPE_LOOKAHEAD)[table.shape[1]:]
         table = np.concatenate(
             [table, _slope_terms(potential, _FIRST_PASS[cell - 1], k)[0]], axis=1)
         table.setflags(write=False)
@@ -352,7 +371,7 @@ def _slope_pass(potential: EvenPolynomialPotential, half_width: int, h: np.ndarr
     first-pass grid; call with overflow and invalid ignored."""
     cell = _FIRST_PASS_CELL.get(id(h))
     if cell is None:
-        terms, kinetic = _slope_terms(potential, h, np.arange(1.0, half_width + 1))
+        terms, kinetic = _slope_terms(potential, h, _term_indices(half_width))
         slope = terms.sum(axis=-1)
     else:
         slope = _first_pass_terms(potential, half_width, cell).sum(axis=-1)
@@ -413,6 +432,12 @@ def _rises(slope: np.ndarray) -> list[int]:
             if j % _SCAN_POINTS != _SCAN_POINTS - 1 and -math.inf < flat.item(j) < 0.0]
 
 
+def _slice_rises(slope: list[float]) -> list[int]:
+    """:func:`_rises` of a slice's slopes, a list of Python floats no longer
+    than one cell: the j with -inf < slope[j] < 0 <= slope[j + 1]."""
+    return [j for j in range(len(slope) - 1) if -math.inf < slope[j] < 0.0 <= slope[j + 1]]
+
+
 def _cells(a: list[float], b: list[float]) -> np.ndarray:
     """The 64-point linear grid over each bracket [a[r], b[r]]: one 1-D cell
     for one bracket, else one cell per row."""
@@ -426,30 +451,41 @@ def _stencil(i: int, points: int) -> int:
     return min(max(i - 1, 0), points - 4)
 
 
-def _interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> float:
+def _interpolated_zero(grid: list[float], slope: list[float], i: int) -> float:
     """Zero of the slope between grid[i] and grid[i + 1], where it rises through 0.
 
     Inverse cubic interpolation: the Lagrange polynomial in the slope through
     the four grid points nearest the bracket, evaluated at slope 0. Where
     those four slopes do not rise strictly, or the cubic leaves the bracket,
-    the zero of the secant through the bracket's ends is taken instead. All
-    arithmetic is on Python floats, where a division by 0 would raise; none
-    occurs, since the bracket's slopes straddle 0 and the cubic's four rise
-    strictly.
+    the zero of the secant through the bracket's ends is taken instead.
+    ``grid`` and ``slope`` are lists of Python floats, and the Lagrange sum is
+    written out term by term, each product and the sum in the order of a loop
+    over the points, from 0.0. A division by 0 would raise; none occurs,
+    since the bracket's slopes straddle 0 and the cubic's four rise strictly.
     """
     j = _stencil(i, len(grid))
-    xs, ss = grid[j : j + 4].tolist(), slope[j : j + 4].tolist()
-    a, b, sa, sb = xs[i - j], xs[i - j + 1], ss[i - j], ss[i - j + 1]
+    x0, x1, x2, x3 = grid[j : j + 4]
+    s0, s1, s2, s3 = slope[j : j + 4]
+    a, b, sa, sb = grid[i], grid[i + 1], slope[i], slope[i + 1]
     secant = a - sa * ((b - a) / (sb - sa))
-    if not all(s < t for s, t in zip(ss, ss[1:])):
+    if not s0 < s1 < s2 < s3:
         return secant
-    zero = 0.0
-    for k, (x, s) in enumerate(zip(xs, ss)):
-        for m, t in enumerate(ss):
-            if m != k:
-                x *= t / (t - s)
-        zero += x
+    zero = (0.0 + x0 * (s1 / (s1 - s0)) * (s2 / (s2 - s0)) * (s3 / (s3 - s0))
+            + x1 * (s0 / (s0 - s1)) * (s2 / (s2 - s1)) * (s3 / (s3 - s1))
+            + x2 * (s0 / (s0 - s2)) * (s1 / (s1 - s2)) * (s3 / (s3 - s2))
+            + x3 * (s0 / (s0 - s3)) * (s1 / (s1 - s3)) * (s2 / (s2 - s3)))
     return zero if a <= zero <= b else secant
+
+
+def _slice_points(a: float, b: float, start: int) -> list[float]:
+    """Points start..start + 5 of the cell _linear_grid(a, b) as Python
+    floats, formed alone by its arithmetic: ramp point k times the step, plus
+    a, and b in place of the cell's last point."""
+    step = (b - a) / (_SCAN_POINTS - 1)
+    points = [k * step + a for k in range(start, start + _SLICE)]
+    if start == _SCAN_POINTS - _SLICE:
+        points[-1] = b
+    return points
 
 
 def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: float, b: float,
@@ -458,16 +494,16 @@ def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: fl
     interpolates, read from _SLICE of its points around the predicted zero
     ``guess``; call with overflow and invalid ignored.
 
-    The slice holds the cell's own floats and each slope sums its own row, so
-    its slopes are the full pass's bit for bit. One rise whose four
-    interpolation points lie in the slice, and whose bracket is _BRACKET
-    relative wide, gives the full pass's zero, provided that pass sees no
-    other rise. A slice without such a rise is moved once, to the secant zero
-    through its ends. None, so that the full pass runs, where that slice
-    fails too, where a slice shows several rises, or where the bracket is
-    still wider.
+    The slice's six points are the cell's own floats (:func:`_slice_points`)
+    and each slope sums its own row, so the slice's slopes are the full
+    pass's bit for bit. Past that one slope pass, every step runs on Python
+    floats. One rise whose four interpolation points lie in the slice, and
+    whose bracket is _BRACKET relative wide, gives the full pass's zero,
+    provided that pass sees no other rise. A slice without such a rise is
+    moved once, to the secant zero through its ends. None, so that the full
+    pass runs, where that slice fails too, where a slice shows several rises,
+    or where the bracket is still wider.
     """
-    cell = _linear_grid(a, b)
     step = (b - a) / (_SCAN_POINTS - 1)
     start = None
     for _ in range(2):
@@ -478,17 +514,17 @@ def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: fl
         start = min(max(int((guess - a) / step) - 2, 0), _SCAN_POINTS - _SLICE)
         if start == previous:
             return None
-        points = cell[start : start + _SLICE]
-        slope = _slope_pass(potential, half_width, points)
-        rises = _rises(slope)
+        points = _slice_points(a, b, start)
+        slope = _slope_pass(potential, half_width, np.array(points)).tolist()
+        rises = _slice_rises(slope)
         if len(rises) > 1:
             return None
         if rises and _stencil(start + rises[0], _SCAN_POINTS) == start + _stencil(rises[0], _SLICE):
             i = rises[0]
-            if points.item(i + 1) - points.item(i) > _BRACKET * points.item(i):
+            if points[i + 1] - points[i] > _BRACKET * points[i]:
                 return None
             return _interpolated_zero(points, slope, i)
-        (x0, x1), (s0, s1) = points[:: _SLICE - 1].tolist(), slope[:: _SLICE - 1].tolist()
+        x0, x1, s0, s1 = points[0], points[-1], slope[0], slope[-1]
         if not s0 < s1:
             return None
         guess = x0 - s0 * ((x1 - x0) / (s1 - s0))
@@ -562,7 +598,7 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
             break
         if grid.ndim == 1 and len(rises) == 1 and b[0] - a[0] <= _LAST_CELL * a[0]:
             zero = _sliced_last_pass(potential, half_width, a[0], b[0],
-                                     _interpolated_zero(grid, slope, rises[0]))
+                                     _interpolated_zero(grid.tolist(), slope.tolist(), rises[0]))
             if zero is not None:
                 return zero
         grid = _cells(a, b)
@@ -570,7 +606,7 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
         candidates = grid.reshape(-1)
     else:
         cells, slopes = grid.reshape(-1, _SCAN_POINTS), slope.reshape(-1, _SCAN_POINTS)
-        zeros = [_interpolated_zero(cells[r], slopes[r], i)
+        zeros = [_interpolated_zero(cells[r].tolist(), slopes[r].tolist(), i)
                  for r, i in (divmod(j, _SCAN_POINTS) for j in rises)]
         if len(zeros) == 1:
             return zeros[0]

@@ -53,6 +53,8 @@ class EvenPolynomialPotential:
             raise ValueError(
                 f"leading coefficient must be positive for confinement, got {coeffs[-1]}"
             )
+        # V's Horner coefficients, the constant first
+        object.__setattr__(self, "_value_coefficients", (self.constant, *coeffs))
         # derivative's Horner coefficients 2i c_i / 2^p and its exact rescale 2^p
         scale = 1 << (2 * len(coeffs) - 1).bit_length()
         object.__setattr__(self, "_derivative_coefficients",
@@ -70,7 +72,7 @@ class EvenPolynomialPotential:
 
     def __call__(self, x):
         """Evaluate c0 + sum_i c_i x^(2i); accepts scalars or numpy arrays."""
-        return _horner_in_square((self.constant, *self.coefficients), 0, x)
+        return _horner_in_square(self._value_coefficients, 0, x)
 
     def derivative(self, x):
         """V'(x) = sum_i 2i c_i x^(2i-1); accepts scalars or numpy arrays.
@@ -132,14 +134,14 @@ class ChebyshevWell(EvenPolynomialPotential):
         return y
 
     def derivative(self, x):
-        """T_n'(x), the product of T_p'(y) over the stages at each stage's input y."""
-        *inner, (_, last_slope) = self._stages
-        chain = 1.0
+        """T_n'(x), the product of T_p'(y) over the stages at each stage's input
+        y, starting from the first stage's slope, a new value."""
+        stages = self._stages
+        chain = _horner_in_square(*stages[0][1], x)
         y = x
-        for stage, slope in inner:
-            chain *= _horner_in_square(*slope, y)
+        for (stage, _), (_, slope) in zip(stages, stages[1:]):
             y = _horner_in_square(*stage, y)
-        chain *= _horner_in_square(*last_slope, y)
+            chain *= _horner_in_square(*slope, y)
         return chain
 
 

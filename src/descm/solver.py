@@ -150,18 +150,20 @@ def solve(
     start = time.perf_counter()
     h = mesh_size_for(problem.potential, half_width, problem.strategy)
     matrix = assemble_collocation_matrix(problem.potential, half_width, h, parity)
-    blocks = [eigen_symmetric(matrix.block(p), want_vectors) for p in parities]
-    vectors = None
-    if want_vectors:
-        vectors = np.hstack([matrix.unfold(v, p) for (_, v), p in zip(blocks, parities)])
     if parity is None:
+        blocks = [eigen_symmetric(matrix.block(p), want_vectors) for p in parities]
         values = np.concatenate([block_values for block_values, _ in blocks])
         order = values.argsort(kind="stable")
         spectrum, labels = values[order], np.where(order <= half_width, 1, -1)
+        vectors = None
         if want_vectors:
-            vectors = vectors[:, order]
+            unfolded = [matrix.unfold(v, p) for (_, v), p in zip(blocks, parities)]
+            vectors = np.hstack(unfolded)[:, order]
     else:  # one block: ascending already
-        spectrum, labels = blocks[0][0], _block_labels(parity, size)
+        spectrum, vectors = eigen_symmetric(matrix.block(parity), want_vectors)
+        if want_vectors:
+            vectors = matrix.unfold(vectors, parity)
+        labels = _block_labels(parity, size)
     spectrum.setflags(write=False)  # and with it the head below
     return SpectrumResult(half_width, h, spectrum[: problem.levels_requested], spectrum, labels,
                           time.perf_counter() - start, vectors)
@@ -198,7 +200,7 @@ def converge(
     converged = False
     for n in range(first, n_max + 1, n_step):
         result = solve(problem, n, parity=parity)
-        energy = float(result.spectrum[index])
+        energy = result.spectrum.item(index)
         delta = None if previous is None else abs(previous - energy)
         records.append(ConvergenceRecord(n, result.h_used, energy, delta))
         previous = energy

@@ -22,7 +22,9 @@ convergence sweep that solves both blocks at every truncation and picks its
 level out of the merged spectrum. Earlier forms of package steps serve as
 oracles of the faster ones: the assembly that divided a fresh slab per
 block and tested every entry for finiteness, the JSON writer that recursed
-once per value, and the records it wrote for CSV rows, one dict per row.
+once per value, the records it wrote for CSV rows, one dict per row, the
+search's rises read by array operations and its cubic zero summed by a
+loop, and the Chebyshev chain rule started from 1.0.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from descm.assembly import (_SQRT_TWO, CollocationOverflowError, _parity_numerat
                             transformed_potential_scaled)
 from descm.mesh import (_BRACKET, _FIRST_GRID, _FIRST_WINDOW, _SCAN_POINTS, collocation_trace,
                         collocation_trace_slope)
-from descm.potential import ChebyshevWell, EvenPolynomialPotential
+from descm.potential import ChebyshevWell, EvenPolynomialPotential, _horner_in_square
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
 from descm.solver import ConvergenceRecord, DescmProblem, solve
 
@@ -312,6 +314,39 @@ def _lockstep_interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> 
     return zero if a <= zero <= b else secant
 
 
+def array_rises(slope: np.ndarray) -> list[int]:
+    """Flat indices j where a pass's slope rises through 0 from point j to
+    point j + 1 of one 64-point cell, slope[j] < 0 <= slope[j + 1], a rise
+    from -inf left out; by array operations, as the search read every pass's
+    rises before a slice's were read from a list of floats."""
+    flat = slope.reshape(-1)
+    nonnegative = flat >= 0.0
+    steps = (nonnegative[1:] > nonnegative[:-1]).nonzero()[0].tolist()
+    return [j for j in steps
+            if j % _SCAN_POINTS != _SCAN_POINTS - 1 and -math.inf < flat.item(j) < 0.0]
+
+
+def loop_interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> float:
+    """Zero of the slope between grid[i] and grid[i + 1] by inverse cubic
+    interpolation through the four nearest points, or the secant zero through
+    the bracket's ends where those slopes do not rise strictly or the cubic
+    leaves the bracket; on arrays, with the Lagrange sum formed by a loop over
+    the points, in the search's earlier form."""
+    j = min(max(i - 1, 0), len(grid) - 4)
+    xs, ss = grid[j : j + 4].tolist(), slope[j : j + 4].tolist()
+    a, b, sa, sb = xs[i - j], xs[i - j + 1], ss[i - j], ss[i - j + 1]
+    secant = a - sa * ((b - a) / (sb - sa))
+    if not all(s < t for s, t in zip(ss, ss[1:])):
+        return secant
+    zero = 0.0
+    for k, (x, s) in enumerate(zip(xs, ss)):
+        for m, t in enumerate(ss):
+            if m != k:
+                x *= t / (t - s)
+        zero += x
+    return zero if a <= zero <= b else secant
+
+
 def lockstep_trace_minimized_mesh_size(potential: EvenPolynomialPotential,
                                        half_width: int) -> float:
     """The trace-minimized mesh size by the search that refined (rows x 64)
@@ -413,6 +448,20 @@ def chebyshev_composition(potential: ChebyshevWell, x):
             y = acc * y if odd else acc
         p += 1
     return y + potential.shift
+
+
+def chebyshev_derivative_from_one(potential: ChebyshevWell, x):
+    """T_n'(x) by the chain rule over the package's stages, the product
+    started from 1.0, in the form the package had before it started from the
+    first stage's slope."""
+    *inner, (_, last_slope) = potential._stages
+    chain = 1.0
+    y = x
+    for stage, slope in inner:
+        chain *= _horner_in_square(*slope, y)
+        y = _horner_in_square(*stage, y)
+    chain *= _horner_in_square(*last_slope, y)
+    return chain
 
 
 def plain_potential(potential: EvenPolynomialPotential, x):

@@ -573,11 +573,12 @@ class TestTraceMinimized:
     def test_interpolated_zero_falls_back_to_the_secant(self):
         grid = np.arange(64.0)
         kinked = np.where(grid < 10.0, -1.0, grid - 9.5)  # flat, so not strictly rising
-        assert _interpolated_zero(grid, kinked, 9) == 9.0 + 1.0 / 1.5
+        assert _interpolated_zero(grid.tolist(), kinked.tolist(), 9) == 9.0 + 1.0 / 1.5
         line = grid - 30.25
-        assert _interpolated_zero(grid, line, 30) == pytest.approx(30.25, abs=1e-12)
+        assert _interpolated_zero(grid.tolist(), line.tolist(), 30) == pytest.approx(
+            30.25, abs=1e-12)
         for curved in (line**3, np.exp(grid) - math.exp(30.25), np.cbrt(line)):
-            assert 30.0 <= _interpolated_zero(grid, curved, 30) <= 31.0
+            assert 30.0 <= _interpolated_zero(grid.tolist(), curved.tolist(), 30) <= 31.0
 
     def test_slice_of_the_last_cell_reads_the_full_cells_zero_or_defers(self, monkeypatch):
         # made-up slopes over the cell [1, 1.005], whose 64 points lie 7.9e-5 apart
@@ -603,11 +604,11 @@ class TestTraceMinimized:
             return np.where(h < cell[39], -1.0, 1.0)
 
         # one rise: the full cell's zero, from its points 38..43 alone
-        rising = cell - zero
-        assert last_pass(lambda h: h - zero, zero) == _interpolated_zero(cell, rising, 40)
+        full = _interpolated_zero(cell.tolist(), (cell - zero).tolist(), 40)
+        assert last_pass(lambda h: h - zero, zero) == full
         assert passes == [cell[38:44].tobytes()]
         # a guess that misses: the secant through the slice's ends moves it once
-        assert last_pass(lambda h: h - zero, cell.item(5)) == _interpolated_zero(cell, rising, 40)
+        assert last_pass(lambda h: h - zero, cell.item(5)) == full
         assert passes == [cell[3:9].tobytes(), cell[38:44].tobytes()]
         # the full pass runs where the moved slice misses too (or would be the
         # same slice, or the slice's ends place no secant zero), where a slice
@@ -948,6 +949,107 @@ class TestLockstepReference:
         assert several_rises >= 1 and widened >= 1 and overflows >= 1, (
             several_rises, widened, overflows)
         assert min(last_passes.values()) >= 1, last_passes
+
+
+# values that bend the Python-float steps of the search: NaN, signed
+# infinities and zeros
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+
+
+def seeded_floats(rng, size, low, high):
+    """``size`` sorted uniform floats in [low, high), about one in eight then
+    replaced by a special value and one in eight by its left neighbour."""
+    values = np.sort(rng.uniform(low, high, size))
+    for j, draw in enumerate(rng.random(size)):
+        if draw < 0.125:
+            values[j] = SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))]
+        elif draw < 0.25 and j:
+            values[j] = values[j - 1]
+    return values
+
+
+def hex_or_raised(function, *args):
+    """The hex of a float result, or the name of the exception raised."""
+    try:
+        return function(*args).hex()
+    except ZeroDivisionError as exc:
+        return type(exc).__name__
+
+
+class TestPythonFloatSteps:
+    """The search's steps on a few Python floats equal the array forms they
+    replaced, bit for bit."""
+
+    def test_written_out_cubic_equals_the_loop_bit_for_bit(self, rng):
+        taken = {"cubic": 0, "secant": 0, "raised": 0}
+        for _ in range(3000):
+            size = int(rng.integers(4, 9))
+            grid = seeded_floats(rng, size, 0.5, 2.0)
+            slope = seeded_floats(rng, size, -1.0, 1.0)
+            for i in range(size - 1):
+                got = hex_or_raised(_interpolated_zero, grid.tolist(), slope.tolist(), i)
+                assert got == hex_or_raised(oracles.loop_interpolated_zero, grid, slope, i), (
+                    grid.tolist(), slope.tolist(), i)
+                if got == "ZeroDivisionError":
+                    taken["raised"] += 1
+                else:
+                    a, b, sa, sb = grid[i], grid[i + 1], slope[i], slope[i + 1]
+                    with np.errstate(all="ignore"):
+                        secant = float(a - sa * ((b - a) / (sb - sa)))
+                    taken["secant" if got == secant.hex() else "cubic"] += 1
+        # each branch is taken, the cubic in hundreds of cases
+        assert min(taken.values()) >= 300, taken
+        # four zero terms: the sum starts from 0.0, as the loop's does, so the
+        # sign of the zero it returns is the loop's
+        grid, slope = np.array([0.0, -0.0, -0.0, 0.0]), np.array([-3.0, -1.0, 1.0, 3.0])
+        assert _interpolated_zero(grid.tolist(), slope.tolist(), 1).hex() == "0x0.0p+0"
+        assert oracles.loop_interpolated_zero(grid, slope, 1).hex() == "0x0.0p+0"
+
+    def test_slice_rises_follow_the_array_rule(self, rng):
+        alphabet = np.array([*SPECIAL_FLOATS, -1.0, 1.0, -5e-324, 5e-324])
+        for _ in range(20000):
+            slope = alphabet[rng.integers(len(alphabet), size=6)]
+            if rng.random() < 0.5:  # ordinary floats too, with equal neighbours
+                slope = np.where(rng.random(6) < 0.5, rng.normal(size=6), slope)
+                for j in np.flatnonzero(rng.random(5) < 0.2) + 1:
+                    slope[j] = slope[j - 1]
+            assert mesh._slice_rises(slope.tolist()) == oracles.array_rises(slope), slope.tolist()
+
+    def test_slice_points_are_the_cells_points_bit_for_bit(self, rng):
+        # brackets from 1e-4 relative wide, as the search slices them, to
+        # 1e3, where the ramp's last point misses b and b is put in its place
+        missed = 0
+        for _ in range(400):
+            a = math.exp(rng.uniform(math.log(1e-6), math.log(1e3)))
+            b = a * (1.0 + math.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
+            cell = _linear_grid(a, b)
+            for start in range(59):
+                points = mesh._slice_points(a, b, start)
+                assert all(type(x) is float for x in points)
+                assert np.array(points).tobytes() == cell[start : start + 6].tobytes(), (
+                    a, b, start)
+            missed += 63 * ((b - a) / 63) + a != b
+        assert missed >= 1
+
+    def test_term_indices_grow_read_only_and_equal_arange(self, monkeypatch):
+        monkeypatch.setattr(mesh, "_indices", np.empty(0))
+        for stop in (3, 5, 2, 7, 100, 60, 5000, 4097):
+            before = mesh._indices
+            k = mesh._term_indices(stop)
+            assert k.tobytes() == np.arange(1.0, stop + 1).tobytes()
+            assert not k.flags.writeable
+            if len(before) >= stop:
+                assert mesh._indices is before
+            else:  # replaced whole, to at least twice the old length
+                assert len(mesh._indices) >= max(stop, 2 * len(before))
+                assert not mesh._indices.flags.writeable
+
+    def test_search_at_n_5000_equals_the_lockstep_search_bit_for_bit(self):
+        # past any fixed ramp of 4096 indices
+        potential = chebyshev_well(20, -1.0)
+        expected = lockstep_trace_minimized_mesh_size(potential, 5000)
+        assert trace_minimized_mesh_size(potential, 5000).hex() == expected.hex()
+        assert len(mesh._indices) >= 5000
 
 
 class TestMeshStrategy:

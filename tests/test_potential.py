@@ -17,7 +17,7 @@ from descm import (
 from descm.mesh import optimal_mesh_size
 from descm.potential import ChebyshevWell
 from conftest import random_potential
-from oracles import horner_potential
+from oracles import chebyshev_derivative_from_one, horner_potential
 
 
 def sympy_chebyshev_coefficients(degree):
@@ -244,6 +244,22 @@ class TestChebyshevWell:
         assert values[-2] == values[-1] == math.inf
         assert slopes[-2] == math.inf and slopes[-1] == -math.inf
         assert not np.isnan(values).any() and not np.isnan(slopes).any()
+
+    # one stage, two, the stages 2 * 2 * 3 * 3 * 5 of 180, odd factors 31,
+    # 47 and 101 (one large Horner stage), and the last degree
+    @pytest.mark.parametrize("degree", [2, 4, 6, 20, 62, 94, 180, 202, 808])
+    def test_derivative_equals_the_chain_started_from_one_bit_for_bit(self, degree, rng):
+        p = chebyshev_well(degree, -1.0)
+        specials = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e200, -1e300, math.inf, -math.inf, math.nan]
+        xs = np.concatenate([rng.uniform(-1.5, 1.5, 294), specials]).reshape(4, 76)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = p.derivative(xs)
+            assert got.tobytes() == chebyshev_derivative_from_one(p, xs).tobytes()
+            assert not np.shares_memory(got, xs)  # a new array, which callers update in place
+            for x in xs.reshape(-1)[::7].tolist() + specials:
+                got = p.derivative(x)
+                assert type(got) is float, x
+                assert got.hex() == chebyshev_derivative_from_one(p, x).hex(), x
 
     def test_python_float_in_float_out(self):
         p = chebyshev_well(20, -1.0)
