@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the installed `descm` console script end to end; every JSON output
-# must parse. Every CI matrix entry runs it, at the latest numpy and at the
-# declared floor.
+# must parse. Every CI matrix entry runs it, at the latest numpy, at the
+# declared floor and at a numpy pre-release.
 set -euo pipefail
 
 descm validate > /dev/null

@@ -227,7 +227,7 @@ def assemble_collocation_matrix(
     # V(sinh kh) = +inf on the diagonal. A finite sum proves every entry
     # finite in one call; finite entries whose sum overflows are told apart
     # from a non-finite entry by the entrywise test.
-    if not math.isfinite(diagonal.sum()) and not np.isfinite(diagonal).all():
+    if not math.isfinite(np.add.reduce(diagonal, None)) and not np.isfinite(diagonal).all():
         first = diagonal.reshape(-1, n + 1)[0]  # the first block's diagonal
         k = n - int(np.argmax(~np.isfinite(first[::-1])))  # the outermost
         raise CollocationOverflowError(

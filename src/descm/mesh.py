@@ -261,7 +261,7 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     else:
         half = _half_diagonal(potential, half_width, h)
         diagonal = np.concatenate([half[..., :0:-1], half], axis=-1)
-    trace = diagonal.sum(axis=-1)
+    trace = np.add.reduce(diagonal, -1)
     return float(trace) if trace.ndim == 0 else trace
 
 
@@ -372,9 +372,9 @@ def _slope_pass(potential: EvenPolynomialPotential, half_width: int, h: np.ndarr
     cell = _FIRST_PASS_CELL.get(id(h))
     if cell is None:
         terms, kinetic = _slope_terms(potential, h, _term_indices(half_width))
-        slope = terms.sum(axis=-1)
+        slope = np.add.reduce(terms, -1)
     else:
-        slope = _first_pass_terms(potential, half_width, cell).sum(axis=-1)
+        slope = np.add.reduce(_first_pass_terms(potential, half_width, cell), -1)
         kinetic = _FIRST_PASS_KINETIC[cell - 1]
     slope *= 2.0
     slope += kinetic

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from descm import cli
+from descm import cli, solver
 from descm.cli import build_parser, main
 from oracles import records, recursive_json
 
@@ -20,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_eigensolves(monkeypatch):
+    """Make every eigensolve of the solve path raise numpy's non-convergence."""
+    def fail(matrix, want_vectors=False):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(solver, "eigen_symmetric", fail)
 
 
 def csv_rows(text):
@@ -180,10 +188,7 @@ class TestSolveCommand:
 
     def test_eigensolver_failure_exits_1(self, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, so it must not exit 2
-        def fail(matrix):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        fail_eigensolves(monkeypatch)
         code, out, err = run(capsys, "solve", "--potential", "poly:1,1", "--N", "5")
         assert code == 1
         assert out == ""
@@ -287,6 +292,15 @@ class TestConvergeCommand:
         final = rows[-1]
         assert abs(int(final[0]) - 52) <= 5
         assert abs(float(final[2]) - -22.446238129792420) <= 1e-9
+
+    @pytest.mark.parametrize("level", ["0", "1"])
+    def test_eigensolver_failure_exits_1(self, capsys, monkeypatch, level):
+        # each truncation solves the one block of the level's parity
+        fail_eigensolves(monkeypatch)
+        code, out, err = run(capsys, "converge", "--potential", "poly:1,1", "--level", level)
+        assert code == 1
+        assert out == ""
+        assert err == "descm: numerical failure: Eigenvalues did not converge\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(
