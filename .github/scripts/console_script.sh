@@ -36,6 +36,25 @@ err=$(descm converge --potential poly:1,1 --level 1 --mesh fixed --h 1e308 2>&1 
 test "$status" -eq 1
 test "$(printf '%s\n' "$err" | wc -l)" -eq 1
 case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
+# a closed-form sweep evaluates the points of a block of truncations ahead of
+# solving them; at h = 20 the first non-finite diagonal is at N = 9
+# (t = kh = 180). A sweep that stops at N = 8 has N = 9 in its block, yet
+# exits 0 with nothing on stderr, no RuntimeWarning ...
+status=0
+err=$(descm converge --potential poly:1,1 --mesh fixed --h 20 --N-start 7 --tolerance 1e300 \
+    2>&1 > /dev/null) || status=$?
+test "$status" -eq 0
+test -z "$err"
+# ... and one that solves N = 9 exits 1 with the one-line diagnosis of that point
+status=0
+err=$(descm converge --potential poly:1,1 --mesh fixed --h 20 --N-start 4 --tolerance 1e-300 \
+    2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+test "$(printf '%s\n' "$err" | wc -l)" -eq 1
+case "$err" in
+    "descm: numerical failure: non-finite matrix entry at collocation point t = kh = 180 (k = 9, h = 20)") ;;
+    *) exit 1 ;;
+esac
 # the well's minimum lies below the double range: the trace-min slope rises
 # from -inf, which places no zero, and the traces reach -inf; exit 1 with the
 # one-line diagnosis, not a NaN mesh size (exit 2) or an inf * 0 warning

@@ -32,9 +32,16 @@ are delta2 built from the closed form and summed and differenced from two
 views of their Toeplitz matrix. Each block divides its corner of that table
 by one shared denominator, the same two roundings as a fresh sum and
 division. cosh(kh) is evaluated once per point k = 0..N, and its
-square is shared with W/cosh^2. A caller that needs one parity only, such as
-a sweep following one level, asks for that block alone: its corner is then
-divided into the denominator's own buffer, the one slab built. Only the
+square is shared with W/cosh^2. These two rows, the denominator's cosh(kh)
+(sqrt(2) at k = 0) and W/cosh^2, are all of a truncation that is
+elementwise in its points, so ``collocation_rows`` evaluates them for a
+block of truncations in one pass over their points laid end to end, each
+point the bits it has alone; a sweep that knows its mesh sizes ahead hands
+each truncation its slices. The outer product, the division into the slab,
+the diagonal and its check stay per truncation. A caller that needs one
+parity only, such as a sweep following one level, asks for that block
+alone: its corner is then divided into the denominator's own buffer, the
+one slab built. Only the
 diagonals are tested for overflow; an off-diagonal entry is non-finite only
 where a diagonal one is.
 Every step is symmetric in j and k, so both blocks are exactly symmetric.
@@ -44,6 +51,7 @@ matrix, diagonal weight) it was reduced from is ever formed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,28 +191,71 @@ def _parity_numerators(half_width: int) -> np.ndarray:
     return table
 
 
+def _point_rows(potential: EvenPolynomialPotential, points: np.ndarray, centres):
+    """The two rows a truncation's blocks are built from, over ``points``,
+    the kh at k = 0..N of one truncation or of several laid end to end
+    (``centres`` indexes their k = 0 entries): ``scaled``, cosh(kh) with
+    sqrt(2) at k = 0, and W(kh)/cosh(kh)^2. Every step is elementwise, so a
+    point's values are the same bits in a block of truncations as alone.
+    Call with overflow and invalid ignored."""
+    scaled = np.cosh(points)
+    cosh2 = scaled * scaled
+    # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
+    # in the denominator; row and column 0 of an odd slab are not read
+    scaled[centres] = _SQRT_TWO
+    return scaled, transformed_potential_scaled(potential, points, cosh2)
+
+
+# kh overflows for a huge h and cosh(kh) far out; the check of each
+# truncation's diagonal in the assembly reports it, and only for a truncation
+# that is built
+@np.errstate(over="ignore", invalid="ignore")
+def collocation_rows(potential: EvenPolynomialPotential, half_widths, mesh_sizes) -> list:
+    """The rows of ``_point_rows`` for each truncation N of ``half_widths``
+    at its mesh size h, from one pass over all their points: per
+    truncation, the pair of views ``assemble_collocation_matrix`` takes as
+    ``_rows`` at that N and h. Each view holds the bits a fresh build gives.
+    Nothing is checked here; an h that is not positive and finite gives
+    rows the assembly rejects with it."""
+    sizes = [n + 1 for n in half_widths]
+    ends = list(itertools.accumulate(sizes))
+    starts = [end - size for end, size in zip(ends, sizes)]
+    # row 0 each point's block start, row 1 its h; k = index - start exactly,
+    # so each point is k * h, the bits of np.arange(N + 1.0) * h
+    spread = np.repeat(np.array([starts, mesh_sizes], dtype=float), sizes, axis=1)
+    points = np.arange(ends[-1], dtype=float)
+    points -= spread[0]
+    points *= spread[1]
+    scaled, potential_row = _point_rows(potential, points, starts)
+    return [(scaled[a:b], potential_row[a:b]) for a, b in zip(starts, ends)]
+
+
 # an overflow here leaves a non-finite entry, which the check at the end
 # reports: kh overflows for a huge h, V(sinh kh) is +inf on the diagonal
 # wherever cosh(kh) overflows, and a subnormal h makes the scale 0, so 0/0 or
 # x/0; as a decorator, the error state costs half what a with block does
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def assemble_collocation_matrix(
-    potential: EvenPolynomialPotential, half_width: int, h: float, parity: int | None = None
+    potential: EvenPolynomialPotential, half_width: int, h: float, parity: int | None = None,
+    _rows=None,
 ) -> CollocationMatrix:
     """Build parity blocks directly from their closed-form entries: both for
     ``parity`` None, else only the block of parity +1 or -1. Each block's
-    entries are the same bits whether it is built alone or with the other."""
+    entries are the same bits whether it is built alone or with the other.
+
+    ``_rows``, private to a sweep, is this N and h's entry of
+    ``collocation_rows``; without it the rows are computed here, a block of
+    one through the same point function."""
     n = half_width
     parities = parity_blocks(parity)
     check_half_width(n)
     if not (isinstance(h, float) and 0.0 < h < math.inf):
         check_mesh_size(h)  # raises, or passes an h that is not a float
-    points = np.arange(n + 1.0) * h  # the blocks need no point left of the centre
-    scaled = np.cosh(points)
-    cosh2 = scaled * scaled
-    # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
-    # in the denominator; row and column 0 of an odd slab are not read
-    scaled[0] = _SQRT_TWO
+    if _rows is None:  # the blocks need no point left of the centre
+        points = np.arange(n + 1.0)
+        points *= h
+        _rows = _point_rows(potential, points, 0)
+    scaled, potential_row = _rows
     scale = np.multiply.outer(scaled, scaled)
     scale *= -(h * h)
     numerators = _parity_numerators(n)
@@ -215,7 +266,7 @@ def assemble_collocation_matrix(
     else:
         entries = np.divide(numerators[:, : n + 1, : n + 1], scale)
         diagonal = entries.reshape(2, -1)[:, :: n + 2]
-    diagonal += transformed_potential_scaled(potential, points, cosh2)
+    diagonal += potential_row
     # The diagonals alone decide finiteness. With s = ``scaled``, entry (j, k)
     # is a numerator over s_j s_k h^2. For j != k >= 1 the numerator is at most
     # 2 + 2/9 in size against at least pi^2/3 - 1/2 on the diagonal, and

@@ -532,13 +532,15 @@ CHEB40_E0_AT_300 = 1.3171164236507766
 
 
 def two_block_converge(problem: DescmProblem, level: int = 0, tolerance: float = 5e-12,
-                       n_max: int = 100, n_start: int = 2) -> list[ConvergenceRecord]:
+                       n_max: int = 100, n_start: int = 2,
+                       n_step: int = 1) -> list[ConvergenceRecord]:
     """The records of ``descm.converge``'s sweep, with both blocks solved at
-    every N and level n read from the merged spectrum as the n // 2-th level
-    labelled with parity (-1)^n."""
+    every N by a plain ``solve``, one truncation at a time, and level n read
+    from the merged spectrum as the n // 2-th level labelled with parity
+    (-1)^n."""
     records: list[ConvergenceRecord] = []
     previous = None
-    for n in range(max(n_start, math.ceil(level / 2)), n_max + 1):
+    for n in range(max(n_start, math.ceil(level / 2)), n_max + 1, n_step):
         result = solve(problem, n)
         energy = float(result.spectrum[result.parity == (-1) ** level][level // 2])
         delta = None if previous is None else abs(previous - energy)

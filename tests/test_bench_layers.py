@@ -8,9 +8,14 @@ wrapping ``descm.solver.solve`` and ``descm.mesh.collocation_trace``; a path
 that bypassed them would fold its work into fewer, longer parts. The traced
 ``de_map.scaled`` layer wraps ``transformed_potential_scaled`` as the mesh and
 assembly modules name it; a trace or assembly that inlined it would leave
-that layer silent. The traced ``eigensolver`` and ``assembly`` layers count
-calls, rows and bytes, so a sweep that solved both parity blocks again would
-show there as twice the work."""
+that layer silent. A closed-form sweep evaluates the points of a block of
+truncations in one ``transformed_potential_scaled`` call and picks each
+planned h through ``solver.mesh_size_for``, so those layers must still see
+one call per block and one per planned N; ``de_map.points`` then counts the
+points of a last block's truncations that the sweep never solves. The
+traced ``eigensolver`` and ``assembly`` layers count calls, rows and bytes,
+so a sweep that solved both parity blocks again would show there as twice
+the work."""
 
 import importlib.util
 import json
@@ -106,6 +111,37 @@ def test_trace_and_assembly_each_call_the_scaled_potential_once(monkeypatch, cap
             width, growths = max(record["N"] + 1, 2 * width), growths + 1
     assert counts["mesh.scaled"] == growths
     assert counts["assembly.scaled"] == counts["assembly"]
+
+
+@pytest.mark.parametrize("mesh_args", [("--mesh", "optimal"), ("--mesh", "fixed", "--h", "0.2")],
+                         ids=["optimal", "fixed"])
+@pytest.mark.parametrize("n_step", [1, 3])
+def test_closed_form_sweep_evaluates_its_points_once_per_block(monkeypatch, capsys, mesh_args,
+                                                               n_step):
+    points, meshes = [], []
+    raw_scaled, raw_mesh = assembly.transformed_potential_scaled, solver.mesh_size_for
+    monkeypatch.setattr(assembly, "transformed_potential_scaled",
+                        lambda potential, x, *args: points.append(len(x)) or raw_scaled(
+                            potential, x, *args))
+    monkeypatch.setattr(solver, "mesh_size_for",
+                        lambda potential, n, strategy: meshes.append(n) or raw_mesh(
+                            potential, n, strategy))
+    block, unsolved = solver._SWEEP_BLOCK, 0
+    for spec in ("poly:1,1", "poly:0.1,0.1", "poly:1,1,1"):
+        points.clear()
+        meshes.clear()
+        code = cli.main(["converge", "--potential", spec, *mesh_args, "--N-step", str(n_step),
+                         "--N-max", "60", "--format", "json"])
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert code in (0, 3)
+        # every h of the blocks begun is picked and their points evaluated,
+        # those of truncations past the stop included; none beyond
+        planned = list(range(2, 61, n_step))[: -(-len(records) // block) * block]
+        assert meshes == planned, spec
+        assert points == [sum(n + 1 for n in planned[i : i + block])
+                          for i in range(0, len(planned), block)], spec
+        unsolved += len(planned) - len(records)
+    assert unsolved > 0
 
 
 def test_a_covered_first_scan_evaluates_the_scaled_potential_only_for_the_last_pick(

@@ -302,6 +302,27 @@ class TestConvergeCommand:
         assert out == ""
         assert err == "descm: numerical failure: Eigenvalues did not converge\n"
 
+    def test_truncations_planned_past_the_stop_neither_raise_nor_warn(self, capsys):
+        # at h = 20 the first non-finite diagonal is at N = 9 (t = kh = 180);
+        # the sweep stops at N = 8, though its block of points reaches N = 9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "converge", "--potential", "poly:1,1", "--mesh", "fixed",
+                                 "--h", "20", "--N-start", "7", "--tolerance", "1e300")
+        assert code == 0, err
+        assert err == ""
+        assert [row[0] for row in csv_rows(out)[1]] == ["7", "8"]
+
+    def test_overflow_at_a_swept_truncation_exits_1_with_one_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "converge", "--potential", "poly:1,1", "--mesh", "fixed",
+                                 "--h", "20", "--N-start", "4", "--tolerance", "1e-300")
+        assert code == 1
+        assert out == ""
+        assert err == ("descm: numerical failure: non-finite matrix entry at collocation point "
+                       "t = kh = 180 (k = 9, h = 20)\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "converge", "--potential", "poly:1,1", "--format", "json"

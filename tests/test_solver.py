@@ -1,12 +1,18 @@
 import math
+import os
+import random
+import subprocess
 import sys
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from descm import (
     CollocationOverflowError,
+    ConvergenceRecord,
     DescmProblem,
     EvenPolynomialPotential,
     MeshStrategy,
@@ -375,6 +381,136 @@ class TestConverge:
     def test_rejects_start_below_one(self, n_start):
         with pytest.raises(ValueError, match=f"n_start must be >= 1, got {n_start}"):
             converge(DescmProblem(QUARTIC), n_start=n_start, n_max=3)
+
+
+def hex_records(records):
+    """Each record as the text of its N and the exact bits of its floats."""
+    return [(r.half_width, r.h.hex(), r.energy.hex(), None if r.delta is None else r.delta.hex())
+            for r in records]
+
+
+def per_truncation_records(problem, level, tolerance, n_max, n_step):
+    """``converge``'s records from plain ``solve(problem, n, parity=(-1)**level)``
+    calls, one truncation at a time, under its stopping rule."""
+    records, previous = [], None
+    for n in range(max(2, math.ceil(level / 2)), n_max + 1, n_step):
+        result = solve(problem, n, parity=(-1) ** level)
+        energy = result.spectrum.item(level // 2)
+        delta = None if previous is None else abs(previous - energy)
+        records.append(ConvergenceRecord(n, result.h_used, energy, delta))
+        previous = energy
+        if delta is not None and delta < tolerance:
+            break
+    return records
+
+
+def mid_block_n_max(level, n_step):
+    """An n_max at which a sweep that does not stop first ends half way
+    into its second block of planned truncations."""
+    block = solver._SWEEP_BLOCK
+    return max(2, math.ceil(level / 2)) + (block + block // 2) * n_step
+
+
+# a fixed h whose sweeps stay finite to N = 40 on every well below
+FIXED = MeshStrategy.fixed(0.27)
+
+
+def swept_cases():
+    """(potential, strategy, level, n_step, n_max) of every sweep checked
+    against per-truncation solves: the catalog, the 40 table presets and
+    poly:-20,1 with every combination, then 200 seeded wells, each with one
+    drawn strategy, level, step and n_max."""
+    named = [case.potential for case in analytic_catalog()]
+    named += [EvenPolynomialPotential(c) for name in (3, 4, 5, 6) for c in _TABLE_ROWS[name]]
+    named.append(parse_potential("poly:-20,1"))
+    cases = [(p, strategy, level, n_step, n_max)
+             for p in named for strategy in (MeshStrategy.optimal(), FIXED)
+             for level in (0, 1, 3) for n_step in (1, 3)
+             for n_max in (40, mid_block_n_max(level, n_step))]
+    rng = random.Random(0x5EEB)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        coefficients = [round(rng.uniform(-3.0, 3.0), 2) for _ in range(m - 1)]
+        p = EvenPolynomialPotential((*coefficients, round(rng.uniform(0.3, 10.0), 2)))
+        strategy, level = rng.choice((MeshStrategy.optimal(), FIXED)), rng.choice((0, 1, 3))
+        n_step = rng.choice((1, 3))
+        cases.append((p, strategy, level, n_step,
+                      mid_block_n_max(level, n_step) if rng.random() < 0.5 else 40))
+    return cases
+
+
+# the AVX-512 features whose kernels numpy swaps for AVX2 ones when they are
+# disabled; cosh, and with it every swept bit, differs between the two paths
+AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def numpy_dispatches_avx512() -> bool:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return any(f in __cpu_dispatch__ and __cpu_features__.get(f) for f in AVX512_FEATURES)
+
+
+class TestSweptBlocks:
+    """A closed-form sweep evaluates the points of a block of truncations in
+    one pass ahead of solving them; every record must keep the bits of a
+    sweep that builds each truncation alone."""
+
+    def test_records_equal_per_truncation_solves(self):
+        stops = {"converged mid-block": 0, "n_max mid-block": 0}
+        for p, strategy, level, n_step, n_max in swept_cases():
+            problem = DescmProblem(p, strategy=strategy)
+            trace = converge(problem, level=level, n_step=n_step, n_max=n_max)
+            swept = hex_records(trace.records)
+            case = (p, strategy.kind, level, n_step, n_max)
+            assert swept == hex_records(
+                per_truncation_records(problem, level, 5e-12, n_max, n_step)), case
+            assert swept == hex_records(
+                two_block_converge(problem, level, n_max=n_max, n_step=n_step)), case
+            if len(trace.records) % solver._SWEEP_BLOCK:
+                stops["converged mid-block" if trace.converged else "n_max mid-block"] += 1
+        # both ways a sweep leaves a block unsolved are taken, many times over
+        assert min(stops.values()) >= 50, stops
+
+    @pytest.mark.skipif(not numpy_dispatches_avx512(),
+                        reason="numpy dispatches none of X86_V4, AVX512_ICL, AVX512_SPR here, "
+                        "so disabling them would not change its kernels")
+    def test_records_equal_per_truncation_solves_on_numpy_avx2_kernels(self):
+        # numpy's AVX2 cosh differs from its AVX-512 one in the last bit, so
+        # the check above runs again on that path, in a process of its own
+        src = Path(solver.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_FEATURES),
+               "PYTHONPATH": path}
+        test = (f"{Path(__file__).resolve()}"
+                "::TestSweptBlocks::test_records_equal_per_truncation_solves")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            env=env, capture_output=True, text=True, cwd=src.parent)
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+        assert "1 passed" in done.stdout
+
+    def test_speculative_truncations_neither_raise_nor_warn(self):
+        # at h = 20 the first non-finite diagonal is at N = 9 (t = kh = 180):
+        # a sweep that stops at N = 8 plans a block beyond it, builds none of it
+        problem = DescmProblem(QUARTIC, strategy=MeshStrategy.fixed(20.0))
+        assert 9 in range(7, 7 + solver._SWEEP_BLOCK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = converge(problem, n_start=7, tolerance=1e300)
+        assert trace.converged
+        assert [r.half_width for r in trace.records] == [7, 8]
+
+    def test_overflow_is_raised_at_the_truncation_that_builds_it(self, monkeypatch):
+        raw, solved = solver.solve, []
+        monkeypatch.setattr(solver, "solve", lambda problem, n, *args, **kwargs: (
+            solved.append(n) or raw(problem, n, *args, **kwargs)))
+        problem = DescmProblem(QUARTIC, strategy=MeshStrategy.fixed(20.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CollocationOverflowError) as raised:
+                converge(problem, n_start=4, tolerance=1e-300)
+        assert str(raised.value) == (
+            "non-finite matrix entry at collocation point t = kh = 180 (k = 9, h = 20)")
+        assert solved == [4, 5, 6, 7, 8, 9]
 
 
 @pytest.fixture(scope="module")
