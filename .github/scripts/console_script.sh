@@ -83,6 +83,15 @@ descm solve --potential 'cheb:20;shift=-1' --mesh trace-min --N 1 --levels 2 --f
 descm solve --potential 'cheb:40;shift=-1' --mesh trace-min --N 100 --levels 2 --format json | python -m json.tool > /dev/null
 # a widened first window: more than two slope passes before the slice
 descm solve --potential poly:1e10,1e10 --mesh trace-min --N 100 --format json | python -m json.tool > /dev/null
+# the search's rare paths, run here at every numpy of the matrix: several
+# rises force one trace call over their zeros, ...
+descm trace-scan --potential 'cheb:20;shift=-1' --N 1 --format json \
+    | python -c 'import json, sys; h = json.load(sys.stdin)["h_trace_min"]; assert type(h) is float, h'
+# ... a widened window is scanned twice, and its first slope pass runs
+# afresh over a np.linspace cell, off the table, ...
+descm solve --potential poly:1e10,1e10 --N 400 --mesh trace-min > /dev/null
+# ... and no slice shows the rise alone, so the full last cell is evaluated
+descm solve --potential 'cheb:40;shift=-1' --N 13 --mesh trace-min > /dev/null
 # m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
 descm converge --potential poly:1 --mesh trace-min --format json | python -m json.tool > /dev/null
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null

@@ -42,12 +42,18 @@ tabled slope pass and one 6-point slice (a second slice where the first
 misses the rise), against eight trace calls for grid refinement, and the
 trace-minimized h depends on the potential and N alone.
 
-A full slope pass runs over 64-point cells, one per rise of the pass before.
-Nearly every choice sees one rise per pass: its cell is a 1-D grid and the
-rise a bracket of two Python floats, on which the bracket test and the
-arithmetic of the next cell run. Several rises (Chebyshev wells at N <= 2,
-widened windows) make several cells, the rows of one 2-D grid evaluated in
-one call, and every one of them is refined in the same pass.
+A full slope pass runs over 64-point cells, one per rise of the pass
+before, each a 1-D np.linspace grid evaluated alone. Nearly every choice
+sees one rise per pass, kept as a bracket of two Python floats, on which
+the bracket test and the next cell run. Several rises (Chebyshev wells at
+N <= 2, widened windows) make several cells, and every one of them is
+refined again until every bracket is 1e-4 relative wide.
+
+The search reads its first slope pass from the table by the cell's
+number. The one identity check left is the trace's ``h is _FIRST_GRID``:
+the search hands the public :func:`collocation_trace` that grid, so that
+a wrapper of the public name (as the benchmark's timing layers are) sees
+every trace call.
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ _LAST_CELL = (_SCAN_POINTS - 1) * _BRACKET  # relative width of a bracket whose 
 _SLICE = 6  # points of the last cell evaluated around its predicted zero
 _FIRST_GRID = np.exp(np.linspace(*map(math.log, _FIRST_WINDOW), _SCAN_POINTS))
 _FIRST_GRID.setflags(write=False)
-_RAMP = np.arange(_SCAN_POINTS, dtype=float)
 # Columns a first-pass slope table grows beyond N. A build or extension
 # costs about 25 us whatever its width, plus about 0.8 us per column (one
 # Xeon core), and the first scan keeps one cell for only 2.5-4 truncations
@@ -80,21 +85,6 @@ _RAMP = np.arange(_SCAN_POINTS, dtype=float)
 # (283 is one per cell visited) and 6024, 6404, 6838 and 7745 columns: past
 # 4 the builds saved are paid back in columns.
 _SLOPE_LOOKAHEAD = 4
-
-
-def _linear_grid(a, b) -> np.ndarray:
-    """np.linspace(a, b, 64) byte for byte, by linspace's arithmetic on a fixed ramp.
-
-    ``a`` and ``b`` are floats, whose grid is 1-D, or arrays of one shape;
-    each pair's grid then lies along a new last axis, as
-    np.linspace(a, b, 64, axis=-1) gives it at about twice the cost.
-    """
-    if isinstance(a, np.ndarray):
-        a, b = a[..., np.newaxis], b[..., np.newaxis]
-    grid = _RAMP * ((b - a) / (_SCAN_POINTS - 1))
-    grid += a
-    grid[..., -1:] = b
-    return grid
 
 
 # The term indices k = 1..M of the slope as floats, a read-only table that
@@ -116,9 +106,10 @@ def _term_indices(stop: int) -> np.ndarray:
 
 def _first_pass_grids():
     """The first slope pass's grid for each best point i = 1..62 of the first
-    scan, _linear_grid(_FIRST_GRID[i - 1], _FIRST_GRID[i + 1]) as a read-only
-    1-D cell, and each grid's 2 D2 / h^3 as the slope forms it."""
-    grids = _linear_grid(_FIRST_GRID[:-2], _FIRST_GRID[2:])
+    scan, np.linspace(_FIRST_GRID[i - 1], _FIRST_GRID[i + 1], 64) as a
+    read-only 1-D cell, and each grid's 2 D2 / h^3 as the slope forms it."""
+    grids = np.ascontiguousarray(
+        np.linspace(_FIRST_GRID[:-2], _FIRST_GRID[2:], _SCAN_POINTS, axis=1))
     inverse = 1.0 / grids
     kinetic = (2.0 * D2_DIAGONAL) * inverse * inverse * inverse
     grids.setflags(write=False)
@@ -126,9 +117,7 @@ def _first_pass_grids():
     return tuple(grids), kinetic
 
 
-# built once; the slope recognizes each grid by identity, as the trace does _FIRST_GRID
-_FIRST_PASS, _FIRST_PASS_KINETIC = _first_pass_grids()
-_FIRST_PASS_CELL = {id(grid): cell for cell, grid in enumerate(_FIRST_PASS, 1)}
+_FIRST_PASS, _FIRST_PASS_KINETIC = _first_pass_grids()  # built once
 
 
 @dataclass(frozen=True)
@@ -323,9 +312,10 @@ def _first_window_diagonal(potential: EvenPolynomialPotential, half_width: int):
     return table[:, reach - 1 - half_width : reach + half_width]
 
 
-def _first_pass_terms(potential: EvenPolynomialPotential, half_width: int, cell: int):
-    """Slope terms t_k at k = 1..N over ``cell``'s first-pass grid, a read-only
-    view; call with overflow and invalid ignored."""
+def _first_pass_slope(potential: EvenPolynomialPotential, half_width: int, cell: int):
+    """Tr'(h) over ``cell``'s first-pass grid _FIRST_PASS[cell - 1], summed from
+    the first N columns of its table of terms t_k; call with overflow and
+    invalid ignored."""
     global _tables
     tables = _tables_of(potential)
     table = tables.slope if tables.cell == cell else _NO_TABLE
@@ -335,7 +325,10 @@ def _first_pass_terms(potential: EvenPolynomialPotential, half_width: int, cell:
             [table, _slope_terms(potential, _FIRST_PASS[cell - 1], k)[0]], axis=1)
         table.setflags(write=False)
         _tables = tables._replace(cell=cell, slope=table)
-    return table[:, :half_width]
+    slope = np.add.reduce(table[:, :half_width], -1)
+    slope *= 2.0
+    slope += _FIRST_PASS_KINETIC[cell - 1]
+    return slope
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -354,10 +347,6 @@ def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
 
         t_k = u (2 D2 / h^3 + k tau (2 D2 / h^2 + 3u - 1/2)) + k V'(sinh kh) c.
 
-    Called with one of the search's first-pass grids ``_FIRST_PASS`` itself
-    (not a copy), the terms t_k are read from the first-pass table of that
-    grid, which holds the same bits, and their first N columns are summed.
-
     Far out the terms overflow to +inf, and the kinetic part is -inf where
     1/h^2 overflows, without a warning; mixed infinities give NaN.
     """
@@ -367,15 +356,9 @@ def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
 
 
 def _slope_pass(potential: EvenPolynomialPotential, half_width: int, h: np.ndarray):
-    """Tr'(h) over a valid ``h``, read from its table where ``h`` is a
-    first-pass grid; call with overflow and invalid ignored."""
-    cell = _FIRST_PASS_CELL.get(id(h))
-    if cell is None:
-        terms, kinetic = _slope_terms(potential, h, _term_indices(half_width))
-        slope = np.add.reduce(terms, -1)
-    else:
-        slope = np.add.reduce(_first_pass_terms(potential, half_width, cell), -1)
-        kinetic = _FIRST_PASS_KINETIC[cell - 1]
+    """Tr'(h) over a valid ``h``; call with overflow and invalid ignored."""
+    terms, kinetic = _slope_terms(potential, h, _term_indices(half_width))
+    slope = np.add.reduce(terms, -1)
     slope *= 2.0
     slope += kinetic
     return slope
@@ -421,29 +404,19 @@ def _best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
 
 
 def _rises(slope: np.ndarray) -> list[int]:
-    """Flat indices j of a pass's slope where it rises through 0 from point j
-    to point j + 1 of one 64-point cell: slope[j] < 0 <= slope[j + 1]. A rise
-    from -inf (V' below the double range) places no zero and is left out."""
-    flat = slope.reshape(-1)
-    nonnegative = flat >= 0.0
+    """Indices j of a 64-point cell's slope where it rises through 0 from
+    point j to point j + 1: slope[j] < 0 <= slope[j + 1]. A rise from -inf
+    (V' below the double range) places no zero and is left out."""
+    nonnegative = slope >= 0.0
     # a NaN is neither, so one that precedes a nonnegative slope is dropped below
     steps = (nonnegative[1:] > nonnegative[:-1]).nonzero()[0].tolist()
-    return [j for j in steps
-            if j % _SCAN_POINTS != _SCAN_POINTS - 1 and -math.inf < flat.item(j) < 0.0]
+    return [j for j in steps if -math.inf < slope.item(j) < 0.0]
 
 
 def _slice_rises(slope: list[float]) -> list[int]:
     """:func:`_rises` of a slice's slopes, a list of Python floats no longer
     than one cell: the j with -inf < slope[j] < 0 <= slope[j + 1]."""
     return [j for j in range(len(slope) - 1) if -math.inf < slope[j] < 0.0 <= slope[j + 1]]
-
-
-def _cells(a: list[float], b: list[float]) -> np.ndarray:
-    """The 64-point linear grid over each bracket [a[r], b[r]]: one 1-D cell
-    for one bracket, else one cell per row."""
-    if len(a) == 1:
-        return _linear_grid(a[0], b[0])
-    return _linear_grid(np.array(a), np.array(b))
 
 
 def _stencil(i: int, points: int) -> int:
@@ -478,9 +451,9 @@ def _interpolated_zero(grid: list[float], slope: list[float], i: int) -> float:
 
 
 def _slice_points(a: float, b: float, start: int) -> list[float]:
-    """Points start..start + 5 of the cell _linear_grid(a, b) as Python
-    floats, formed alone by its arithmetic: ramp point k times the step, plus
-    a, and b in place of the cell's last point."""
+    """Points start..start + 5 of the cell np.linspace(a, b, 64) as Python
+    floats, formed alone by its arithmetic: k times the step, plus a, and b
+    in place of the cell's last point."""
     step = (b - a) / (_SCAN_POINTS - 1)
     points = [k * step + a for k in range(start, start + _SLICE)]
     if start == _SCAN_POINTS - _SLICE:
@@ -490,7 +463,7 @@ def _slice_points(a: float, b: float, start: int) -> list[float]:
 
 def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: float, b: float,
                       guess: float) -> float | None:
-    """The zero that the last slope pass, over the cell _linear_grid(a, b),
+    """The zero that the last slope pass, over the cell np.linspace(a, b, 64),
     interpolates, read from _SLICE of its points around the predicted zero
     ``guess``; call with overflow and invalid ignored.
 
@@ -549,15 +522,15 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     Inside the triple the minimum is a zero of Tr'(h) where the slope rises
     through 0. Slope passes over 64-point linear cells narrow to each cell
     holding such a rise, until the cells are 1e-4 relative wide: two passes
-    across a triple of the first window, more across a widened one. A pass
-    evaluates all its cells in one call: one cell is a 1-D grid, several are
-    the rows of one, and each rise is kept as a bracket of two floats. The
-    zero is then interpolated in each remaining cell. Where a 1-D pass sees
-    one rise whose cell will be the last, its own zero predicts where the
-    rise lies in that cell, and the last pass evaluates only 6 of the cell's
-    64 points there, moved once if they miss the rise. Their slopes are the
-    full pass's bit for bit; the full pass runs where no slice shows the
-    rise alone.
+    across a triple of the first window, more across a widened one. Each
+    cell is a 1-D grid evaluated alone, each rise is kept as a bracket of
+    two floats, and every cell of a pass is refined again until every
+    bracket is that narrow. The zero is then interpolated in each remaining
+    cell. Where a pass of one cell sees one rise whose next cell will be the
+    last, its own zero predicts where the rise lies in that cell, and the
+    last pass evaluates only 6 of the cell's 64 points there, moved once if
+    they miss the rise. Their slopes are the full pass's bit for bit; the
+    full pass runs where no slice shows the rise alone.
 
     One zero is the mesh size as it stands: neighbouring traces differ by
     rounding alone within about 1e-8 relative of it, so no trace call is
@@ -582,32 +555,30 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
             break
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
     if grid is _FIRST_GRID:
-        grid = _FIRST_PASS[best - 1]
+        cells = [_FIRST_PASS[best - 1]]
+        slopes = [_first_pass_slope(potential, half_width, best)]
     else:
-        grid = _linear_grid(grid.item(best - 1), grid.item(best + 1))
-    # every grid here lies inside a scanned window, so none needs checking
+        cells = [np.linspace(grid.item(best - 1), grid.item(best + 1), _SCAN_POINTS)]
+        slopes = [_slope_pass(potential, half_width, cells[0])]
+    # every cell here lies inside a scanned window, so none needs checking
     while True:
-        slope = _slope_pass(potential, half_width, grid)
-        rises = _rises(slope)
-        if not rises:
+        rises = [(cell, slope, i) for cell, slope in zip(cells, slopes) for i in _rises(slope)]
+        brackets = [(cell.item(i), cell.item(i + 1)) for cell, _, i in rises]
+        if all(b - a <= _BRACKET * a for a, b in brackets):  # or no rise at all
             break
-        points = grid.reshape(-1)
-        a = [points.item(j) for j in rises]
-        b = [points.item(j + 1) for j in rises]
-        if all(right - left <= _BRACKET * left for left, right in zip(a, b)):
-            break
-        if grid.ndim == 1 and len(rises) == 1 and b[0] - a[0] <= _LAST_CELL * a[0]:
-            zero = _sliced_last_pass(potential, half_width, a[0], b[0],
-                                     _interpolated_zero(grid.tolist(), slope.tolist(), rises[0]))
-            if zero is not None:
-                return zero
-        grid = _cells(a, b)
+        if len(cells) == len(rises) == 1:
+            (a, b), (cell, slope, i) = brackets[0], rises[0]
+            if b - a <= _LAST_CELL * a:
+                zero = _sliced_last_pass(potential, half_width, a, b,
+                                         _interpolated_zero(cell.tolist(), slope.tolist(), i))
+                if zero is not None:
+                    return zero
+        cells = [np.linspace(a, b, _SCAN_POINTS) for a, b in brackets]
+        slopes = [_slope_pass(potential, half_width, cell) for cell in cells]
     if not rises:
-        candidates = grid.reshape(-1)
+        candidates = np.concatenate(cells)
     else:
-        cells, slopes = grid.reshape(-1, _SCAN_POINTS), slope.reshape(-1, _SCAN_POINTS)
-        zeros = [_interpolated_zero(cells[r].tolist(), slopes[r].tolist(), i)
-                 for r, i in (divmod(j, _SCAN_POINTS) for j in rises)]
+        zeros = [_interpolated_zero(cell.tolist(), slope.tolist(), i) for cell, slope, i in rises]
         if len(zeros) == 1:
             return zeros[0]
         candidates = np.array(zeros)

@@ -25,7 +25,7 @@ from descm import (
 )
 from descm import CollocationOverflowError, assembly, mesh, solver
 from descm.mesh import (
-    _FIRST_GRID, _FIRST_WINDOW, _best_trace, _half_diagonal, _interpolated_zero, _linear_grid,
+    _FIRST_GRID, _FIRST_WINDOW, _best_trace, _half_diagonal, _interpolated_zero,
     collocation_trace_slope,
 )
 from conftest import random_potential
@@ -406,44 +406,39 @@ class TestTraceMinimized:
         with pytest.raises(ValueError):
             _FIRST_GRID[0] = 1.0
 
-    def test_refinement_grid_is_linspace_bit_for_bit(self, rng):
-        starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e3), 2000))
-        widths = 10.0 ** rng.uniform(-12.0, 0.0, 2000)
-        # the ramp alone ends one ulp past b here; linspace sets b itself
-        pairs = [(np.float64(63.718357311864395), np.float64(126.93567180349224))]
-        for a, b in pairs + [(a, a * (1.0 + width)) for a, width in zip(starts, widths)]:
-            assert _linear_grid(a, b).tobytes() == np.linspace(a, b, 64).tobytes(), (a, b)
-            assert _linear_grid(float(a), float(b)).tobytes() == np.linspace(a, b, 64).tobytes()
-
     @pytest.mark.parametrize("spec,n", [("poly:1,1", 5), ("cheb:20;shift=-1", 40),
                                         ("poly:1e10,1e10", 100)])
     def test_search_scans_linspace_grids(self, monkeypatch, spec, n):
         passes = []
-        raw = mesh._slope_pass
+        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
 
         def record(potential, half_width, h):
             passes.append(np.array(h, copy=True))
-            return raw(potential, half_width, h)
+            return raw_pass(potential, half_width, h)
+
+        def read(potential, half_width, cell):
+            passes.append(mesh._FIRST_PASS[cell - 1].copy())
+            return raw_read(potential, half_width, cell)
 
         monkeypatch.setattr(mesh, "_slope_pass", record)
+        monkeypatch.setattr(mesh, "_first_pass_slope", read)
         trace_minimized_mesh_size(parse_potential(spec), n)
-        # every full slope pass runs over 64-point linspace cells, one per row,
-        # and each cell of a pass lies inside the grid of the full pass before;
-        # the last pass is a 6-point slice, byte for byte a contiguous run of
-        # the linspace cell over a bracket of the full pass before it
-        assert len(passes) >= 2 and passes[0].size >= 64 and passes[-1].shape == (6,)
-        previous = None
+        # every full slope pass runs over a 64-point linspace cell, which lies
+        # inside a cell before it; the last pass is a 6-point slice, byte for
+        # byte a contiguous run of the linspace cell over a bracket of the
+        # full cell before it
+        assert len(passes) >= 2 and passes[0].shape == (64,) and passes[-1].shape == (6,)
+        full = []
         for grid in passes:
             if grid.shape == (6,):
-                cells = [np.linspace(a, b, 64) for a, b in zip(previous, previous[1:])]
+                cells = [np.linspace(a, b, 64) for a, b in zip(full[-1], full[-1][1:])]
                 assert any(cell[start : start + 6].tobytes() == grid.tobytes()
                            for cell in cells for start in range(59))
                 continue
-            for cell in grid.reshape(-1, 64):
-                assert cell.tobytes() == np.linspace(cell[0], cell[-1], 64).tobytes()
-                if previous is not None:
-                    assert previous.min() <= cell[0] < cell[-1] <= previous.max()
-            previous = grid
+            assert grid.shape == (64,)
+            assert grid.tobytes() == np.linspace(grid[0], grid[-1], 64).tobytes()
+            assert not full or any(cell[0] <= grid[0] < grid[-1] <= cell[-1] for cell in full)
+            full.append(grid)
 
     @pytest.mark.parametrize("spec,n", BEYOND_FIRST_WINDOW)
     def test_minimum_beyond_first_window_matches_dense_scan(self, spec, n):
@@ -514,6 +509,7 @@ class TestTraceMinimized:
 
         monkeypatch.setattr(mesh, "collocation_trace", counted(collocation_trace))
         monkeypatch.setattr(mesh, "_slope_pass", counted(mesh._slope_pass))
+        monkeypatch.setattr(mesh, "_first_pass_slope", counted(mesh._first_pass_slope))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h = trace_minimized_mesh_size(parse_potential(spec), n)
@@ -525,10 +521,11 @@ class TestTraceMinimized:
     def test_first_window_costs_two_trace_and_two_slope_calls(self, monkeypatch, spec, n):
         # one scan, the tabled first slope pass and a 6-point slice of the last
         # cell, whose one rise gives h as the slope's zero; the slice is moved
-        # once where it misses the rise (cheb:40 at N = 100). A second trace
-        # call only where the passes see several dips (cheb:20 at N = 1), over
-        # their zeros alone, picks the lowest
-        calls = []
+        # once where it misses the rise (cheb:40 at N = 100). Where the first
+        # pass sees several dips (cheb:20 at N = 1), the second evaluates one
+        # cell per dip, and a second trace call, over their zeros alone, picks
+        # the lowest
+        calls, raw_read = [], mesh._first_pass_slope
 
         def counted(name, function):
             def wrapper(potential, half_width, h):
@@ -536,14 +533,20 @@ class TestTraceMinimized:
                 return function(potential, half_width, h)
             return wrapper
 
+        def read(potential, half_width, cell):
+            calls.append(("slope", mesh._FIRST_PASS[cell - 1].copy()))
+            return raw_read(potential, half_width, cell)
+
         monkeypatch.setattr(mesh, "collocation_trace", counted("trace", collocation_trace))
         monkeypatch.setattr(mesh, "_slope_pass", counted("slope", mesh._slope_pass))
+        monkeypatch.setattr(mesh, "_first_pass_slope", read)
         h_hat = trace_minimized_mesh_size(parse_potential(spec), n)
         names = [name for name, _ in calls]
         if spec == "cheb:20;shift=-1":
-            assert names == ["trace", "slope", "slope", "trace"]
             zeros = calls[-1][1]
             assert zeros.ndim == 1 and 1 < len(zeros) < 64 and h_hat in zeros
+            assert names == ["trace"] + ["slope"] * (1 + len(zeros)) + ["trace"]
+            assert [h.shape for _, h in calls[1:-1]] == [(64,)] * (1 + len(zeros))
         else:
             slices = [(6,)] * (2 if spec == "cheb:40;shift=-1" else 1)
             assert names == ["trace"] + ["slope"] * (1 + len(slices))
@@ -583,7 +586,7 @@ class TestTraceMinimized:
     def test_slice_of_the_last_cell_reads_the_full_cells_zero_or_defers(self, monkeypatch):
         # made-up slopes over the cell [1, 1.005], whose 64 points lie 7.9e-5 apart
         a, b = 1.0, 1.005
-        cell = _linear_grid(a, b)
+        cell = np.linspace(a, b, 64)
         zero = cell.item(40) + 0.3 * (cell.item(41) - cell.item(40))
         passes = []
 
@@ -630,10 +633,12 @@ class TestTraceMinimized:
         monkeypatch.setattr(mesh, "collocation_trace", record)
         monkeypatch.setattr(mesh, "_slope_pass",
                             lambda potential, half_width, h: np.ones(np.shape(h)))
+        monkeypatch.setattr(mesh, "_first_pass_slope",
+                            lambda potential, half_width, cell: np.ones(64))
         h_hat = trace_minimized_mesh_size(TRIPLE_WELL, 20)
         (scan, scanned), (grid, traces) = picked
         best = _best_trace(scan, scanned)
-        assert grid.tobytes() == _linear_grid(scan[best - 1], scan[best + 1]).tobytes()
+        assert grid.tobytes() == np.linspace(scan[best - 1], scan[best + 1], 64).tobytes()
         assert h_hat == grid[int(np.argmin(traces))]
 
     def test_rejects_bad_truncation(self):
@@ -768,9 +773,9 @@ PASS_CELLS = (1, 30, 62)
 
 
 def assert_table_read_is_fresh(potential, n, cell):
-    grid = mesh._FIRST_PASS[cell - 1]
-    read = collocation_trace_slope(potential, n, grid)
-    fresh = collocation_trace_slope(potential, n, grid.copy())  # a copy is evaluated afresh
+    with np.errstate(over="ignore", invalid="ignore"):  # as the search calls the reader
+        read = mesh._first_pass_slope(potential, n, cell)
+    fresh = collocation_trace_slope(potential, n, mesh._FIRST_PASS[cell - 1])
     assert read.shape == (64,)
     assert read.tobytes() == fresh.tobytes(), (potential, n, cell)
 
@@ -779,7 +784,7 @@ class TestFirstPassTable:
     def test_grids_are_the_searchs_linear_grids_byte_for_byte(self):
         assert len(mesh._FIRST_PASS) == 62
         for cell, grid in enumerate(mesh._FIRST_PASS, 1):
-            expected = _linear_grid(float(_FIRST_GRID[cell - 1]), float(_FIRST_GRID[cell + 1]))
+            expected = np.linspace(_FIRST_GRID[cell - 1], _FIRST_GRID[cell + 1], 64)
             assert grid.shape == (64,) and not grid.flags.writeable
             assert grid.tobytes() == expected.tobytes(), cell
 
@@ -817,18 +822,24 @@ class TestFirstPassTable:
         potential = parse_potential("cheb:10;shift=-1")
         monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         calls, passes = [], []
-        raw_derivative, raw_pass = type(potential).derivative, mesh._slope_pass
+        raw_derivative = type(potential).derivative
+        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
 
         def derivative(self, x):
             calls.append(x.shape)
             return raw_derivative(self, x)
 
         def slope_pass(p, n, h):
-            passes.append((mesh._FIRST_PASS_CELL.get(id(h)), n))
+            passes.append((None, n))
             return raw_pass(p, n, h)
+
+        def read(p, n, cell):
+            passes.append((cell, n))
+            return raw_read(p, n, cell)
 
         monkeypatch.setattr(type(potential), "derivative", derivative)
         monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
+        monkeypatch.setattr(mesh, "_first_pass_slope", read)
         problem = DescmProblem(potential, strategy=MeshStrategy.trace_minimized())
         records = solver.converge(problem, level=0, tolerance=5e-12, n_max=60).records
         # one first pass from the table and one second pass per truncation
@@ -914,13 +925,19 @@ class TestLockstepReference:
         monkeypatch.setattr(oracles, "collocation_trace", recorded("trace", collocation_trace))
         monkeypatch.setattr(oracles, "collocation_trace_slope",
                             recorded("slope", collocation_trace_slope))
-        passes, raw_pass = [], mesh._slope_pass
+        passes, shapes = [], set()
+        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
 
         def slope_pass(potential, half_width, h):
             passes.append(np.shape(h))
             return raw_pass(potential, half_width, h)
 
+        def read(potential, half_width, cell):
+            passes.append(np.shape(mesh._FIRST_PASS[cell - 1]))
+            return raw_read(potential, half_width, cell)
+
         monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
+        monkeypatch.setattr(mesh, "_first_pass_slope", read)
         potentials, mismatches, several_rises, widened, overflows = {}, [], 0, 0, 0
         last_passes = {"first slice": 0, "moved slice": 0, "full after a slice": 0}
         for spec, n in reference_cases():
@@ -929,6 +946,7 @@ class TestLockstepReference:
             expected = mesh_size_or_overflow(lockstep_trace_minimized_mesh_size, potential, n)
             passes.clear()
             got = mesh_size_or_overflow(trace_minimized_mesh_size, potential, n)
+            shapes.update(passes)
             slices = passes.count((6,))
             if slices:
                 last_passes["full after a slice" if passes[-1] != (6,) else
@@ -943,6 +961,9 @@ class TestLockstepReference:
             widened += scans > 1
             overflows += expected.startswith("CollocationOverflowError")
         assert mismatches == []
+        # every pass the search makes, a table read included, is one 1-D cell
+        # or a slice of one, however many cells the lockstep search's pass held
+        assert shapes == {(64,), (6,)}, shapes
         # so that the cases cannot pass vacuously: lockstep cells, widened
         # windows and a -inf trace all occur, and the last pass is read from
         # the first slice, from the moved slice and from the full cell
@@ -1022,7 +1043,7 @@ class TestPythonFloatSteps:
         for _ in range(400):
             a = math.exp(rng.uniform(math.log(1e-6), math.log(1e3)))
             b = a * (1.0 + math.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
-            cell = _linear_grid(a, b)
+            cell = np.linspace(a, b, 64)
             for start in range(59):
                 points = mesh._slice_points(a, b, start)
                 assert all(type(x) is float for x in points)
@@ -1030,6 +1051,18 @@ class TestPythonFloatSteps:
                     a, b, start)
             missed += 63 * ((b - a) / 63) + a != b
         assert missed >= 1
+        # the first and the last slice of 2000 more cells, from 1e-12 relative
+        # wide, and of one whose ramp alone ends one ulp past b
+        starts = np.exp(rng.uniform(math.log(1e-8), math.log(1e3), 2000))
+        widths = 10.0 ** rng.uniform(-12.0, 0.0, 2000)
+        pairs = [(63.718357311864395, 126.93567180349224)]
+        assert 63 * ((pairs[0][1] - pairs[0][0]) / 63) + pairs[0][0] > pairs[0][1]
+        pairs += [(a, a * (1.0 + width)) for a, width in zip(starts.tolist(), widths.tolist())]
+        for a, b in pairs:
+            cell = np.linspace(a, b, 64)
+            for start in (0, 58):
+                points = np.array(mesh._slice_points(a, b, start))
+                assert points.tobytes() == cell[start : start + 6].tobytes(), (a, b, start)
 
     def test_term_indices_grow_read_only_and_equal_arange(self, monkeypatch):
         monkeypatch.setattr(mesh, "_indices", np.empty(0))
