@@ -552,6 +552,41 @@ class TestTraceMinimized:
             assert names == ["trace"] + ["slope"] * (1 + len(slices))
             assert [h.shape for _, h in calls[1:]] == [(64,)] + slices
 
+    @pytest.mark.parametrize("spec,n", [("cheb:20;shift=-1", 1), ("cheb:40;shift=-1", 2)])
+    def test_several_rises_refine_every_cell_in_lockstep(self, monkeypatch, spec, n):
+        # each rise of a pass becomes a cell of its own in the next, and every
+        # cell is refined again until all brackets are narrow: the zeros the
+        # last trace call compares each lie in one cell of the last pass, and
+        # all of them lie equally deep inside the cells evaluated before
+        cells, traced = [], []
+        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
+
+        def slope_pass(potential, half_width, h):
+            cells.append(np.array(h, copy=True))
+            return raw_pass(potential, half_width, h)
+
+        def read(potential, half_width, cell):
+            cells.append(mesh._FIRST_PASS[cell - 1].copy())
+            return raw_read(potential, half_width, cell)
+
+        def trace(potential, half_width, h):
+            traced.append(np.array(h, copy=True))
+            return collocation_trace(potential, half_width, h)
+
+        monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
+        monkeypatch.setattr(mesh, "_first_pass_slope", read)
+        monkeypatch.setattr(mesh, "collocation_trace", trace)
+        h_hat = trace_minimized_mesh_size(parse_potential(spec), n)
+        zeros = traced[-1].tolist()
+        assert 1 < len(zeros) < 64 and h_hat in zeros
+        assert all(cell.shape == (64,) for cell in cells)
+        last = cells[-len(zeros):]
+        for zero, cell in zip(zeros, last):
+            assert cell[0] <= zero <= cell[-1]
+            assert cell[1] - cell[0] <= mesh._BRACKET * cell[0]
+        depths = {sum(cell[0] <= zero <= cell[-1] for cell in cells) for zero in zeros}
+        assert len(depths) == 1 and depths.pop() >= 2, depths
+
     @pytest.mark.parametrize("potential,tolerance", SLOPE_ZERO_TOLERANCES)
     def test_is_the_slope_zero(self, potential, tolerance):
         for n in (1, 2, 5, 20, 100):
