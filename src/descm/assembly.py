@@ -87,12 +87,11 @@ def parity_blocks(parity) -> tuple[int, ...]:
 
 def check_mesh_size(h):
     """``h`` as a float array, rejected unless every entry lies in (0, inf):
-    the one mesh-size rule of the trace, its slope and the assembly. A
-    single h is compared as a float, since ufuncs on a 0-d array cost
-    microseconds; the assembly, one h per solve, compares a float h itself
-    and passes any other h, or one that fails, here."""
+    the one mesh-size rule of the trace, its slope and the assembly. The
+    assembly, one h per solve, compares a float h itself and passes any
+    other h, or one that fails, here."""
     h = np.asarray(h, dtype=float)
-    if not (0.0 < float(h) < math.inf if h.ndim == 0 else ((h > 0.0) & (h < math.inf)).all()):
+    if not ((h > 0.0) & (h < math.inf)).all():
         raise ValueError(f"mesh size must be positive and finite, got {h}")
     return h
 

@@ -8,8 +8,9 @@ parameter presets). Each command builds its rows once and hands them to
 JSON with numbers at 17 significant digits; diagnostics go to stderr. Each
 input rule is checked once: by the parser, ``parse_potential`` or the library.
 
-Exit codes: 0 success, 1 numerical failure, 2 bad arguments, potential spec
-or unwritable --output, 3 converge hit N_max without meeting tolerance.
+Exit codes: 0 success, 1 numerical failure or out of memory (one line on
+stderr, no traceback), 2 bad arguments, potential spec or unwritable
+--output, 3 converge hit N_max without meeting tolerance.
 """
 
 from __future__ import annotations
@@ -379,6 +380,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except _NUMERIC_ERRORS as exc:  # first: LinAlgError is a ValueError
         print(f"descm: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # such as an N whose blocks do not fit
+        print(f"descm: out of memory: {exc}", file=sys.stderr)
         return 1
     except (PotentialSpecError, ValueError, OSError) as exc:
         print(f"descm: {exc}", file=sys.stderr)

@@ -36,18 +36,20 @@ pick the lowest dip. The last pass needs only the four slopes around the
 rise: the pass before predicts where the rise lies, and the last pass
 evaluates a slice of its 64-point cell there, six points formed alone as
 Python floats by the cell's own arithmetic, the same floats with the same
-slopes; the slice's rises and its cubic zero are read on Python floats
-too. So a mesh choice from the first window costs one trace call, one
-tabled slope pass and one 6-point slice (a second slice where the first
-misses the rise), against eight trace calls for grid refinement, and the
-trace-minimized h depends on the potential and N alone.
+slopes; the slice's cubic zero is read on Python floats too. So a mesh
+choice from the first window costs one trace call, one tabled slope pass
+and one 6-point slice (a second slice where the first misses the rise),
+against eight trace calls for grid refinement, and the trace-minimized h
+depends on the potential and N alone.
 
 A full slope pass runs over 64-point cells, one per rise of the pass
-before, each a 1-D np.linspace grid evaluated alone. Nearly every choice
-sees one rise per pass, kept as a bracket of two Python floats, on which
-the bracket test and the next cell run. Several rises (Chebyshev wells at
-N <= 2, widened windows) make several cells, and every one of them is
-refined again until every bracket is 1e-4 relative wide.
+before, each a 1-D np.linspace grid evaluated alone. Every pass, full or
+sliced, turns its slopes into a list of Python floats once, and one rise
+rule (:func:`_rises`) reads them, as the cubic zero does. Nearly every
+choice sees one rise per pass, kept as a bracket of two Python floats, on
+which the bracket test and the next cell run. Several rises (Chebyshev
+wells at N <= 2, widened windows) make several cells, and every one of them
+is refined again until every bracket is 1e-4 relative wide.
 
 The search reads its first slope pass from the table by the cell's
 number. The one identity check left is the trace's ``h is _FIRST_GRID``:
@@ -85,23 +87,6 @@ _FIRST_GRID.setflags(write=False)
 # (283 is one per cell visited) and 6024, 6404, 6838 and 7745 columns: past
 # 4 the builds saved are paid back in columns.
 _SLOPE_LOOKAHEAD = 4
-
-
-# The term indices k = 1..M of the slope as floats, a read-only table that
-# only grows, to at least twice its length, and is replaced whole, so a
-# racing thread may build another but never sees one change.
-_indices = np.empty(0)
-
-
-def _term_indices(stop: int) -> np.ndarray:
-    """k = 1..stop as floats, np.arange(1.0, stop + 1) bit for bit, a read-only view."""
-    global _indices
-    table = _indices  # one read: a racing thread may swap in another
-    if len(table) < stop:
-        table = np.arange(1.0, max(stop, 2 * len(table)) + 1)
-        table.setflags(write=False)
-        _indices = table
-    return table[:stop]
 
 
 def _first_pass_grids():
@@ -242,13 +227,10 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     undefined and comes back as NaN, without a warning.
     """
     check_half_width(half_width)
-    first_window = h is _FIRST_GRID
-    if not first_window:
-        h = check_mesh_size(h)
-    if first_window:
+    if h is _FIRST_GRID:
         diagonal = _first_window_diagonal(potential, half_width)
     else:
-        half = _half_diagonal(potential, half_width, h)
+        half = _half_diagonal(potential, half_width, check_mesh_size(h))
         diagonal = np.concatenate([half[..., :0:-1], half], axis=-1)
     trace = np.add.reduce(diagonal, -1)
     return float(trace) if trace.ndim == 0 else trace
@@ -320,7 +302,7 @@ def _first_pass_slope(potential: EvenPolynomialPotential, half_width: int, cell:
     tables = _tables_of(potential)
     table = tables.slope if tables.cell == cell else _NO_TABLE
     if table.shape[1] < half_width:
-        k = _term_indices(half_width + _SLOPE_LOOKAHEAD)[table.shape[1]:]
+        k = np.arange(table.shape[1] + 1.0, half_width + _SLOPE_LOOKAHEAD + 1)
         table = np.concatenate(
             [table, _slope_terms(potential, _FIRST_PASS[cell - 1], k)[0]], axis=1)
         table.setflags(write=False)
@@ -357,7 +339,7 @@ def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
 
 def _slope_pass(potential: EvenPolynomialPotential, half_width: int, h: np.ndarray):
     """Tr'(h) over a valid ``h``; call with overflow and invalid ignored."""
-    terms, kinetic = _slope_terms(potential, h, _term_indices(half_width))
+    terms, kinetic = _slope_terms(potential, h, np.arange(1.0, half_width + 1))
     slope = np.add.reduce(terms, -1)
     slope *= 2.0
     slope += kinetic
@@ -403,20 +385,14 @@ def _best_trace(grid: np.ndarray, traces: np.ndarray) -> int:
     return best
 
 
-def _rises(slope: np.ndarray) -> list[int]:
-    """Indices j of a 64-point cell's slope where it rises through 0 from
-    point j to point j + 1: slope[j] < 0 <= slope[j + 1]. A rise from -inf
-    (V' below the double range) places no zero and is left out."""
-    nonnegative = slope >= 0.0
-    # a NaN is neither, so one that precedes a nonnegative slope is dropped below
-    steps = (nonnegative[1:] > nonnegative[:-1]).nonzero()[0].tolist()
-    return [j for j in steps if -math.inf < slope.item(j) < 0.0]
-
-
-def _slice_rises(slope: list[float]) -> list[int]:
-    """:func:`_rises` of a slice's slopes, a list of Python floats no longer
-    than one cell: the j with -inf < slope[j] < 0 <= slope[j + 1]."""
-    return [j for j in range(len(slope) - 1) if -math.inf < slope[j] < 0.0 <= slope[j + 1]]
+def _rises(slope: list[float]) -> list[int]:
+    """Indices j where a pass's slopes, a list of Python floats, rise through
+    0 from point j to point j + 1: -inf < slope[j] < 0 <= slope[j + 1]. A
+    NaN is neither side of 0, and a rise from -inf (V' below the double
+    range) places no zero, so neither makes a rise. The test for -inf runs
+    at rises only."""
+    return [j for j in range(len(slope) - 1)
+            if slope[j] < 0.0 <= slope[j + 1] and slope[j] > -math.inf]
 
 
 def _stencil(i: int, points: int) -> int:
@@ -489,7 +465,7 @@ def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: fl
             return None
         points = _slice_points(a, b, start)
         slope = _slope_pass(potential, half_width, np.array(points)).tolist()
-        rises = _slice_rises(slope)
+        rises = _rises(slope)
         if len(rises) > 1:
             return None
         if rises and _stencil(start + rises[0], _SCAN_POINTS) == start + _stencil(rises[0], _SLICE):
@@ -562,6 +538,7 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
         slopes = [_slope_pass(potential, half_width, cells[0])]
     # every cell here lies inside a scanned window, so none needs checking
     while True:
+        slopes = [slope.tolist() for slope in slopes]
         rises = [(cell, slope, i) for cell, slope in zip(cells, slopes) for i in _rises(slope)]
         brackets = [(cell.item(i), cell.item(i + 1)) for cell, _, i in rises]
         if all(b - a <= _BRACKET * a for a, b in brackets):  # or no rise at all
@@ -570,7 +547,7 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
             (a, b), (cell, slope, i) = brackets[0], rises[0]
             if b - a <= _LAST_CELL * a:
                 zero = _sliced_last_pass(potential, half_width, a, b,
-                                         _interpolated_zero(cell.tolist(), slope.tolist(), i))
+                                         _interpolated_zero(cell.tolist(), slope, i))
                 if zero is not None:
                     return zero
         cells = [np.linspace(a, b, _SCAN_POINTS) for a, b in brackets]
@@ -578,7 +555,7 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     if not rises:
         candidates = np.concatenate(cells)
     else:
-        zeros = [_interpolated_zero(cell.tolist(), slope.tolist(), i) for cell, slope, i in rises]
+        zeros = [_interpolated_zero(cell.tolist(), slope, i) for cell, slope, i in rises]
         if len(zeros) == 1:
             return zeros[0]
         candidates = np.array(zeros)

@@ -317,8 +317,8 @@ def _lockstep_interpolated_zero(grid: np.ndarray, slope: np.ndarray, i: int) -> 
 def array_rises(slope: np.ndarray) -> list[int]:
     """Flat indices j where a pass's slope rises through 0 from point j to
     point j + 1 of one 64-point cell, slope[j] < 0 <= slope[j + 1], a rise
-    from -inf left out; by array operations, as the search read every pass's
-    rises before a slice's were read from a list of floats."""
+    from -inf left out; by array operations, as the search read a full
+    pass's rises before one rule on a list of floats read every pass's."""
     flat = slope.reshape(-1)
     nonnegative = flat >= 0.0
     steps = (nonnegative[1:] > nonnegative[:-1]).nonzero()[0].tolist()

@@ -1062,14 +1062,16 @@ class TestPythonFloatSteps:
         assert oracles.loop_interpolated_zero(grid, slope, 1).hex() == "0x0.0p+0"
 
     def test_slice_rises_follow_the_array_rule(self, rng):
+        # a slice's six slopes and a full pass's 64 read their rises by one rule
         alphabet = np.array([*SPECIAL_FLOATS, -1.0, 1.0, -5e-324, 5e-324])
-        for _ in range(20000):
-            slope = alphabet[rng.integers(len(alphabet), size=6)]
-            if rng.random() < 0.5:  # ordinary floats too, with equal neighbours
-                slope = np.where(rng.random(6) < 0.5, rng.normal(size=6), slope)
-                for j in np.flatnonzero(rng.random(5) < 0.2) + 1:
-                    slope[j] = slope[j - 1]
-            assert mesh._slice_rises(slope.tolist()) == oracles.array_rises(slope), slope.tolist()
+        for points, draws in ((6, 20000), (64, 3000)):
+            for _ in range(draws):
+                slope = alphabet[rng.integers(len(alphabet), size=points)]
+                if rng.random() < 0.5:  # ordinary floats too, with equal neighbours
+                    slope = np.where(rng.random(points) < 0.5, rng.normal(size=points), slope)
+                    for j in np.flatnonzero(rng.random(points - 1) < 0.2) + 1:
+                        slope[j] = slope[j - 1]
+                assert mesh._rises(slope.tolist()) == oracles.array_rises(slope), slope.tolist()
 
     def test_slice_points_are_the_cells_points_bit_for_bit(self, rng):
         # brackets from 1e-4 relative wide, as the search slices them, to
@@ -1099,25 +1101,11 @@ class TestPythonFloatSteps:
                 points = np.array(mesh._slice_points(a, b, start))
                 assert points.tobytes() == cell[start : start + 6].tobytes(), (a, b, start)
 
-    def test_term_indices_grow_read_only_and_equal_arange(self, monkeypatch):
-        monkeypatch.setattr(mesh, "_indices", np.empty(0))
-        for stop in (3, 5, 2, 7, 100, 60, 5000, 4097):
-            before = mesh._indices
-            k = mesh._term_indices(stop)
-            assert k.tobytes() == np.arange(1.0, stop + 1).tobytes()
-            assert not k.flags.writeable
-            if len(before) >= stop:
-                assert mesh._indices is before
-            else:  # replaced whole, to at least twice the old length
-                assert len(mesh._indices) >= max(stop, 2 * len(before))
-                assert not mesh._indices.flags.writeable
-
     def test_search_at_n_5000_equals_the_lockstep_search_bit_for_bit(self):
-        # past any fixed ramp of 4096 indices
+        # far past the truncations of any sweep
         potential = chebyshev_well(20, -1.0)
         expected = lockstep_trace_minimized_mesh_size(potential, 5000)
         assert trace_minimized_mesh_size(potential, 5000).hex() == expected.hex()
-        assert len(mesh._indices) >= 5000
 
 
 class TestMeshStrategy:

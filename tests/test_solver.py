@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -603,6 +604,68 @@ class TestTraceMinimizedDominance:
             err_tm = level_error(v2.potential, 1, -9.0, n, MeshStrategy.trace_minimized())
             err_opt = level_error(v2.potential, 1, -9.0, n, MeshStrategy.optimal())
             assert err_tm <= err_opt + 1e-12
+
+
+# Power-of-two rescaling (ROADMAP item 14). x = lambda y maps -d2/dx2 + sum c_i x^(2i)
+# onto lambda^-2 (-d2/dy2 + sum c_i lambda^(2i+2) y^(2i)), so E_n(c) equals
+# lambda^-2 E_n(c_i lambda^(2i+2)), and for lambda = 2^k every coefficient and
+# energy maps exactly. Each case sweeps the rescaled well at tolerance
+# 5e-12 * 4^k, and its stop over 4^k must meet the k = 0 sweep's within four
+# tolerances, relative to max(1, |E|).
+SCALED_WELLS = {"V1": analytic_catalog()[0].potential, "poly:1,1": QUARTIC,
+                "poly:-20,1": EvenPolynomialPotential((-20.0, 1.0)),
+                "table 4 poly:1,1,1": EvenPolynomialPotential(_TABLE_ROWS[4][1])}
+SCALED_MESHES = {"optimal": MeshStrategy.optimal(), "trace-min": MeshStrategy.trace_minimized()}
+# the only cases that hold at k = -12, found by running all 16
+HOLD_AT_2_TO_MINUS_12 = {("poly:1,1", 1, "optimal"), ("table 4 poly:1,1,1", 1, "optimal"),
+                         ("table 4 poly:1,1,1", 1, "trace-min")}
+CLOSED_FORM_STALLS = (
+    "ROADMAP item 14: with c_m scaled by 2^(6(2m+2)) the closed form's W argument is small, "
+    "h ~ 2^m pi^2 / sqrt(c_m) stops shrinking with N and the grid misses the state, so the "
+    "sweep does not converge by N = 150 and its last E / 4^k is off by 0.2 or more relative")
+TINY_SCALE_STALLS = (
+    "ROADMAP item 14: at 2^-12 the rounding floor eps * max|lambda| stays O(1) while E "
+    "shrinks by 4^-12, so the sweep either does not converge by N = 150 or stops at an "
+    "E / 4^k off by 2.8e-11 to 8.1e-10 relative")
+
+
+def scaled_well(potential, k):
+    """The well c_i -> c_i 2^(k(2i+2)), c_0 -> c_0 4^k, each coefficient exact."""
+    return EvenPolynomialPotential(
+        tuple(c * 2.0 ** (k * (2 * i + 2)) for i, c in enumerate(potential.coefficients, 1)),
+        constant=potential.constant * 4.0**k)
+
+
+@functools.cache
+def scaled_sweep(name, level, mesh, k):
+    problem = DescmProblem(scaled_well(SCALED_WELLS[name], k), SCALED_MESHES[mesh])
+    return converge(problem, level, tolerance=5e-12 * 4.0**k, n_max=150)
+
+
+def scaling_cases():
+    for name in SCALED_WELLS:
+        for level in (0, 1):
+            for mesh in SCALED_MESHES:
+                for k in (-12, -2, 2, 6):
+                    reason = None
+                    if k == 6 and mesh == "optimal":
+                        reason = CLOSED_FORM_STALLS
+                    elif k == -12 and (name, level, mesh) not in HOLD_AT_2_TO_MINUS_12:
+                        reason = TINY_SCALE_STALLS
+                    marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+                    yield pytest.param(name, level, mesh, k, marks=marks,
+                                       id=f"{name}-level{level}-{mesh}-k{k}")
+
+
+class TestPowerOfTwoScaling:
+    @pytest.mark.parametrize("name, level, mesh, k", scaling_cases())
+    def test_rescaled_sweep_stops_at_the_rescaled_energy(self, name, level, mesh, k):
+        reference = scaled_sweep(name, level, mesh, 0)
+        assert reference.converged
+        trace = scaled_sweep(name, level, mesh, k)
+        energy, expected = trace.final.energy / 4.0**k, reference.final.energy
+        assert trace.converged, (trace.final.half_width, energy, expected)
+        assert abs(energy - expected) <= 2e-11 * max(1.0, abs(expected)), (energy, expected)
 
 
 class TestWavefunction:
