@@ -55,6 +55,10 @@ case "$err" in
     "descm: numerical failure: non-finite matrix entry at collocation point t = kh = 180 (k = 9, h = 20)") ;;
     *) exit 1 ;;
 esac
+# a sweep that stops inside its first block of planned truncations, N = 2..23
+# at a step of 3, under warnings as errors: JSON on stdout, exit 0
+PYTHONWARNINGS=error descm converge --potential poly:1,1 --N-step 3 --format json \
+    | python -m json.tool > /dev/null
 # the well's minimum lies below the double range: the trace-min slope rises
 # from -inf, which places no zero, and the traces reach -inf; exit 1 with the
 # one-line diagnosis, not a NaN mesh size (exit 2) or an inf * 0 warning
@@ -95,7 +99,7 @@ descm solve --potential 'cheb:40;shift=-1' --N 13 --mesh trace-min > /dev/null
 # m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
 descm converge --potential poly:1 --mesh trace-min --format json | python -m json.tool > /dev/null
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null
-# a large truncation: the slope's table of term indices k = 1..N grows to it
+# a large truncation: the first slope pass's table grows to N + 4 columns
 descm trace-scan --potential 'cheb:20;shift=-1' --N 5000 --points 2 --format json \
     | python -m json.tool > /dev/null
 descm validate --format json | python -m json.tool > /dev/null

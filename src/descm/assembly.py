@@ -32,18 +32,21 @@ are delta2 built from the closed form and summed and differenced from two
 views of their Toeplitz matrix. Each block divides its corner of that table
 by one shared denominator, the same two roundings as a fresh sum and
 division. cosh(kh) is evaluated once per point k = 0..N, and its
-square is shared with W/cosh^2. These two rows, the denominator's cosh(kh)
-(sqrt(2) at k = 0) and W/cosh^2, are all of a truncation that is
-elementwise in its points, so ``collocation_rows`` evaluates them for a
-block of truncations in one pass over their points laid end to end, each
-point the bits it has alone; a sweep that knows its mesh sizes ahead hands
-each truncation its slices. The outer product, the division into the slab,
-the diagonal and its check stay per truncation. A caller that needs one
-parity only, such as a sweep following one level, asks for that block
+square is shared with W/cosh^2. Every step from the points to the slabs is
+elementwise, or a broadcast of elementwise steps, so ``collocation_slabs``
+builds the slabs of a block of truncations in one pass: their points lie
+on a padded (B, S) grid, S the largest N + 1, and one product of the
+denominator rows, one scaling by -h^2, one division into the numerators'
+corner and one diagonal add serve all B. Each truncation gets read-only
+views of its corner of the block, the bits it has alone; a sweep that
+knows its mesh sizes ahead hands each truncation its views, and the
+assembly then checks that truncation's diagonal alone, never the padding.
+A truncation built on its own, as by a plain solve, goes through the same
+slab function over its N + 1 points, a block of one. A caller that needs
+one parity only, such as a sweep following one level, asks for that block
 alone: its corner is then divided into the denominator's own buffer, the
-one slab built. Only the
-diagonals are tested for overflow; an off-diagonal entry is non-finite only
-where a diagonal one is.
+one slab built. Only the diagonals are tested for overflow; an
+off-diagonal entry is non-finite only where a diagonal one is.
 Every step is symmetric in j and k, so both blocks are exactly symmetric.
 Neither the (2N+1)x(2N+1) matrix nor the generalized pair (stiffness
 matrix, diagonal weight) it was reduced from is ever formed.
@@ -51,7 +54,6 @@ matrix, diagonal weight) it was reduced from is ever formed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,43 +192,64 @@ def _parity_numerators(half_width: int) -> np.ndarray:
     return table
 
 
-def _point_rows(potential: EvenPolynomialPotential, points: np.ndarray, centres):
-    """The two rows a truncation's blocks are built from, over ``points``,
-    the kh at k = 0..N of one truncation or of several laid end to end
-    (``centres`` indexes their k = 0 entries): ``scaled``, cosh(kh) with
-    sqrt(2) at k = 0, and W(kh)/cosh(kh)^2. Every step is elementwise, so a
-    point's values are the same bits in a block of truncations as alone.
-    Call with overflow and invalid ignored."""
+def _parity_slabs(potential: EvenPolynomialPotential, points: np.ndarray, factor, parities,
+                  centres=0):
+    """The slabs of ``parities`` over ``points`` and their diagonals, for
+    one truncation, points kh (S,) at k = 0..N, or a block of B, points
+    (B, S) on a padded grid: entries (P, S, S) or (P, B, S, S), and the
+    diagonals (S,) or (B, S) of one slab, else (2, S) or (2, B, S).
+    ``factor`` is -h^2, a float or a (B, 1, 1) column, and ``centres``
+    indexes the points' k = 0 entries. The parity axis leads, so the
+    diagonal adds W/cosh^2 without a new axis. Every step is elementwise, or
+    a broadcast of one, so each entry is the same bits for either shape.
+    Call with overflow, invalid and divide ignored."""
+    shape = points.shape
+    lead, size = shape[:-1], shape[-1]  # lead () or (B,)
     scaled = np.cosh(points)
     cosh2 = scaled * scaled
     # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
     # in the denominator; row and column 0 of an odd slab are not read
     scaled[centres] = _SQRT_TWO
-    return scaled, transformed_potential_scaled(potential, points, cosh2)
+    potential_row = transformed_potential_scaled(potential, points, cosh2)
+    scale = scaled[..., np.newaxis] * scaled[..., np.newaxis, :]
+    scale *= factor
+    numerators = _parity_numerators(size - 1)
+    if len(parities) == 1:  # one slab, divided in place
+        slab = numerators[0 if parities[0] > 0 else 1, :size, :size]
+        diagonal = np.divide(slab, scale, out=scale)
+        entries = scale[np.newaxis]
+    else:  # both; a block's (B, S, S) scale takes the corner as (2, 1, S, S)
+        corner = numerators[:, :size, :size]
+        diagonal = entries = np.divide(corner[:, np.newaxis] if lead else corner, scale)
+        lead = (2,) + lead
+    diagonal = diagonal.reshape(lead + (-1,))[..., :: size + 1]
+    diagonal += potential_row
+    return entries, diagonal
 
 
-# kh overflows for a huge h and cosh(kh) far out; the check of each
-# truncation's diagonal in the assembly reports it, and only for a truncation
-# that is built
-@np.errstate(over="ignore", invalid="ignore")
-def collocation_rows(potential: EvenPolynomialPotential, half_widths, mesh_sizes) -> list:
-    """The rows of ``_point_rows`` for each truncation N of ``half_widths``
-    at its mesh size h, from one pass over all their points: per
-    truncation, the pair of views ``assemble_collocation_matrix`` takes as
-    ``_rows`` at that N and h. Each view holds the bits a fresh build gives.
+# cosh(kh) overflows far out and kh for a huge h, in a truncation past the
+# stop or in a truncation's padding as well; the check of each truncation's
+# diagonal in the assembly reports it, and only for a truncation that is solved
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def collocation_slabs(potential: EvenPolynomialPotential, half_widths, mesh_sizes,
+                      parity: int | None = None) -> list:
+    """The slabs of ``parity`` (as in ``assemble_collocation_matrix``) for
+    each truncation N of ``half_widths`` at its mesh size h, built in one
+    pass over a padded (B, S) grid of points, S the largest N + 1: per
+    truncation, the read-only views (entries, diagonal) that
+    ``assemble_collocation_matrix`` takes as ``_slabs`` at that N and h.
+    Each view holds the bits a build of that truncation alone gives.
     Nothing is checked here; an h that is not positive and finite gives
-    rows the assembly rejects with it."""
-    sizes = [n + 1 for n in half_widths]
-    ends = list(itertools.accumulate(sizes))
-    starts = [end - size for end, size in zip(ends, sizes)]
-    # row 0 each point's block start, row 1 its h; k = index - start exactly,
-    # so each point is k * h, the bits of np.arange(N + 1.0) * h
-    spread = np.repeat(np.array([starts, mesh_sizes], dtype=float), sizes, axis=1)
-    points = np.arange(ends[-1], dtype=float)
-    points -= spread[0]
-    points *= spread[1]
-    scaled, potential_row = _point_rows(potential, points, starts)
-    return [(scaled[a:b], potential_row[a:b]) for a, b in zip(starts, ends)]
+    slabs the assembly rejects with it."""
+    h = np.array(mesh_sizes, dtype=float)
+    points = np.multiply.outer(h, np.arange(max(half_widths) + 1.0))  # k * h, as alone
+    h = h.reshape(-1, 1, 1)
+    entries, diagonal = _parity_slabs(potential, points, -(h * h), parity_blocks(parity),
+                                      (slice(None), 0))
+    entries.setflags(write=False)
+    diagonal.setflags(write=False)
+    return [(entries[:, b, : n + 1, : n + 1], diagonal[..., b, : n + 1])
+            for b, n in enumerate(half_widths)]
 
 
 # an overflow here leaves a non-finite entry, which the check at the end
@@ -236,36 +259,26 @@ def collocation_rows(potential: EvenPolynomialPotential, half_widths, mesh_sizes
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def assemble_collocation_matrix(
     potential: EvenPolynomialPotential, half_width: int, h: float, parity: int | None = None,
-    _rows=None,
+    _slabs=None,
 ) -> CollocationMatrix:
     """Build parity blocks directly from their closed-form entries: both for
     ``parity`` None, else only the block of parity +1 or -1. Each block's
     entries are the same bits whether it is built alone or with the other.
 
-    ``_rows``, private to a sweep, is this N and h's entry of
-    ``collocation_rows``; without it the rows are computed here, a block of
-    one through the same point function."""
+    ``_slabs``, private to a sweep, is this N and h's entry of
+    ``collocation_slabs`` for ``parity``; only its diagonal is checked here.
+    Without it the slabs are built here, a block of one through the same
+    slab function."""
     n = half_width
     parities = parity_blocks(parity)
     check_half_width(n)
     if not (isinstance(h, float) and 0.0 < h < math.inf):
         check_mesh_size(h)  # raises, or passes an h that is not a float
-    if _rows is None:  # the blocks need no point left of the centre
+    if _slabs is None:  # the blocks need no point left of the centre
         points = np.arange(n + 1.0)
         points *= h
-        _rows = _point_rows(potential, points, 0)
-    scaled, potential_row = _rows
-    scale = np.multiply.outer(scaled, scaled)
-    scale *= -(h * h)
-    numerators = _parity_numerators(n)
-    if len(parities) == 1:  # one slab, divided in place; its diagonal a 1-D view
-        slab = 0 if parities[0] > 0 else 1
-        np.divide(numerators[slab, : n + 1, : n + 1], scale, out=scale)
-        entries, diagonal = scale[np.newaxis], scale.reshape(-1)[:: n + 2]
-    else:
-        entries = np.divide(numerators[:, : n + 1, : n + 1], scale)
-        diagonal = entries.reshape(2, -1)[:, :: n + 2]
-    diagonal += potential_row
+        _slabs = _parity_slabs(potential, points, -(h * h), parities)
+    entries, diagonal = _slabs
     # The diagonals alone decide finiteness. With s = ``scaled``, entry (j, k)
     # is a numerator over s_j s_k h^2. For j != k >= 1 the numerator is at most
     # 2 + 2/9 in size against at least pi^2/3 - 1/2 on the diagonal, and

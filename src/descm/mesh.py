@@ -139,7 +139,8 @@ class MeshStrategy:
 
 
 def lambert_w0(z: float) -> float:
-    """Principal-branch Lambert W on z >= 0: the w with w e^w = z.
+    """Principal-branch Lambert W on z >= 0: the w with w e^w = z, and
+    W(inf) = inf; a NaN z is rejected as a negative one is.
 
     Halley iteration seeded by log1p(z) for z < e and log z - log log z
     beyond; the seeds keep the iteration inside the basin of quadratic
@@ -148,10 +149,12 @@ def lambert_w0(z: float) -> float:
     about z, and an absolute test would stop before w is accurate.
     """
     z = float(z)
-    if z < 0.0:
+    if not z >= 0.0:  # NaN as well
         raise ValueError(f"lambert_w0 requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
+    if z == math.inf:
+        return z
     w = math.log1p(z) if z < math.e else math.log(z) - math.log(math.log(z))
     for _ in range(50):
         ew = math.exp(w)

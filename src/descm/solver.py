@@ -21,12 +21,14 @@ between consecutive recorded truncations.
 Where h depends on N alone, under the ``optimal`` and ``fixed`` meshes, a
 sweep knows every h before it solves anything. It plans its truncations
 ``_SWEEP_BLOCK`` at a time: it picks each h through ``mesh_size_for`` and
-evaluates the rows every one of them is built from, cosh(kh) and
-W(kh)/cosh(kh)^2, in one pass over their points laid end to end
-(``collocation_rows``). Each ``solve`` then gets its h and its slices of that
-pass; its slab, diagonal and overflow check stay its own, so a truncation
-past the stop is never built and cannot raise or warn. The plan lives in
-the ``converge`` call alone. Trace-min sweeps stay per truncation: their h
+builds the slabs of the swept parity for all of them in one pass over a
+padded grid of their points (``collocation_slabs``), fewer truncations
+where the block would pass ``_SWEEP_BLOCK_VALUES``. Each ``solve`` then
+gets its h and read-only views of its slab and diagonal; its overflow
+check stays its own, so a truncation past the stop is never checked and
+cannot raise or warn. The plan lives in the ``converge`` call alone.
+Trace-min sweeps and a plain ``solve`` build each truncation's slabs on
+their own, a block of one through the same slab function: a trace-min h
 needs a search, and a speculative search costs more than the pass saves.
 """
 
@@ -44,7 +46,7 @@ from numpy.linalg import _umath_linalg
 from .assembly import (
     assemble_collocation_matrix,
     check_half_width,
-    collocation_rows,
+    collocation_slabs,
     parity_blocks,
 )
 from .mesh import MeshStrategy, mesh_size_for
@@ -79,8 +81,8 @@ class SpectrumResult:
     labels from a read-only table; construction flags whatever array is
     still writable, such as one passed in by hand. ``wall_time`` covers the
     mesh choice, the assembly and the eigensolve of this truncation; for a
-    truncation of a closed-form sweep it leaves out its share of the
-    sweep's shared pass over a block's points.
+    truncation of a closed-form sweep it leaves out its mesh choice and its
+    share of the block's slabs, built in one pass ahead of the solve.
     """
 
     half_width: int
@@ -183,9 +185,10 @@ def solve(
     and solved, and the result holds its levels alone; they are the same
     bits as the levels of that parity in a solve of both.
 
-    ``_planned``, private to ``converge``, is this N's mesh size and rows,
-    ``(h, rows)``, from the sweep's block (see ``_swept_rows``); the result's
-    ``wall_time`` then leaves out this truncation's share of the block.
+    ``_planned``, private to ``converge``, is this N's mesh size and slabs,
+    ``(h, slabs)``, from the sweep's block (see ``_swept_slabs``); the
+    result's ``wall_time`` then leaves out this truncation's share of the
+    block.
     """
     check_half_width(half_width)
     parities = parity_blocks(parity)
@@ -197,10 +200,10 @@ def solve(
         )
     start = time.perf_counter()
     if _planned is None:
-        h, rows = mesh_size_for(problem.potential, half_width, problem.strategy), None
+        h, slabs = mesh_size_for(problem.potential, half_width, problem.strategy), None
     else:
-        h, rows = _planned
-    matrix = assemble_collocation_matrix(problem.potential, half_width, h, parity, rows)
+        h, slabs = _planned
+    matrix = assemble_collocation_matrix(problem.potential, half_width, h, parity, slabs)
     if parity is None:
         blocks = [eigen_symmetric(matrix.block(p), want_vectors) for p in parities]
         values = np.concatenate([block_values for block_values, _ in blocks])
@@ -221,32 +224,41 @@ def solve(
 
 
 # Truncations a closed-form sweep plans at a time. Their mesh sizes depend
-# on N alone, so one pass evaluates the points of all of them; a truncation
-# past the stop wastes its mesh choice and its points. On the 40 table 3-6
-# presets and 2 early-stop wells (892 truncations solved), blocks of 4, 8
-# and 16 plan 948, 1048 and 1280 truncations and run the 42 library sweeps
-# 9.1%, 14.0% and 16.4% faster than one pass per truncation built inside
-# its own assembly (best of 12 alternating rounds); the CLI benchmark
-# `sweep-optimal` reads 1031, 1093 and 1109 tasks/s against 961 (medians
-# of three 20 s runs; two Xeon cores, one BLAS thread). Past 8 the gain is
+# on N alone, so one pass builds the slabs of all of them; a truncation past
+# the stop wastes its mesh choice and its slab. On the 40 table 3-6 presets
+# and 2 early-stop wells (892 truncations solved), blocks of 4, 8 and 16
+# plan 948, 1048 and 1280 truncations; with one pass over a block's points
+# and the slabs built per truncation, they ran the 42 library sweeps 9.1%,
+# 14.0% and 16.4% faster than one pass per truncation built inside its own
+# assembly (best of 12 alternating rounds), and the CLI benchmark
+# `sweep-optimal` read 1031, 1093 and 1109 tasks/s against 961 (medians of
+# three 20 s runs; two Xeon cores, one BLAS thread). Past 8 the gain was
 # within the runs' spread, while the truncations wasted grow from 156 to 388.
 _SWEEP_BLOCK = 8
+# Values a block's padded slabs may hold, about 1 MB, as the CLI caps a
+# trace-scan call: past N = 127 a block plans fewer truncations, and a block
+# of one may hold more, as a plain solve of that truncation does.
+_SWEEP_BLOCK_VALUES = 1 << 17
 
 
-def _swept_rows(problem: DescmProblem, half_widths: range):
-    """``solve``'s ``_planned`` for each truncation of a sweep, in order:
-    None for the trace-min mesh, whose h needs a search per N, else
-    (h, rows), the next ``_SWEEP_BLOCK`` truncations' rows computed in one
-    pass when the last block runs out. A generator, so a sweep that stops
-    plans no further block."""
+def _swept_slabs(problem: DescmProblem, half_widths: range, parity: int):
+    """``solve``'s ``_planned`` for each truncation of a sweep of the block
+    of ``parity``, in order: None for the trace-min mesh, whose h needs a
+    search per N, else (h, slabs), the slabs of the next block of up to
+    ``_SWEEP_BLOCK`` truncations built in one pass when the last block runs
+    out. A generator, so a sweep that stops plans no further block."""
     potential, strategy = problem.potential, problem.strategy
     if strategy.kind == "trace-min":
         yield from itertools.repeat(None, len(half_widths))
         return
-    for start in range(0, len(half_widths), _SWEEP_BLOCK):
+    start = 0
+    while start < len(half_widths):
         block = half_widths[start : start + _SWEEP_BLOCK]
+        while len(block) > 1 and len(block) * (block[-1] + 1) ** 2 > _SWEEP_BLOCK_VALUES:
+            block = block[:-1]
         mesh_sizes = [mesh_size_for(potential, n, strategy) for n in block]
-        yield from zip(mesh_sizes, collocation_rows(potential, block, mesh_sizes))
+        yield from zip(mesh_sizes, collocation_slabs(potential, block, mesh_sizes, parity))
+        start += len(block)
 
 
 def converge(
@@ -262,10 +274,10 @@ def converge(
     ``tolerance``; never raises on non-convergence, the returned trace says
     so instead. Each truncation assembles and solves that block alone, so
     the problem's ``levels_requested`` plays no part. Where h depends on N
-    alone (the ``optimal`` and ``fixed`` meshes), the sweep evaluates the
-    points of ``_SWEEP_BLOCK`` truncations in one pass ahead of solving
-    them; a truncation past the stop is never assembled, so it neither
-    raises nor warns."""
+    alone (the ``optimal`` and ``fixed`` meshes), the sweep builds the
+    slabs of up to ``_SWEEP_BLOCK`` truncations in one pass ahead of
+    solving them; a truncation past the stop is never checked, so it
+    neither raises nor warns."""
     if not (0.0 < tolerance < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if n_step < 1:
@@ -283,7 +295,7 @@ def converge(
     previous: float | None = None
     converged = False
     half_widths = range(first, n_max + 1, n_step)
-    for n, planned in zip(half_widths, _swept_rows(problem, half_widths)):
+    for n, planned in zip(half_widths, _swept_slabs(problem, half_widths, parity)):
         result = solve(problem, n, parity=parity, _planned=planned)
         energy = result.spectrum.item(index)
         delta = None if previous is None else abs(previous - energy)

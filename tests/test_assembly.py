@@ -18,6 +18,7 @@ from descm import (
     optimal_mesh_size,
     parse_potential,
     solve,
+    solver,
     trace_minimized_mesh_size,
 )
 from conftest import random_potential
@@ -178,10 +179,16 @@ class TestParityBlocks:
                             classmethod(lambda cls, n: built.append(n) or build(n)))
         problem = DescmProblem(parse_potential("poly:4,-6,1"), strategy=strategy)
         trace = converge(problem, level=3)
+        solved = [record.half_width for record in trace.records]
+        needs = solved  # trace-min: each truncation builds its own slab
+        if strategy.kind == "optimal":  # each planned block's largest N, blocks begun only
+            planned = range(solved[0], 101)
+            needs = [planned[i : i + solver._SWEEP_BLOCK][-1]
+                     for i in range(0, len(solved), solver._SWEEP_BLOCK)]
         width, expected = 0, []
-        for record in trace.records:
-            if record.half_width >= width:
-                width = max(record.half_width + 1, 2 * width)
+        for n in needs:
+            if n >= width:
+                width = max(n + 1, 2 * width)
                 expected.append(width - 1)
         assert len(expected) >= 3
         assert built == expected
@@ -252,6 +259,85 @@ class TestParityBlocks:
                 a = full_collocation_matrix(p, n, result.h_used).entries
                 residual = a @ result.eigenvectors - result.eigenvectors * result.spectrum
                 assert np.abs(residual).max() <= 1e3 * EPS * np.abs(a).max(), (p, n)
+
+
+def planned_cases():
+    """(potential, half_widths, mesh sizes) of planned blocks: blocks of
+    ``solver._SWEEP_BLOCK`` truncations from N = 1, 2 and 30 at steps 1 and
+    3 on every block well, each truncation at its closed-form h."""
+    for p in BLOCK_WELLS:
+        for first in (1, 2, 30):
+            for n_step in (1, 3):
+                half_widths = range(first, first + solver._SWEEP_BLOCK * n_step, n_step)
+                yield p, half_widths, [optimal_mesh_size(p, n) for n in half_widths]
+
+
+def assert_planned_equals_alone(potential, half_widths, mesh_sizes, parity):
+    """Each truncation's views of a planned block hold the bits of that
+    truncation built alone, are read-only, and assemble to its matrix, or
+    raise its overflow; returns the truncations that overflow."""
+    planned = assembly.collocation_slabs(potential, half_widths, mesh_sizes, parity)
+    assert len(planned) == len(half_widths)
+    overflowing = []
+    for n, h, (entries, diagonal) in zip(half_widths, mesh_sizes, planned):
+        case = (potential, n, h, parity)
+        assert not entries.flags.writeable and not diagonal.flags.writeable, case
+        try:
+            alone = assemble_collocation_matrix(potential, n, h, parity)
+        except CollocationOverflowError as error:
+            with pytest.raises(CollocationOverflowError) as raised:
+                assemble_collocation_matrix(potential, n, h, parity, (entries, diagonal))
+            assert str(raised.value) == str(error), case
+            overflowing.append(n)
+            continue
+        assert entries.shape == alone.entries.shape, case
+        assert entries.tobytes() == alone.entries.tobytes(), case
+        expected = np.diagonal(alone.entries, axis1=1, axis2=2)
+        assert diagonal.tobytes() == expected.tobytes(), case
+        matrix = assemble_collocation_matrix(potential, n, h, parity, (entries, diagonal))
+        assert matrix.parities == alone.parities
+        assert matrix.entries.tobytes() == alone.entries.tobytes(), case
+    return overflowing
+
+
+class TestPlannedBlocks:
+    """``collocation_slabs`` builds a block of truncations' slabs in one pass
+    over a padded grid; every truncation must keep the bits it has alone."""
+
+    @pytest.mark.parametrize("parity", [1, -1, None])
+    def test_every_truncation_equals_its_build_alone(self, parity):
+        for p, half_widths, mesh_sizes in planned_cases():
+            assert assert_planned_equals_alone(p, half_widths, mesh_sizes, parity) == []
+
+    @pytest.mark.parametrize("parity", [1, -1, None])
+    def test_overflowing_truncations_leave_the_finite_ones_bit_equal(self, parity):
+        # at a fixed h = 20, kh = 180 overflows the diagonal from N = 9 on,
+        # so the block from N = 7 holds inf and NaN past N = 8, in its padding
+        # and in the truncations it plans past the stop of a sweep
+        half_widths = range(7, 7 + solver._SWEEP_BLOCK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflowing = assert_planned_equals_alone(QUARTIC, half_widths,
+                                                      [20.0] * len(half_widths), parity)
+        assert overflowing == list(half_widths[2:])
+
+    def test_closed_form_sweep_never_plans_a_block_past_the_cap(self, monkeypatch):
+        blocks = []
+        raw = solver.collocation_slabs
+        monkeypatch.setattr(solver, "collocation_slabs", lambda potential, half_widths, *args: (
+            blocks.append(list(half_widths)) or raw(potential, half_widths, *args)))
+        # a tolerance no sweep meets, so it plans every truncation to n_max
+        trace = converge(DescmProblem(QUARTIC), tolerance=1e-300, n_step=7, n_max=400)
+        assert not trace.converged
+        assert [n for block in blocks for n in block] == list(range(2, 401, 7))
+        cap, most = solver._SWEEP_BLOCK_VALUES, solver._SWEEP_BLOCK
+        for block in blocks:
+            assert len(block) == 1 or len(block) * (block[-1] + 1) ** 2 <= cap, block
+            assert len(block) <= most, block
+        # the cap binds: fewer than _SWEEP_BLOCK truncations at large N, down
+        # to one whose slab alone holds more than the cap
+        assert any(1 < len(block) < most for block in blocks[:-1])
+        assert (blocks[-1][-1] + 1) ** 2 > cap and len(blocks[-1]) == 1
 
 
 class TestGeneralizedPair:

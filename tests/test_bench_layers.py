@@ -8,19 +8,25 @@ wrapping ``descm.solver.solve`` and ``descm.mesh.collocation_trace``; a path
 that bypassed them would fold its work into fewer, longer parts. The traced
 ``de_map.scaled`` layer wraps ``transformed_potential_scaled`` as the mesh and
 assembly modules name it; a trace or assembly that inlined it would leave
-that layer silent. A closed-form sweep evaluates the points of a block of
-truncations in one ``transformed_potential_scaled`` call and picks each
-planned h through ``solver.mesh_size_for``, so those layers must still see
-one call per block and one per planned N; ``de_map.points`` then counts the
-points of a last block's truncations that the sweep never solves. The
+that layer silent. A closed-form sweep builds the slabs of a block of
+truncations in one pass over a padded grid of B truncations by S points,
+S the block's largest N + 1, with one ``transformed_potential_scaled``
+call over all B * S points, and picks each planned h through
+``solver.mesh_size_for``, so those layers must still see one call per
+block and one per planned N; ``de_map.points`` then counts the padding and
+the points of a last block's truncations that the sweep never solves. That
+pass runs in ``converge``, outside ``assemble_collocation_matrix``, so for
+such a sweep the traced ``assembly`` layer times each truncation's
+diagonal check alone and the slab work reads as ``solver.converge``. The
 traced ``eigensolver`` and ``assembly`` layers count calls, rows and bytes,
-so a sweep that solved both parity blocks again would show there as twice
-the work."""
+each truncation's slab a view of its own (N + 1)^2 corner, so a sweep that
+solved both parity blocks again would show there as twice the work."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from descm import DescmProblem, MeshStrategy, assembly, cli, mesh, parse_potential, solver
@@ -121,7 +127,7 @@ def test_closed_form_sweep_evaluates_its_points_once_per_block(monkeypatch, caps
     points, meshes = [], []
     raw_scaled, raw_mesh = assembly.transformed_potential_scaled, solver.mesh_size_for
     monkeypatch.setattr(assembly, "transformed_potential_scaled",
-                        lambda potential, x, *args: points.append(len(x)) or raw_scaled(
+                        lambda potential, x, *args: points.append(np.size(x)) or raw_scaled(
                             potential, x, *args))
     monkeypatch.setattr(solver, "mesh_size_for",
                         lambda potential, n, strategy: meshes.append(n) or raw_mesh(
@@ -134,11 +140,12 @@ def test_closed_form_sweep_evaluates_its_points_once_per_block(monkeypatch, caps
                          "--N-max", "60", "--format", "json"])
         records = json.loads(capsys.readouterr().out)["records"]
         assert code in (0, 3)
-        # every h of the blocks begun is picked and their points evaluated,
-        # those of truncations past the stop included; none beyond
+        # every h of the blocks begun is picked and their points evaluated on
+        # the block's padded grid, B truncations by the largest N + 1, those
+        # of truncations past the stop included; none beyond
         planned = list(range(2, 61, n_step))[: -(-len(records) // block) * block]
         assert meshes == planned, spec
-        assert points == [sum(n + 1 for n in planned[i : i + block])
+        assert points == [len(planned[i : i + block]) * (planned[i : i + block][-1] + 1)
                           for i in range(0, len(planned), block)], spec
         unsolved += len(planned) - len(records)
     assert unsolved > 0

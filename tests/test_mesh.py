@@ -119,6 +119,17 @@ class TestLambertW:
         with pytest.raises(ValueError):
             lambert_w0(-0.1)
 
+    def test_rejects_nan(self):
+        # NaN fails every comparison, so a z < 0 test alone lets it through,
+        # and Halley steps from its NaN seed return NaN
+        with pytest.raises(ValueError, match="got nan"):
+            lambert_w0(math.nan)
+
+    def test_infinity(self):
+        # the seed log z - log log z is inf - inf there, and Halley steps from
+        # a NaN stay NaN; W grows without bound
+        assert lambert_w0(math.inf) == math.inf
+
     def test_within_64_ulp_of_mpmath_below_and_above_one(self):
         # the stop is relative, |w e^w - z| <= 1e-14 z, so w ~ z below 1 is
         # as accurate as above; an absolute stop was 2.5e8 ulp off at 1e-150.

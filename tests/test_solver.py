@@ -616,17 +616,30 @@ SCALED_WELLS = {"V1": analytic_catalog()[0].potential, "poly:1,1": QUARTIC,
                 "poly:-20,1": EvenPolynomialPotential((-20.0, 1.0)),
                 "table 4 poly:1,1,1": EvenPolynomialPotential(_TABLE_ROWS[4][1])}
 SCALED_MESHES = {"optimal": MeshStrategy.optimal(), "trace-min": MeshStrategy.trace_minimized()}
-# the only cases that hold at k = -12, found by running all 16
+# the only cases that hold at k = -6 and -12, found by running all 16 at each
+HOLD_AT_2_TO_MINUS_6 = {("V1", level, "trace-min") for level in (0, 1)} | {
+    ("poly:1,1", level, mesh) for level in (0, 1) for mesh in SCALED_MESHES} | {
+    ("table 4 poly:1,1,1", 0, "trace-min"), ("table 4 poly:1,1,1", 1, "trace-min"),
+    ("table 4 poly:1,1,1", 1, "optimal")}
 HOLD_AT_2_TO_MINUS_12 = {("poly:1,1", 1, "optimal"), ("table 4 poly:1,1,1", 1, "optimal"),
                          ("table 4 poly:1,1,1", 1, "trace-min")}
 CLOSED_FORM_STALLS = (
-    "ROADMAP item 14: with c_m scaled by 2^(6(2m+2)) the closed form's W argument is small, "
-    "h ~ 2^m pi^2 / sqrt(c_m) stops shrinking with N and the grid misses the state, so the "
-    "sweep does not converge by N = 150 and its last E / 4^k is off by 0.2 or more relative")
+    "ROADMAP item 14: with c_m scaled by 2^(k(2m+2)), k >= 6, the closed form's W argument is "
+    "small, h ~ 2^m pi^2 / sqrt(c_m) stops shrinking with N and the grid misses the state, so "
+    "the sweep does not converge by N = 150 and its last E / 4^k is off by 0.2 or more relative")
+SMALL_SCALE_STALLS = (
+    "ROADMAP item 14: at 2^-6 the tolerance 5e-12 * 4^-6 lies below the rounding floor of "
+    "poly:-20,1, which does not converge by N = 150, and three closed-form sweeps (V1 at "
+    "levels 0 and 1, the table 4 preset at level 0) stop at an E / 4^k off by 2.1e-11 to "
+    "7.1e-11 relative")
 TINY_SCALE_STALLS = (
     "ROADMAP item 14: at 2^-12 the rounding floor eps * max|lambda| stays O(1) while E "
     "shrinks by 4^-12, so the sweep either does not converge by N = 150 or stops at an "
     "E / 4^k off by 2.8e-11 to 8.1e-10 relative")
+TINIEST_SCALE_STALLS = (
+    "ROADMAP item 14: at 2^-24 E shrinks by 4^-24 and the tolerance with it, far below the "
+    "rounding floor, so no sweep converges by N = 150; the last E / 4^k is off by 1.6e-12 "
+    "to 5.7e-3 relative")
 
 
 def scaled_well(potential, k):
@@ -646,12 +659,16 @@ def scaling_cases():
     for name in SCALED_WELLS:
         for level in (0, 1):
             for mesh in SCALED_MESHES:
-                for k in (-12, -2, 2, 6):
+                for k in (-24, -12, -6, -2, 2, 6, 12, 24):
                     reason = None
-                    if k == 6 and mesh == "optimal":
+                    if k >= 6 and mesh == "optimal":
                         reason = CLOSED_FORM_STALLS
+                    elif k == -6 and (name, level, mesh) not in HOLD_AT_2_TO_MINUS_6:
+                        reason = SMALL_SCALE_STALLS
                     elif k == -12 and (name, level, mesh) not in HOLD_AT_2_TO_MINUS_12:
                         reason = TINY_SCALE_STALLS
+                    elif k == -24:
+                        reason = TINIEST_SCALE_STALLS
                     marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
                     yield pytest.param(name, level, mesh, k, marks=marks,
                                        id=f"{name}-level{level}-{mesh}-k{k}")
