@@ -68,6 +68,19 @@ err=$(descm solve --potential poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249 --mes
 test "$status" -eq 1
 test "$(printf '%s\n' "$err" | wc -l)" -eq 1
 case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
+# a trace-min sweep searches a block of planned truncations in lockstep and
+# raises a failed search only at its own truncation: the same well swept,
+# exit 1 with the one-line diagnosis at N = 2
+status=0
+err=$(descm converge --potential poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249 --mesh trace-min \
+    2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+test "$(printf '%s\n' "$err" | wc -l)" -eq 1
+case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
+# a trace-min sweep that stops inside a planned block, N = 74..95 at a step
+# of 3 (stop at N = 86), under warnings as errors: JSON on stdout, exit 0
+PYTHONWARNINGS=error descm converge --potential 'cheb:20;shift=-1' --mesh trace-min --N-step 3 \
+    --format json | python -m json.tool > /dev/null
 descm solve --potential 'poly:1,1' --N 17 --levels 3 --format json | python -m json.tool > /dev/null
 # a spec read from a CRLF file ends in \r, which JSON must escape
 descm solve --potential $'poly:1,1\r' --N 17 --format json | python -m json.tool > /dev/null

@@ -43,13 +43,29 @@ against eight trace calls for grid refinement, and the trace-minimized h
 depends on the potential and N alone.
 
 A full slope pass runs over 64-point cells, one per rise of the pass
-before, each a 1-D np.linspace grid evaluated alone. Every pass, full or
-sliced, turns its slopes into a list of Python floats once, and one rise
-rule (:func:`_rises`) reads them, as the cubic zero does. Nearly every
-choice sees one rise per pass, kept as a bracket of two Python floats, on
-which the bracket test and the next cell run. Several rises (Chebyshev
-wells at N <= 2, widened windows) make several cells, and every one of them
-is refined again until every bracket is 1e-4 relative wide.
+before, each a 1-D np.linspace grid. Every pass, full or sliced, comes
+back as a list of Python floats per grid, and one rise rule
+(:func:`_rises`) reads them, as the cubic zero does. Nearly every choice
+sees one rise per pass, kept as a bracket of two Python floats, on which
+the bracket test and the next cell run. Several rises (Chebyshev wells at
+N <= 2, widened windows) make several cells, and every one of them is
+refined again until every bracket is 1e-4 relative wide.
+
+The search is written once, as a generator (:func:`_search`) that runs
+its scans and reads its tabled first pass itself, and yields every other
+slope pass it needs: a widened window's first cell, the cells of a pass,
+a slice or a moved slice. :func:`_lockstep` runs the searches of several
+truncations, such as the block a sweep plans, in rounds. Each round
+advances every search still running to the pass it asks for next, and one
+:func:`_slope_passes` call evaluates all of those passes: one set of
+slope terms over a padded (rows, S) grid, S the largest N, each row
+summed over its own N columns, so every slope is bit for bit the one its
+pass alone gives. The per-pass cost that does not grow with N is then paid
+once a round. The scans and the tabled first passes all run in the first
+round, in N order, so the tables grow as in searches made one after the
+other. A search that raises is held, for the caller to raise when it
+solves that N, and the others run on. :func:`trace_minimized_mesh_size`
+is that driver with one N.
 
 The search reads its first slope pass from the table by the cell's
 number. The one identity check left is the trace's ``h is _FIRST_GRID``:
@@ -61,6 +77,7 @@ every trace call.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -336,17 +353,38 @@ def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
     1/h^2 overflows, without a warning; mixed infinities give NaN.
     """
     check_half_width(half_width)
-    slope = _slope_pass(potential, half_width, check_mesh_size(h))
-    return float(slope) if slope.ndim == 0 else slope
-
-
-def _slope_pass(potential: EvenPolynomialPotential, half_width: int, h: np.ndarray):
-    """Tr'(h) over a valid ``h``; call with overflow and invalid ignored."""
-    terms, kinetic = _slope_terms(potential, h, np.arange(1.0, half_width + 1))
+    terms, kinetic = _slope_terms(potential, check_mesh_size(h), np.arange(1.0, half_width + 1))
     slope = np.add.reduce(terms, -1)
     slope *= 2.0
     slope += kinetic
-    return slope
+    return float(slope) if slope.ndim == 0 else slope
+
+
+def _slope_passes(potential: EvenPolynomialPotential, requests) -> list:
+    """The slopes Tr'(h) of every request (N, grids), a list of 1-D grids at
+    one truncation: per request, one list of Python floats per grid. One
+    :func:`_slope_terms` call evaluates the terms of all their points on a
+    padded (rows, S) grid, S the largest N, and each request's rows sum
+    their first N columns, as a pass over that grid alone sums its terms, so
+    every slope is that pass's bit for bit. Call with overflow and invalid
+    ignored."""
+    h = np.concatenate([grid for _, grids in requests for grid in grids])
+    terms, kinetic = _slope_terms(potential, h, np.arange(1.0, max(n for n, _ in requests) + 1))
+    slope = np.empty_like(kinetic)
+    row = 0
+    for n, grids in requests:
+        end = row + sum(map(len, grids))
+        np.add.reduce(terms[row:end, :n], -1, out=slope[row:end])
+        row = end
+    slope *= 2.0
+    slope += kinetic
+    values, row, slopes = slope.tolist(), 0, []
+    for _, grids in requests:
+        slopes.append([])
+        for grid in grids:
+            slopes[-1].append(values[row : row + len(grid)])
+            row += len(grid)
+    return slopes
 
 
 def _slope_terms(potential: EvenPolynomialPotential, h: np.ndarray, k: np.ndarray):
@@ -440,11 +478,11 @@ def _slice_points(a: float, b: float, start: int) -> list[float]:
     return points
 
 
-def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: float, b: float,
-                      guess: float) -> float | None:
+def _sliced_last_pass(a: float, b: float, guess: float):
     """The zero that the last slope pass, over the cell np.linspace(a, b, 64),
     interpolates, read from _SLICE of its points around the predicted zero
-    ``guess``; call with overflow and invalid ignored.
+    ``guess``. A sub-generator of :func:`_search`: it yields each slice's
+    points as a pass of one grid and is sent back their slopes.
 
     The slice's six points are the cell's own floats (:func:`_slice_points`)
     and each slope sums its own row, so the slice's slopes are the full
@@ -467,7 +505,7 @@ def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: fl
         if start == previous:
             return None
         points = _slice_points(a, b, start)
-        slope = _slope_pass(potential, half_width, np.array(points)).tolist()
+        (slope,) = yield [np.array(points)]
         rises = _rises(slope)
         if len(rises) > 1:
             return None
@@ -483,7 +521,85 @@ def _sliced_last_pass(potential: EvenPolynomialPotential, half_width: int, a: fl
     return None
 
 
+def _search(potential: EvenPolynomialPotential, half_width: int):
+    """The search of :func:`trace_minimized_mesh_size` at one N, as a
+    generator that returns h. It makes its scans and reads the tabled first
+    slope pass itself; every other slope pass (a widened window's first
+    cell, the cells of a pass, a slice or a moved slice) it yields as a list
+    of 1-D grids, and it is sent their slopes, one list of Python floats per
+    grid. Run it through :func:`_lockstep`."""
+    lo, hi = _FIRST_WINDOW
+    grid = _FIRST_GRID
+    while True:
+        best = _best_trace(grid, collocation_trace(potential, half_width, grid))
+        if best == 0:
+            lo = lo * lo / hi
+        elif best == _SCAN_POINTS - 1:
+            hi = hi * hi / lo
+        else:
+            break
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
+    if grid is _FIRST_GRID:
+        cells = [_FIRST_PASS[best - 1]]
+        slopes = [_first_pass_slope(potential, half_width, best).tolist()]
+    else:
+        cells = [np.linspace(grid.item(best - 1), grid.item(best + 1), _SCAN_POINTS)]
+        slopes = yield cells
+    # every cell here lies inside a scanned window, so none needs checking
+    while True:
+        rises = [(cell, slope, i) for cell, slope in zip(cells, slopes) for i in _rises(slope)]
+        brackets = [(cell.item(i), cell.item(i + 1)) for cell, _, i in rises]
+        if all(b - a <= _BRACKET * a for a, b in brackets):  # or no rise at all
+            break
+        if len(cells) == len(rises) == 1:
+            (a, b), (cell, slope, i) = brackets[0], rises[0]
+            if b - a <= _LAST_CELL * a:
+                guess = _interpolated_zero(cell.tolist(), slope, i)
+                zero = yield from _sliced_last_pass(a, b, guess)
+                if zero is not None:
+                    return zero
+        cells = [np.linspace(a, b, _SCAN_POINTS) for a, b in brackets]
+        slopes = yield cells
+    if not rises:
+        candidates = np.concatenate(cells)
+    else:
+        zeros = [_interpolated_zero(cell.tolist(), slope, i) for cell, slope, i in rises]
+        if len(zeros) == 1:
+            return zeros[0]
+        candidates = np.array(zeros)
+    traces = collocation_trace(potential, half_width, candidates)
+    return candidates.item(_best_trace(candidates, traces))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # for the slope passes
+def _lockstep(potential: EvenPolynomialPotential, half_widths) -> list:
+    """The searches (:func:`_search`) of every truncation of ``half_widths``,
+    run in lockstep: per N, its trace-minimized h or the exception its search
+    raised, held for the caller to raise when it solves that N.
+
+    Each round advances every search still running, in N order, to the
+    slope pass it asks for next, and one :func:`_slope_passes` call
+    evaluates all of those passes. The first round runs each search's scans
+    and its tabled first pass in N order, so the tables grow as in searches
+    made one by one. A search that raises leaves the others running."""
+    outcomes = [None] * len(half_widths)
+    running = [(i, n, _search(potential, n), None) for i, n in enumerate(half_widths)]
+    while running:
+        asked = []
+        for i, n, search, slopes in running:
+            try:
+                asked.append((i, n, search, search.send(slopes)))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as error:  # raised at its own truncation, if ever
+                outcomes[i] = error
+        if not asked:
+            break
+        slopes = _slope_passes(potential, [(n, grids) for _, n, _, grids in asked])
+        running = [(i, n, search, got) for (i, n, search, _), got in zip(asked, slopes)]
+    return outcomes
+
+
 def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> float:
     """Mesh size minimizing the collocation trace.
 
@@ -502,14 +618,14 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     through 0. Slope passes over 64-point linear cells narrow to each cell
     holding such a rise, until the cells are 1e-4 relative wide: two passes
     across a triple of the first window, more across a widened one. Each
-    cell is a 1-D grid evaluated alone, each rise is kept as a bracket of
-    two floats, and every cell of a pass is refined again until every
-    bracket is that narrow. The zero is then interpolated in each remaining
-    cell. Where a pass of one cell sees one rise whose next cell will be the
-    last, its own zero predicts where the rise lies in that cell, and the
-    last pass evaluates only 6 of the cell's 64 points there, moved once if
-    they miss the rise. Their slopes are the full pass's bit for bit; the
-    full pass runs where no slice shows the rise alone.
+    cell is a 1-D grid, each rise is kept as a bracket of two floats, and
+    every cell of a pass is refined again until every bracket is that
+    narrow. The zero is then interpolated in each remaining cell. Where a
+    pass of one cell sees one rise whose next cell will be the last, its own
+    zero predicts where the rise lies in that cell, and the last pass
+    evaluates only 6 of the cell's 64 points there, moved once if they miss
+    the rise. Their slopes are the full pass's bit for bit; the full pass
+    runs where no slice shows the rise alone.
 
     One zero is the mesh size as it stands: neighbouring traces differ by
     rounding alone within about 1e-8 relative of it, so no trace call is
@@ -520,56 +636,30 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     V' overflows below the double range and no zero can be placed.
 
     A scanned trace of -inf raises :class:`CollocationOverflowError`, and an
-    undefined (NaN) trace ranks as +inf.
+    undefined (NaN) trace ranks as +inf. This is the lockstep search of a
+    sweep's planned block (``mesh_size_for`` over several N) with one N.
     """
-    lo, hi = _FIRST_WINDOW
-    grid = _FIRST_GRID
-    while True:
-        best = _best_trace(grid, collocation_trace(potential, half_width, grid))
-        if best == 0:
-            lo = lo * lo / hi
-        elif best == _SCAN_POINTS - 1:
-            hi = hi * hi / lo
-        else:
-            break
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
-    if grid is _FIRST_GRID:
-        cells = [_FIRST_PASS[best - 1]]
-        slopes = [_first_pass_slope(potential, half_width, best)]
-    else:
-        cells = [np.linspace(grid.item(best - 1), grid.item(best + 1), _SCAN_POINTS)]
-        slopes = [_slope_pass(potential, half_width, cells[0])]
-    # every cell here lies inside a scanned window, so none needs checking
-    while True:
-        slopes = [slope.tolist() for slope in slopes]
-        rises = [(cell, slope, i) for cell, slope in zip(cells, slopes) for i in _rises(slope)]
-        brackets = [(cell.item(i), cell.item(i + 1)) for cell, _, i in rises]
-        if all(b - a <= _BRACKET * a for a, b in brackets):  # or no rise at all
-            break
-        if len(cells) == len(rises) == 1:
-            (a, b), (cell, slope, i) = brackets[0], rises[0]
-            if b - a <= _LAST_CELL * a:
-                zero = _sliced_last_pass(potential, half_width, a, b,
-                                         _interpolated_zero(cell.tolist(), slope, i))
-                if zero is not None:
-                    return zero
-        cells = [np.linspace(a, b, _SCAN_POINTS) for a, b in brackets]
-        slopes = [_slope_pass(potential, half_width, cell) for cell in cells]
-    if not rises:
-        candidates = np.concatenate(cells)
-    else:
-        zeros = [_interpolated_zero(cell.tolist(), slope, i) for cell, slope, i in rises]
-        if len(zeros) == 1:
-            return zeros[0]
-        candidates = np.array(zeros)
-    traces = collocation_trace(potential, half_width, candidates)
-    return candidates.item(_best_trace(candidates, traces))
+    (h,) = _lockstep(potential, (half_width,))
+    if isinstance(h, Exception):
+        raise h
+    return h
 
 
-def mesh_size_for(
-    potential: EvenPolynomialPotential, half_width: int, strategy: MeshStrategy
-) -> float:
-    """Dispatch the mesh size according to the strategy."""
+def mesh_size_for(potential: EvenPolynomialPotential, half_width: int | Sequence[int],
+                  strategy: MeshStrategy):
+    """Dispatch the mesh size according to the strategy.
+
+    ``half_width`` may also be a sequence of truncations that a sweep plans
+    together. Then a list comes back with, per N, its mesh size or the
+    exception its choice raised, for the caller to raise when it solves that
+    N; trace-minimized sizes come from one lockstep search of them all.
+    """
+    if not isinstance(half_width, (int, np.integer)):
+        if strategy.kind == "optimal":
+            return [optimal_mesh_size(potential, n) for n in half_width]
+        if strategy.kind == "trace-min":
+            return _lockstep(potential, half_width)
+        return [float(strategy.fixed_h)] * len(half_width)
     if strategy.kind == "optimal":
         return optimal_mesh_size(potential, half_width)
     if strategy.kind == "trace-min":

@@ -18,23 +18,23 @@ positional sweep then compares an even state at one N with an odd one at
 the next. The error proxy for level n is eps_n(N) = |E_n(N_prev) - E_n(N)|
 between consecutive recorded truncations.
 
-Where h depends on N alone, under the ``optimal`` and ``fixed`` meshes, a
-sweep knows every h before it solves anything. It plans its truncations
-``_SWEEP_BLOCK`` at a time: it picks each h through ``mesh_size_for`` and
-builds the slabs of the swept parity for all of them in one pass over a
-padded grid of their points (``collocation_slabs``), fewer truncations
-where the block would pass ``_SWEEP_BLOCK_VALUES``. Each ``solve`` then
-gets its h and read-only views of its slab and diagonal; its overflow
-check stays its own, so a truncation past the stop is never checked and
-cannot raise or warn. The plan lives in the ``converge`` call alone.
-Trace-min sweeps and a plain ``solve`` build each truncation's slabs on
-their own, a block of one through the same slab function: a trace-min h
-needs a search, and a speculative search costs more than the pass saves.
+The trace-min h, like the closed-form and fixed ones, depends on the
+potential and N alone, so a sweep plans its truncations ``_SWEEP_BLOCK``
+at a time under every mesh, fewer where the block would pass
+``_SWEEP_BLOCK_VALUES``. One ``mesh_size_for`` call picks the block's h
+(for the trace-min mesh, one lockstep search of the block), and one pass
+over a padded grid of their points builds the slabs of the swept parity
+for all of them (``collocation_slabs``). Each ``solve`` then gets its h and
+read-only views of its slab and diagonal. Its overflow check stays its
+own, and a mesh choice that failed is raised only when the sweep reaches
+its truncation, so a truncation past the stop never raises or warns. The
+plan lives in the ``converge`` call alone. A plain ``solve`` picks its h
+alone and builds its slabs as a block of one through the same slab
+function.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -81,8 +81,9 @@ class SpectrumResult:
     labels from a read-only table; construction flags whatever array is
     still writable, such as one passed in by hand. ``wall_time`` covers the
     mesh choice, the assembly and the eigensolve of this truncation; for a
-    truncation of a closed-form sweep it leaves out its mesh choice and its
-    share of the block's slabs, built in one pass ahead of the solve.
+    truncation of a sweep, under any mesh, it leaves out its mesh choice
+    (its share of the block's search, for the trace-min mesh) and its share
+    of the block's slabs, both made ahead of the solve.
     """
 
     half_width: int
@@ -223,17 +224,20 @@ def solve(
                           time.perf_counter() - start, vectors)
 
 
-# Truncations a closed-form sweep plans at a time. Their mesh sizes depend
-# on N alone, so one pass builds the slabs of all of them; a truncation past
-# the stop wastes its mesh choice and its slab. On the 40 table 3-6 presets
-# and 2 early-stop wells (892 truncations solved), blocks of 4, 8 and 16
-# plan 948, 1048 and 1280 truncations; with one pass over a block's points
-# and the slabs built per truncation, they ran the 42 library sweeps 9.1%,
-# 14.0% and 16.4% faster than one pass per truncation built inside its own
-# assembly (best of 12 alternating rounds), and the CLI benchmark
-# `sweep-optimal` read 1031, 1093 and 1109 tasks/s against 961 (medians of
-# three 20 s runs; two Xeon cores, one BLAS thread). Past 8 the gain was
-# within the runs' spread, while the truncations wasted grow from 156 to 388.
+# Truncations a sweep plans at a time. Their mesh sizes depend on the
+# potential and N alone, so one call picks them all and one pass builds
+# their slabs; a truncation past the stop wastes its mesh choice and its
+# slab (3.1 trace-min searches a sweep over the 42 multiwell benchmark
+# sweeps of seeds 1-3, 131 past 1774 solved). Measured on closed-form
+# sweeps of the 40 table 3-6 presets and 2 early-stop wells (892
+# truncations solved), blocks of 4, 8 and 16 plan 948, 1048 and 1280
+# truncations; with one pass over a block's points and the slabs built per
+# truncation, they ran the 42 library sweeps 9.1%, 14.0% and 16.4% faster
+# than one pass per truncation built inside its own assembly (best of 12
+# alternating rounds), and the CLI benchmark `sweep-optimal` read 1031, 1093
+# and 1109 tasks/s against 961 (medians of three 20 s runs; two Xeon cores,
+# one BLAS thread). Past 8 the gain was within the runs' spread, while the
+# truncations wasted grow from 156 to 388.
 _SWEEP_BLOCK = 8
 # Values a block's padded slabs may hold, about 1 MB, as the CLI caps a
 # trace-scan call: past N = 127 a block plans fewer truncations, and a block
@@ -243,21 +247,25 @@ _SWEEP_BLOCK_VALUES = 1 << 17
 
 def _swept_slabs(problem: DescmProblem, half_widths: range, parity: int):
     """``solve``'s ``_planned`` for each truncation of a sweep of the block
-    of ``parity``, in order: None for the trace-min mesh, whose h needs a
-    search per N, else (h, slabs), the slabs of the next block of up to
-    ``_SWEEP_BLOCK`` truncations built in one pass when the last block runs
-    out. A generator, so a sweep that stops plans no further block."""
+    of ``parity``, in order: (h, slabs), the mesh sizes of the next block of
+    up to ``_SWEEP_BLOCK`` truncations picked by one ``mesh_size_for`` call
+    and their slabs built in one pass when the last block runs out. A
+    generator, so a sweep that stops plans no further block; a mesh choice
+    that failed raises here when the sweep reaches its truncation."""
     potential, strategy = problem.potential, problem.strategy
-    if strategy.kind == "trace-min":
-        yield from itertools.repeat(None, len(half_widths))
-        return
     start = 0
     while start < len(half_widths):
         block = half_widths[start : start + _SWEEP_BLOCK]
         while len(block) > 1 and len(block) * (block[-1] + 1) ** 2 > _SWEEP_BLOCK_VALUES:
             block = block[:-1]
-        mesh_sizes = [mesh_size_for(potential, n, strategy) for n in block]
-        yield from zip(mesh_sizes, collocation_slabs(potential, block, mesh_sizes, parity))
+        mesh_sizes = mesh_size_for(potential, block, strategy)
+        # a failed choice, an exception, gets a slab built on NaN, never read
+        sizes = [h if isinstance(h, float) else math.nan for h in mesh_sizes]
+        for h, size, slabs in zip(mesh_sizes, sizes,
+                                  collocation_slabs(potential, block, sizes, parity)):
+            if h is not size:
+                raise h
+            yield h, slabs
         start += len(block)
 
 
@@ -273,11 +281,11 @@ def converge(
     entry ``level // 2`` of the block of parity (-1)^level, drops below
     ``tolerance``; never raises on non-convergence, the returned trace says
     so instead. Each truncation assembles and solves that block alone, so
-    the problem's ``levels_requested`` plays no part. Where h depends on N
-    alone (the ``optimal`` and ``fixed`` meshes), the sweep builds the
-    slabs of up to ``_SWEEP_BLOCK`` truncations in one pass ahead of
-    solving them; a truncation past the stop is never checked, so it
-    neither raises nor warns."""
+    the problem's ``levels_requested`` plays no part. The sweep picks the
+    mesh sizes of up to ``_SWEEP_BLOCK`` truncations in one call and builds
+    their slabs in one pass ahead of solving them; a truncation past the
+    stop is never checked, and its mesh choice's error is never raised, so
+    it neither raises nor warns."""
     if not (0.0 < tolerance < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if n_step < 1:

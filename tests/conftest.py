@@ -28,3 +28,16 @@ def random_potential(rng, max_half_degree=5, with_constant=False) -> EvenPolynom
     coeffs[-1] = rng.uniform(0.1, 2.0)
     constant = float(rng.uniform(-1.0, 1.0)) if with_constant else 0.0
     return EvenPolynomialPotential(tuple(coeffs), constant=constant)
+
+
+# the 14 wells of the multiwell-tracemin benchmark (seed 1), whose sweeps
+# take the trace-minimized mesh
+MULTIWELL_SPECS = (
+    "poly:1,-4,1", "poly:4,-6,1", "poly:1.640625,-5.375,1,-1,1", "poly:2.640625,-7.375,1,-1,1",
+    "poly:-20,1", "cheb:10;shift=-1", "cheb:20;shift=-1", "poly:0.1,0.1,0.1,0.1,0.1",
+    "poly:0.1,0.1,-1,-1,1", "poly:-10,-10,-10,-10,10", "cheb:40;shift=-1", "poly:-15.28,1",
+    "cheb:8;shift=-0.97", "poly:4.97,-4.85,1",
+)
+# V' lies below the double range, so its trace-min slope rises from -inf and
+# places no zero, and the scanned traces reach -inf: every search raises
+MINUS_INF_RISE = "poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249"

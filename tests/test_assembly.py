@@ -19,12 +19,13 @@ from descm import (
     parse_potential,
     solve,
     solver,
+    mesh_size_for,
     trace_minimized_mesh_size,
 )
-from conftest import random_potential
+from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
 from oracles import (assemble_generalized_pair, fd_second_derivative, full_collocation_matrix,
-                     full_slab_collocation_matrix, mp_block_eigenvalues, parity_blocks_by_index,
-                     sinc_basis)
+                     full_slab_collocation_matrix, lockstep_trace_minimized_mesh_size,
+                     mp_block_eigenvalues, parity_blocks_by_index, sinc_basis)
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 V1 = analytic_catalog()[0].potential
@@ -180,11 +181,10 @@ class TestParityBlocks:
         problem = DescmProblem(parse_potential("poly:4,-6,1"), strategy=strategy)
         trace = converge(problem, level=3)
         solved = [record.half_width for record in trace.records]
-        needs = solved  # trace-min: each truncation builds its own slab
-        if strategy.kind == "optimal":  # each planned block's largest N, blocks begun only
-            planned = range(solved[0], 101)
-            needs = [planned[i : i + solver._SWEEP_BLOCK][-1]
-                     for i in range(0, len(solved), solver._SWEEP_BLOCK)]
+        # each planned block's largest N, blocks begun only, under either mesh
+        planned = range(solved[0], 101)
+        needs = [planned[i : i + solver._SWEEP_BLOCK][-1]
+                 for i in range(0, len(solved), solver._SWEEP_BLOCK)]
         width, expected = 0, []
         for n in needs:
             if n >= width:
@@ -300,6 +300,31 @@ def assert_planned_equals_alone(potential, half_widths, mesh_sizes, parity):
     return overflowing
 
 
+def trace_min_planned_blocks():
+    """(spec, half_widths) of planned trace-min blocks of
+    ``solver._SWEEP_BLOCK`` truncations at steps 1 and 3: from N = 1, 2 and
+    30 on the 14 multiwell benchmark wells, and from N = 1, 2 and 100 on
+    wells whose searches take the rare paths: several rises
+    (cheb:20;shift=-1 at N = 1, 2), a moved slice (cheb:40;shift=-1 at
+    N = 100), widened windows (poly:1e10,1e10 at N = 100, poly:1e308 and
+    poly:1e-300) and a trace of -inf at every N."""
+    rare = ("cheb:20;shift=-1", "cheb:40;shift=-1", "poly:1e10,1e10", "poly:1e308",
+            "poly:1e-300", MINUS_INF_RISE)
+    for specs, firsts in ((MULTIWELL_SPECS, (1, 2, 30)), (rare, (1, 2, 100))):
+        for spec in specs:
+            for first in firsts:
+                for n_step in (1, 3):
+                    yield spec, range(first, first + solver._SWEEP_BLOCK * n_step, n_step)
+
+
+def mesh_size_or_error(potential, n):
+    """The trace-min h at N alone, or the text of the exception it raised."""
+    try:
+        return trace_minimized_mesh_size(potential, n)
+    except CollocationOverflowError as error:
+        return f"CollocationOverflowError: {error}"
+
+
 class TestPlannedBlocks:
     """``collocation_slabs`` builds a block of truncations' slabs in one pass
     over a padded grid; every truncation must keep the bits it has alone."""
@@ -308,6 +333,34 @@ class TestPlannedBlocks:
     def test_every_truncation_equals_its_build_alone(self, parity):
         for p, half_widths, mesh_sizes in planned_cases():
             assert assert_planned_equals_alone(p, half_widths, mesh_sizes, parity) == []
+
+    def test_trace_min_block_equals_its_truncations_alone(self):
+        # one lockstep search picks the block's h, and one pass builds its
+        # slabs: each h is the search at that N alone, and the lockstep
+        # oracle's, in float.hex, and each slab that truncation's alone
+        trace_min, failed = MeshStrategy.trace_minimized(), 0
+        potentials = {}
+        for spec, half_widths in trace_min_planned_blocks():
+            p = potentials.setdefault(spec, parse_potential(spec))
+            planned = mesh_size_for(p, half_widths, trace_min)
+            assert len(planned) == len(half_widths)
+            mesh_sizes = []
+            for n, h in zip(half_widths, planned):
+                alone = mesh_size_or_error(p, n)
+                if isinstance(h, Exception):
+                    assert isinstance(h, CollocationOverflowError), (spec, n)
+                    assert f"CollocationOverflowError: {h}" == alone, (spec, n)
+                    failed += 1
+                    continue
+                assert type(h) is float and h.hex() == alone.hex(), (spec, n)
+                assert h.hex() == lockstep_trace_minimized_mesh_size(p, n).hex(), (spec, n)
+                mesh_sizes.append((n, h))
+            if mesh_sizes:
+                solved, sizes = zip(*mesh_sizes)
+                for parity in (1, -1, None):
+                    assert assert_planned_equals_alone(p, solved, sizes, parity) == []
+        # the -inf well's searches each raise, and only they do
+        assert failed == 6 * solver._SWEEP_BLOCK
 
     @pytest.mark.parametrize("parity", [1, -1, None])
     def test_overflowing_truncations_leave_the_finite_ones_bit_equal(self, parity):

@@ -8,16 +8,20 @@ wrapping ``descm.solver.solve`` and ``descm.mesh.collocation_trace``; a path
 that bypassed them would fold its work into fewer, longer parts. The traced
 ``de_map.scaled`` layer wraps ``transformed_potential_scaled`` as the mesh and
 assembly modules name it; a trace or assembly that inlined it would leave
-that layer silent. A closed-form sweep builds the slabs of a block of
+that layer silent. A sweep builds the slabs of a block of
 truncations in one pass over a padded grid of B truncations by S points,
 S the block's largest N + 1, with one ``transformed_potential_scaled``
-call over all B * S points, and picks each planned h through
-``solver.mesh_size_for``, so those layers must still see one call per
-block and one per planned N; ``de_map.points`` then counts the padding and
-the points of a last block's truncations that the sweep never solves. That
-pass runs in ``converge``, outside ``assemble_collocation_matrix``, so for
-such a sweep the traced ``assembly`` layer times each truncation's
-diagonal check alone and the slab work reads as ``solver.converge``. The
+call over all B * S points, and picks the block's h by one
+``solver.mesh_size_for`` call, so those layers must still see one call per
+block; ``de_map.points`` then counts the padding and the points of a last
+block's truncations that the sweep never solves. A trace-min sweep plans
+its blocks the same way: that one call runs a lockstep search of the
+block, which scans each truncation through ``mesh.collocation_trace``, so
+the trace layer sees one scan per planned N, those past the stop
+included. That pass runs in ``converge``, outside
+``assemble_collocation_matrix``, so for a sweep the traced ``assembly``
+layer times each truncation's diagonal check alone and the slab work reads
+as ``solver.converge``. The
 traced ``eigensolver`` and ``assembly`` layers count calls, rows and bytes,
 each truncation's slab a view of its own (N + 1)^2 corner, so a sweep that
 solved both parity blocks again would show there as twice the work."""
@@ -106,17 +110,22 @@ def test_trace_and_assembly_each_call_the_scaled_potential_once(monkeypatch, cap
     records = json.loads(capsys.readouterr().out)["records"]
     assert code == 0
     assert counts["assembly"] == len(records)
-    # a scan per mesh choice; a choice makes one more trace call, a pick among
-    # the slope's zeros, only where it sees several dips, and none here does
-    assert counts["trace"] == len(records)
+    # the sweep searches every truncation of the blocks it begins, those past
+    # the stop included; a scan per mesh choice, and a choice makes one more
+    # trace call, a pick among the slope's zeros, only where it sees several
+    # dips, and none here does
+    block = solver._SWEEP_BLOCK
+    planned = list(range(2, 101))[: -(-len(records) // block) * block]
+    assert counts["trace"] == len(planned)
     # the scan reads the first window's table, which evaluates W/cosh^2 only
     # when it grows (to max(N + 1, twice its width), from empty at a new potential)
     width = growths = 0
-    for record in records:
-        if record["N"] >= width:
-            width, growths = max(record["N"] + 1, 2 * width), growths + 1
+    for n in planned:
+        if n >= width:
+            width, growths = max(n + 1, 2 * width), growths + 1
     assert counts["mesh.scaled"] == growths
-    assert counts["assembly.scaled"] == counts["assembly"]
+    # the slabs of each planned block come from one pass over its points
+    assert counts["assembly.scaled"] == -(-len(planned) // block)
 
 
 @pytest.mark.parametrize("mesh_args", [("--mesh", "optimal"), ("--mesh", "fixed", "--h", "0.2")],
@@ -130,8 +139,8 @@ def test_closed_form_sweep_evaluates_its_points_once_per_block(monkeypatch, caps
                         lambda potential, x, *args: points.append(np.size(x)) or raw_scaled(
                             potential, x, *args))
     monkeypatch.setattr(solver, "mesh_size_for",
-                        lambda potential, n, strategy: meshes.append(n) or raw_mesh(
-                            potential, n, strategy))
+                        lambda potential, block, strategy: meshes.append(list(block)) or raw_mesh(
+                            potential, block, strategy))
     block, unsolved = solver._SWEEP_BLOCK, 0
     for spec in ("poly:1,1", "poly:0.1,0.1", "poly:1,1,1"):
         points.clear()
@@ -140,11 +149,11 @@ def test_closed_form_sweep_evaluates_its_points_once_per_block(monkeypatch, caps
                          "--N-max", "60", "--format", "json"])
         records = json.loads(capsys.readouterr().out)["records"]
         assert code in (0, 3)
-        # every h of the blocks begun is picked and their points evaluated on
-        # the block's padded grid, B truncations by the largest N + 1, those
-        # of truncations past the stop included; none beyond
+        # every h of the blocks begun is picked, one call per block, and their
+        # points evaluated on the block's padded grid, B truncations by the
+        # largest N + 1, those of truncations past the stop included; none beyond
         planned = list(range(2, 61, n_step))[: -(-len(records) // block) * block]
-        assert meshes == planned, spec
+        assert meshes == [planned[i : i + block] for i in range(0, len(planned), block)], spec
         assert points == [len(planned[i : i + block]) * (planned[i : i + block][-1] + 1)
                           for i in range(0, len(planned), block)], spec
         unsolved += len(planned) - len(records)

@@ -28,7 +28,7 @@ from descm.mesh import (
     _FIRST_GRID, _FIRST_WINDOW, _best_trace, _half_diagonal, _interpolated_zero,
     collocation_trace_slope,
 )
-from conftest import random_potential
+from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
 import oracles
 from oracles import (_RESOLUTION, full_collocation_matrix, full_grid_collocation_trace,
                      golden_section_mesh_size, lockstep_trace_minimized_mesh_size)
@@ -358,6 +358,43 @@ class TestTraceSlope:
                 fn(QUARTIC, 3, np.array([0.3, h]))
 
 
+class SearchLog(list):
+    """The trace calls and slope passes of the searches run while it is
+    installed, in the order made, as (name, N, a copy of the grid): "trace"
+    for a call of the public trace, "slope" for a tabled first pass (its
+    cell's grid) and for each grid of every request that the batched slope
+    evaluation gets. ``rounds`` holds, per batched evaluation, the N of each
+    request it serves."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self.rounds = []
+        raw_trace, raw_passes = mesh.collocation_trace, mesh._slope_passes
+        raw_read = mesh._first_pass_slope
+
+        def trace(potential, half_width, h):
+            self.append(("trace", half_width, np.array(h, copy=True)))
+            return raw_trace(potential, half_width, h)
+
+        def passes(potential, requests):
+            self.rounds.append([n for n, _ in requests])
+            self.extend(("slope", n, np.array(grid, copy=True))
+                        for n, grids in requests for grid in grids)
+            return raw_passes(potential, requests)
+
+        def read(potential, half_width, cell):
+            self.append(("slope", half_width, mesh._FIRST_PASS[cell - 1].copy()))
+            return raw_read(potential, half_width, cell)
+
+        monkeypatch.setattr(mesh, "collocation_trace", trace)
+        monkeypatch.setattr(mesh, "_slope_passes", passes)
+        monkeypatch.setattr(mesh, "_first_pass_slope", read)
+
+    def grids(self, name):
+        """The grids of the calls named ``name``, in order."""
+        return [grid for kind, _, grid in self if kind == name]
+
+
 class TestTraceMinimized:
     def test_below_closed_form_trace(self):
         h_hat = trace_minimized_mesh_size(QUARTIC, 10)
@@ -420,20 +457,9 @@ class TestTraceMinimized:
     @pytest.mark.parametrize("spec,n", [("poly:1,1", 5), ("cheb:20;shift=-1", 40),
                                         ("poly:1e10,1e10", 100)])
     def test_search_scans_linspace_grids(self, monkeypatch, spec, n):
-        passes = []
-        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
-
-        def record(potential, half_width, h):
-            passes.append(np.array(h, copy=True))
-            return raw_pass(potential, half_width, h)
-
-        def read(potential, half_width, cell):
-            passes.append(mesh._FIRST_PASS[cell - 1].copy())
-            return raw_read(potential, half_width, cell)
-
-        monkeypatch.setattr(mesh, "_slope_pass", record)
-        monkeypatch.setattr(mesh, "_first_pass_slope", read)
+        log = SearchLog(monkeypatch)
         trace_minimized_mesh_size(parse_potential(spec), n)
+        passes = log.grids("slope")
         # every full slope pass runs over a 64-point linspace cell, which lies
         # inside a cell before it; the last pass is a 6-point slice, byte for
         # byte a contiguous run of the linspace cell over a bracket of the
@@ -510,17 +536,7 @@ class TestTraceMinimized:
     def test_refinement_ends_within_sixteen_trace_calls(self, monkeypatch, spec, n):
         # trace and slope calls alike: each slope pass narrows the bracket
         # 63-fold, and a widened window adds one scan per widening
-        calls = []
-
-        def counted(function):
-            def wrapper(potential, half_width, h):
-                calls.append(h)
-                return function(potential, half_width, h)
-            return wrapper
-
-        monkeypatch.setattr(mesh, "collocation_trace", counted(collocation_trace))
-        monkeypatch.setattr(mesh, "_slope_pass", counted(mesh._slope_pass))
-        monkeypatch.setattr(mesh, "_first_pass_slope", counted(mesh._first_pass_slope))
+        calls = SearchLog(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h = trace_minimized_mesh_size(parse_potential(spec), n)
@@ -536,22 +552,9 @@ class TestTraceMinimized:
         # pass sees several dips (cheb:20 at N = 1), the second evaluates one
         # cell per dip, and a second trace call, over their zeros alone, picks
         # the lowest
-        calls, raw_read = [], mesh._first_pass_slope
-
-        def counted(name, function):
-            def wrapper(potential, half_width, h):
-                calls.append((name, np.array(h, copy=True)))
-                return function(potential, half_width, h)
-            return wrapper
-
-        def read(potential, half_width, cell):
-            calls.append(("slope", mesh._FIRST_PASS[cell - 1].copy()))
-            return raw_read(potential, half_width, cell)
-
-        monkeypatch.setattr(mesh, "collocation_trace", counted("trace", collocation_trace))
-        monkeypatch.setattr(mesh, "_slope_pass", counted("slope", mesh._slope_pass))
-        monkeypatch.setattr(mesh, "_first_pass_slope", read)
+        log = SearchLog(monkeypatch)
         h_hat = trace_minimized_mesh_size(parse_potential(spec), n)
+        calls = [(name, h) for name, _, h in log]
         names = [name for name, _ in calls]
         if spec == "cheb:20;shift=-1":
             zeros = calls[-1][1]
@@ -569,25 +572,9 @@ class TestTraceMinimized:
         # cell is refined again until all brackets are narrow: the zeros the
         # last trace call compares each lie in one cell of the last pass, and
         # all of them lie equally deep inside the cells evaluated before
-        cells, traced = [], []
-        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
-
-        def slope_pass(potential, half_width, h):
-            cells.append(np.array(h, copy=True))
-            return raw_pass(potential, half_width, h)
-
-        def read(potential, half_width, cell):
-            cells.append(mesh._FIRST_PASS[cell - 1].copy())
-            return raw_read(potential, half_width, cell)
-
-        def trace(potential, half_width, h):
-            traced.append(np.array(h, copy=True))
-            return collocation_trace(potential, half_width, h)
-
-        monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
-        monkeypatch.setattr(mesh, "_first_pass_slope", read)
-        monkeypatch.setattr(mesh, "collocation_trace", trace)
+        log = SearchLog(monkeypatch)
         h_hat = trace_minimized_mesh_size(parse_potential(spec), n)
+        cells, traced = log.grids("slope"), log.grids("trace")
         zeros = traced[-1].tolist()
         assert 1 < len(zeros) < 64 and h_hat in zeros
         assert all(cell.shape == (64,) for cell in cells)
@@ -597,6 +584,11 @@ class TestTraceMinimized:
             assert cell[1] - cell[0] <= mesh._BRACKET * cell[0]
         depths = {sum(cell[0] <= zero <= cell[-1] for cell in cells) for zero in zeros}
         assert len(depths) == 1 and depths.pop() >= 2, depths
+        # every pass after the tabled first one is one request, all its
+        # cells evaluated together
+        passes = (len(cells) - 1) // len(zeros) + 1
+        assert log.rounds == [[n]] * (passes - 1)
+        assert len(cells) == 1 + (passes - 1) * len(zeros)
 
     @pytest.mark.parametrize("potential,tolerance", SLOPE_ZERO_TOLERANCES)
     def test_is_the_slope_zero(self, potential, tolerance):
@@ -639,12 +631,17 @@ class TestTraceMinimized:
         def last_pass(slope, guess, lo=a, hi=b):
             passes.clear()
 
-            def slope_pass(potential, half_width, h):
-                passes.append(h.tobytes())
-                return slope(h)
+            def slope_passes(potential, requests):
+                ((n, grids),) = requests
+                assert n == 5 and len(grids) == 1
+                passes.append(grids[0].tobytes())
+                return [[slope(grids[0]).tolist()]]
 
-            monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
-            return mesh._sliced_last_pass(QUARTIC, 5, lo, hi, guess)
+            monkeypatch.setattr(mesh, "_slope_passes", slope_passes)
+            monkeypatch.setattr(mesh, "_search",
+                                lambda potential, n: mesh._sliced_last_pass(lo, hi, guess))
+            (zero,) = mesh._lockstep(QUARTIC, [5])
+            return zero
 
         def alternating(h):  # rises at points 39 and 41
             return np.where(np.isin(h, cell[1::2]), -1.0, 1.0)
@@ -677,8 +674,8 @@ class TestTraceMinimized:
             return traces
 
         monkeypatch.setattr(mesh, "collocation_trace", record)
-        monkeypatch.setattr(mesh, "_slope_pass",
-                            lambda potential, half_width, h: np.ones(np.shape(h)))
+        monkeypatch.setattr(mesh, "_slope_passes", lambda potential, requests: [
+            [[1.0] * len(grid) for grid in grids] for _, grids in requests])
         monkeypatch.setattr(mesh, "_first_pass_slope",
                             lambda potential, half_width, cell: np.ones(64))
         h_hat = trace_minimized_mesh_size(TRIPLE_WELL, 20)
@@ -867,38 +864,47 @@ class TestFirstPassTable:
     def test_derivative_runs_once_per_second_pass_and_per_table_growth(self, monkeypatch):
         potential = parse_potential("cheb:10;shift=-1")
         monkeypatch.setattr(mesh, "_tables", NO_TABLES)
-        calls, passes = [], []
+        calls, passes, rounds = [], [], []
         raw_derivative = type(potential).derivative
-        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
+        raw_passes, raw_read = mesh._slope_passes, mesh._first_pass_slope
 
         def derivative(self, x):
             calls.append(x.shape)
             return raw_derivative(self, x)
 
-        def slope_pass(p, n, h):
-            passes.append((None, n))
-            return raw_pass(p, n, h)
+        def slope_passes(p, requests):
+            rounds.append([n for n, _ in requests])
+            passes.extend((None, n) for n, grids in requests for _ in grids)
+            return raw_passes(p, requests)
 
         def read(p, n, cell):
             passes.append((cell, n))
             return raw_read(p, n, cell)
 
         monkeypatch.setattr(type(potential), "derivative", derivative)
-        monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
+        monkeypatch.setattr(mesh, "_slope_passes", slope_passes)
         monkeypatch.setattr(mesh, "_first_pass_slope", read)
         problem = DescmProblem(potential, strategy=MeshStrategy.trace_minimized())
         records = solver.converge(problem, level=0, tolerance=5e-12, n_max=60).records
-        # one first pass from the table and one second pass per truncation
-        assert [cell is not None for cell, _ in passes] == [True, False] * len(records)
+        # every truncation of the blocks begun is searched, in blocks of
+        # _SWEEP_BLOCK: one first pass from the table and one second pass per
+        # truncation, the second passes of a block in one evaluation
+        block = solver._SWEEP_BLOCK
+        planned = list(range(2, 61))[: -(-len(records) // block) * block]
+        blocks = [planned[i : i + block] for i in range(0, len(planned), block)]
+        assert [(cell is not None, n) for cell, n in passes] == [
+            (read, n) for ns in blocks for read in (True, False) for n in ns]
+        assert rounds == blocks
         held, width, growths = None, 0, 0
-        for cell, n in passes[::2]:
-            if cell != held or n > width:
+        for cell, n in passes:
+            if cell is not None and (cell != held or n > width):
                 held, width, growths = cell, n + mesh._SLOPE_LOOKAHEAD, growths + 1
-        assert len(calls) == len(records) + growths
-        assert growths < len(records) / 2
+        # V' once per evaluation of second passes, and once per table growth
+        assert len(calls) == len(rounds) + growths
+        assert growths < len(planned) / 2
         # a repeated choice at a covered N evaluates V' for the second pass only
         calls.clear()
-        trace_minimized_mesh_size(potential, records[-1].half_width)
+        trace_minimized_mesh_size(potential, planned[-1])
         assert len(calls) == 1
 
     def test_threads_sweeping_different_potentials_match_serial_calls(self):
@@ -928,17 +934,10 @@ class TestFirstPassTable:
 
 
 # the 14 wells of the multiwell benchmark (seed 1), and a plain and a stiff quartic
-REFERENCE_SPECS = (
-    "poly:1,-4,1", "poly:4,-6,1", "poly:1.640625,-5.375,1,-1,1", "poly:2.640625,-7.375,1,-1,1",
-    "poly:-20,1", "cheb:10;shift=-1", "cheb:20;shift=-1", "poly:0.1,0.1,0.1,0.1,0.1",
-    "poly:0.1,0.1,-1,-1,1", "poly:-10,-10,-10,-10,10", "cheb:40;shift=-1", "poly:-15.28,1",
-    "cheb:8;shift=-0.97", "poly:4.97,-4.85,1", "poly:1,1", "poly:1e8,1e8",
-)
+REFERENCE_SPECS = MULTIWELL_SPECS + ("poly:1,1", "poly:1e8,1e8")
 # cheb:40 takes the moved slice at 91 of N = 1..130 (50 of N = 30..100), and
 # the full last pass at N = 4, 5, 6 and 13
 REFERENCE_SIZES = list(range(1, 131)) + list(range(200, 3, -4))
-# V' lies below the double range, so its slope rises from -inf and places no zero
-MINUS_INF_RISE = "poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249"
 
 
 def reference_cases():
@@ -971,27 +970,16 @@ class TestLockstepReference:
         monkeypatch.setattr(oracles, "collocation_trace", recorded("trace", collocation_trace))
         monkeypatch.setattr(oracles, "collocation_trace_slope",
                             recorded("slope", collocation_trace_slope))
-        passes, shapes = [], set()
-        raw_pass, raw_read = mesh._slope_pass, mesh._first_pass_slope
-
-        def slope_pass(potential, half_width, h):
-            passes.append(np.shape(h))
-            return raw_pass(potential, half_width, h)
-
-        def read(potential, half_width, cell):
-            passes.append(np.shape(mesh._FIRST_PASS[cell - 1]))
-            return raw_read(potential, half_width, cell)
-
-        monkeypatch.setattr(mesh, "_slope_pass", slope_pass)
-        monkeypatch.setattr(mesh, "_first_pass_slope", read)
+        log, shapes = SearchLog(monkeypatch), set()
         potentials, mismatches, several_rises, widened, overflows = {}, [], 0, 0, 0
         last_passes = {"first slice": 0, "moved slice": 0, "full after a slice": 0}
         for spec, n in reference_cases():
             potential = potentials.setdefault(spec, parse_potential(spec))
             calls.clear()
             expected = mesh_size_or_overflow(lockstep_trace_minimized_mesh_size, potential, n)
-            passes.clear()
+            log.clear()
             got = mesh_size_or_overflow(trace_minimized_mesh_size, potential, n)
+            passes = [grid.shape for grid in log.grids("slope")]
             shapes.update(passes)
             slices = passes.count((6,))
             if slices:

@@ -21,13 +21,16 @@ from descm import (
     assemble_collocation_matrix,
     chebyshev_well,
     converge,
+    mesh,
+    mesh_size_for,
     parse_potential,
     reconstruct_wavefunction,
     solve,
     solver,
+    trace_minimized_mesh_size,
 )
 from descm.cli import _TABLE_ROWS
-from conftest import random_potential
+from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
 from oracles import CHEB40_E0_AT_300, TEN_WELL_E0_LIMIT, two_block_converge
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
@@ -419,8 +422,10 @@ FIXED = MeshStrategy.fixed(0.27)
 def swept_cases():
     """(potential, strategy, level, n_step, n_max) of every sweep checked
     against per-truncation solves: the catalog, the 40 table presets and
-    poly:-20,1 with every combination, then 200 seeded wells, each with one
-    drawn strategy, level, step and n_max."""
+    poly:-20,1 with every combination of the closed-form and a fixed mesh,
+    the 14 multiwell benchmark wells with every combination of the
+    trace-min mesh, then 200 seeded wells, each with one drawn closed-form
+    or fixed strategy, level, step and n_max."""
     named = [case.potential for case in analytic_catalog()]
     named += [EvenPolynomialPotential(c) for name in (3, 4, 5, 6) for c in _TABLE_ROWS[name]]
     named.append(parse_potential("poly:-20,1"))
@@ -428,6 +433,10 @@ def swept_cases():
              for p in named for strategy in (MeshStrategy.optimal(), FIXED)
              for level in (0, 1, 3) for n_step in (1, 3)
              for n_max in (40, mid_block_n_max(level, n_step))]
+    # the trace-min mesh on the 14 multiwell benchmark wells
+    cases += [(parse_potential(spec), MeshStrategy.trace_minimized(), level, n_step, n_max)
+              for spec in MULTIWELL_SPECS for level in (0, 1) for n_step in (1, 3)
+              for n_max in (40, mid_block_n_max(level, n_step))]
     rng = random.Random(0x5EEB)
     for _ in range(200):
         m = rng.randint(1, 5)
@@ -456,7 +465,7 @@ class TestSweptBlocks:
     sweep that builds each truncation alone."""
 
     def test_records_equal_per_truncation_solves(self):
-        stops = {"converged mid-block": 0, "n_max mid-block": 0}
+        stops = {"converged mid-block": 0, "n_max mid-block": 0, "trace-min mid-block": 0}
         for p, strategy, level, n_step, n_max in swept_cases():
             problem = DescmProblem(p, strategy=strategy)
             trace = converge(problem, level=level, n_step=n_step, n_max=n_max)
@@ -468,7 +477,9 @@ class TestSweptBlocks:
                 two_block_converge(problem, level, n_max=n_max, n_step=n_step)), case
             if len(trace.records) % solver._SWEEP_BLOCK:
                 stops["converged mid-block" if trace.converged else "n_max mid-block"] += 1
-        # both ways a sweep leaves a block unsolved are taken, many times over
+                stops["trace-min mid-block"] += strategy.kind == "trace-min"
+        # both ways a sweep leaves a block unsolved are taken, many times over,
+        # and trace-min sweeps leave searched truncations unsolved
         assert min(stops.values()) >= 50, stops
 
     @pytest.mark.skipif(not numpy_dispatches_avx512(),
@@ -476,18 +487,21 @@ class TestSweptBlocks:
                         "so disabling them would not change its kernels")
     def test_records_equal_per_truncation_solves_on_numpy_avx2_kernels(self):
         # numpy's AVX2 cosh differs from its AVX-512 one in the last bit, so
-        # the check above runs again on that path, in a process of its own
+        # the check above and the trace-min planned blocks' run again on that
+        # path, in a process of its own
         src = Path(solver.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
         env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_FEATURES),
                "PYTHONPATH": path}
-        test = (f"{Path(__file__).resolve()}"
-                "::TestSweptBlocks::test_records_equal_per_truncation_solves")
+        tests = [f"{Path(__file__).resolve()}"
+                 "::TestSweptBlocks::test_records_equal_per_truncation_solves",
+                 f"{Path(__file__).resolve().with_name('test_assembly.py')}"
+                 "::TestPlannedBlocks::test_trace_min_block_equals_its_truncations_alone"]
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
             env=env, capture_output=True, text=True, cwd=src.parent)
         assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
-        assert "1 passed" in done.stdout
+        assert "2 passed" in done.stdout
 
     def test_speculative_truncations_neither_raise_nor_warn(self):
         # at h = 20 the first non-finite diagonal is at N = 9 (t = kh = 180):
@@ -512,6 +526,63 @@ class TestSweptBlocks:
         assert str(raised.value) == (
             "non-finite matrix entry at collocation point t = kh = 180 (k = 9, h = 20)")
         assert solved == [4, 5, 6, 7, 8, 9]
+
+    @staticmethod
+    def failing_search(fail_at, early):
+        """``mesh._search`` but for N = ``fail_at``, whose search raises: at
+        once, as a scan of -inf does, or after one slope pass of its round."""
+        raw = mesh._search
+
+        def search(potential, n):
+            if n != fail_at:
+                return (yield from raw(potential, n))
+            if not early:
+                yield [mesh._FIRST_PASS[30]]
+            raise CollocationOverflowError(f"made-up failure at N = {n}")
+
+        return search
+
+    @pytest.mark.parametrize("early", [True, False], ids=["at-once", "after-a-pass"])
+    def test_trace_min_search_errors_wait_for_their_truncation(self, monkeypatch, early):
+        problem = DescmProblem(parse_potential("poly:1,-4,1"),
+                               strategy=MeshStrategy.trace_minimized())
+        expected = hex_records(per_truncation_records(problem, 0, 5e-12, 100, 1))
+        stop = expected[-1][0]
+        fail_at = stop + 2  # in the block the stop plans, past the stop
+        assert (stop - 2) // solver._SWEEP_BLOCK == (fail_at - 2) // solver._SWEEP_BLOCK
+        block = range(fail_at - 3, fail_at + 3)
+        alone = [trace_minimized_mesh_size(problem.potential, n) for n in block]
+        monkeypatch.setattr(mesh, "_search", self.failing_search(fail_at, early))
+        # the failed search leaves the others of its block, and of its
+        # rounds, to pick their h
+        planned = mesh_size_for(problem.potential, block, problem.strategy)
+        assert [type(h) for h in planned] == [float] * 3 + [CollocationOverflowError] + [float] * 2
+        assert [h.hex() for i, h in enumerate(planned) if i != 3] == [
+            h.hex() for i, h in enumerate(alone) if i != 3]
+        # a sweep that stops before it returns the records of one that
+        # searches each truncation alone, and neither raises nor warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = converge(problem)
+        assert trace.converged and hex_records(trace.records) == expected
+        # a sweep that reaches it raises the search's error there
+        raw, solved = solver.solve, []
+        monkeypatch.setattr(solver, "solve", lambda problem, n, *args, **kwargs: (
+            solved.append(n) or raw(problem, n, *args, **kwargs)))
+        with pytest.raises(CollocationOverflowError) as raised:
+            converge(problem, tolerance=1e-300)
+        assert str(raised.value) == f"made-up failure at N = {fail_at}"
+        assert solved == list(range(2, fail_at))
+
+    def test_trace_min_sweep_of_a_minus_inf_trace_raises_at_its_first_truncation(self):
+        potential = parse_potential(MINUS_INF_RISE)
+        with pytest.raises(CollocationOverflowError) as alone:
+            trace_minimized_mesh_size(potential, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CollocationOverflowError) as raised:
+                converge(DescmProblem(potential, strategy=MeshStrategy.trace_minimized()))
+        assert str(raised.value) == str(alone.value)
 
 
 @pytest.fixture(scope="module")
