@@ -55,6 +55,15 @@ case "$err" in
     "descm: numerical failure: non-finite matrix entry at collocation point t = kh = 180 (k = 9, h = 20)") ;;
     *) exit 1 ;;
 esac
+# a plain solve builds its slabs as a block of one: the same point, the same line
+status=0
+err=$(descm solve --potential poly:1,1 --mesh fixed --h 20 --N 9 2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+test "$(printf '%s\n' "$err" | wc -l)" -eq 1
+case "$err" in
+    "descm: numerical failure: non-finite matrix entry at collocation point t = kh = 180 (k = 9, h = 20)") ;;
+    *) exit 1 ;;
+esac
 # a sweep that stops inside its first block of planned truncations, N = 2..23
 # at a step of 3, under warnings as errors: JSON on stdout, exit 0
 PYTHONWARNINGS=error descm converge --potential poly:1,1 --N-step 3 --format json \

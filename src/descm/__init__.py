@@ -12,7 +12,6 @@ from .mesh import (
     MeshStrategy,
     collocation_trace,
     lambert_w0,
-    mesh_size_for,
     optimal_mesh_size,
     trace_minimized_mesh_size,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "collocation_trace",
     "converge",
     "lambert_w0",
-    "mesh_size_for",
     "optimal_mesh_size",
     "parse_potential",
     "reconstruct_wavefunction",

@@ -41,12 +41,12 @@ corner and one diagonal add serve all B. Each truncation gets read-only
 views of its corner of the block, the bits it has alone; a sweep that
 knows its mesh sizes ahead hands each truncation its views, and the
 assembly then checks that truncation's diagonal alone, never the padding.
-A truncation built on its own, as by a plain solve, goes through the same
-slab function over its N + 1 points, a block of one. A caller that needs
-one parity only, such as a sweep following one level, asks for that block
-alone: its corner is then divided into the denominator's own buffer, the
-one slab built. Only the diagonals are tested for overflow; an
-off-diagonal entry is non-finite only where a diagonal one is.
+A truncation built on its own, as by a plain solve, is a block of one. A
+caller that needs one parity only, such as a sweep following one level,
+asks for that block alone: its corner is then divided into the
+denominator's own buffer, the one slab built. Only the diagonals are tested
+for overflow; an off-diagonal entry is non-finite only where a diagonal
+one is.
 Every step is symmetric in j and k, so both blocks are exactly symmetric.
 Neither the (2N+1)x(2N+1) matrix nor the generalized pair (stiffness
 matrix, diagonal weight) it was reduced from is ever formed.
@@ -70,8 +70,16 @@ class CollocationOverflowError(OverflowError):
     the mesh search minimizes overflowed to -inf."""
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a count that is not an int or a numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_half_width(half_width: int) -> None:
-    """Reject a truncation below N = 1, the one rule every layer shares."""
+    """Reject a truncation that is not an integer N >= 1, the rule every layer shares."""
+    if type(half_width) is not int:  # a plain int, as nearly always, skips the call
+        check_integer("truncation half-width", half_width)
     if half_width < 1:
         raise ValueError(f"truncation half-width must be >= 1, got {half_width}")
 
@@ -192,41 +200,6 @@ def _parity_numerators(half_width: int) -> np.ndarray:
     return table
 
 
-def _parity_slabs(potential: EvenPolynomialPotential, points: np.ndarray, factor, parities,
-                  centres=0):
-    """The slabs of ``parities`` over ``points`` and their diagonals, for
-    one truncation, points kh (S,) at k = 0..N, or a block of B, points
-    (B, S) on a padded grid: entries (P, S, S) or (P, B, S, S), and the
-    diagonals (S,) or (B, S) of one slab, else (2, S) or (2, B, S).
-    ``factor`` is -h^2, a float or a (B, 1, 1) column, and ``centres``
-    indexes the points' k = 0 entries. The parity axis leads, so the
-    diagonal adds W/cosh^2 without a new axis. Every step is elementwise, or
-    a broadcast of one, so each entry is the same bits for either shape.
-    Call with overflow, invalid and divide ignored."""
-    shape = points.shape
-    lead, size = shape[:-1], shape[-1]  # lead () or (B,)
-    scaled = np.cosh(points)
-    cosh2 = scaled * scaled
-    # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
-    # in the denominator; row and column 0 of an odd slab are not read
-    scaled[centres] = _SQRT_TWO
-    potential_row = transformed_potential_scaled(potential, points, cosh2)
-    scale = scaled[..., np.newaxis] * scaled[..., np.newaxis, :]
-    scale *= factor
-    numerators = _parity_numerators(size - 1)
-    if len(parities) == 1:  # one slab, divided in place
-        slab = numerators[0 if parities[0] > 0 else 1, :size, :size]
-        diagonal = np.divide(slab, scale, out=scale)
-        entries = scale[np.newaxis]
-    else:  # both; a block's (B, S, S) scale takes the corner as (2, 1, S, S)
-        corner = numerators[:, :size, :size]
-        diagonal = entries = np.divide(corner[:, np.newaxis] if lead else corner, scale)
-        lead = (2,) + lead
-    diagonal = diagonal.reshape(lead + (-1,))[..., :: size + 1]
-    diagonal += potential_row
-    return entries, diagonal
-
-
 # cosh(kh) overflows far out and kh for a huge h, in a truncation past the
 # stop or in a truncation's padding as well; the check of each truncation's
 # diagonal in the assembly reports it, and only for a truncation that is solved
@@ -238,14 +211,32 @@ def collocation_slabs(potential: EvenPolynomialPotential, half_widths, mesh_size
     pass over a padded (B, S) grid of points, S the largest N + 1: per
     truncation, the read-only views (entries, diagonal) that
     ``assemble_collocation_matrix`` takes as ``_slabs`` at that N and h.
-    Each view holds the bits a build of that truncation alone gives.
-    Nothing is checked here; an h that is not positive and finite gives
-    slabs the assembly rejects with it."""
+    The parity axis leads, so the diagonal adds W/cosh^2 without a new axis.
+    Every step is elementwise, or a broadcast of one, so each view holds the
+    bits a block of that truncation alone gives. Nothing is checked here; an
+    h that is not positive and finite gives slabs the assembly rejects with
+    it."""
     h = np.array(mesh_sizes, dtype=float)
     points = np.multiply.outer(h, np.arange(max(half_widths) + 1.0))  # k * h, as alone
-    h = h.reshape(-1, 1, 1)
-    entries, diagonal = _parity_slabs(potential, points, -(h * h), parity_blocks(parity),
-                                      (slice(None), 0))
+    size = points.shape[1]
+    scaled = np.cosh(points)
+    cosh2 = scaled * scaled
+    # the 1/sqrt(2) of row and column 0 of E, as cosh(0) * sqrt(2) = sqrt(2)
+    # in the denominator; row and column 0 of an odd slab are not read
+    scaled[:, 0] = _SQRT_TWO
+    potential_rows = transformed_potential_scaled(potential, points, cosh2)
+    scale = scaled[:, :, np.newaxis] * scaled[:, np.newaxis, :]
+    scale *= -(h * h).reshape(-1, 1, 1)
+    numerators = _parity_numerators(size - 1)
+    parities = parity_blocks(parity)
+    if len(parities) == 1:  # one slab, divided in place
+        slab = numerators[0 if parities[0] > 0 else 1, :size, :size]
+        diagonal = np.divide(slab, scale, out=scale)
+        entries = scale[np.newaxis]
+    else:  # both; the (B, S, S) scale takes the corner as (2, 1, S, S)
+        diagonal = entries = np.divide(numerators[:, np.newaxis, :size, :size], scale)
+    diagonal = diagonal.reshape(diagonal.shape[:-2] + (-1,))[..., :: size + 1]
+    diagonal += potential_rows
     entries.setflags(write=False)
     diagonal.setflags(write=False)
     return [(entries[:, b, : n + 1, : n + 1], diagonal[..., b, : n + 1])
@@ -267,18 +258,14 @@ def assemble_collocation_matrix(
 
     ``_slabs``, private to a sweep, is this N and h's entry of
     ``collocation_slabs`` for ``parity``; only its diagonal is checked here.
-    Without it the slabs are built here, a block of one through the same
-    slab function."""
+    Without it the slabs are built here, as ``collocation_slabs`` of a block
+    of one."""
     n = half_width
     parities = parity_blocks(parity)
     check_half_width(n)
     if not (isinstance(h, float) and 0.0 < h < math.inf):
         check_mesh_size(h)  # raises, or passes an h that is not a float
-    if _slabs is None:  # the blocks need no point left of the centre
-        points = np.arange(n + 1.0)
-        points *= h
-        _slabs = _parity_slabs(potential, points, -(h * h), parities)
-    entries, diagonal = _slabs
+    entries, diagonal = _slabs or collocation_slabs(potential, (n,), (h,), parity)[0]
     # The diagonals alone decide finiteness. With s = ``scaled``, entry (j, k)
     # is a numerator over s_j s_k h^2. For j != k >= 1 the numerator is at most
     # 2 + 2/9 in size against at least pi^2/3 - 1/2 on the diagonal, and

@@ -24,7 +24,7 @@ terms do not depend on N either: it sums the first N columns of a table of
 them, kept for the last cell of that potential and grown a few columns past
 N, since a sweep's cell changes every few truncations.
 Inside the scan's best triple the minimizer is a zero of Tr'(h), which has a
-closed form as well (:func:`collocation_trace_slope`), so the search does
+closed form as well (:func:`_slope_terms`), so the search does
 not narrow the trace itself: vectorized slope passes across the triple
 bracket the zero to 1e-4 relative (two passes from the first window), and
 inverse cubic interpolation places it, to 1e-13 relative on smooth wells and
@@ -333,33 +333,6 @@ def _first_pass_slope(potential: EvenPolynomialPotential, half_width: int, cell:
     return slope
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
-                            h: float | np.ndarray) -> float | np.ndarray:
-    """dTr/dh in closed form; ``h`` may be an array, as for :func:`collocation_trace`.
-
-    With c = cosh kh, tau = tanh kh, u = sech^2 kh and D2 the delta2 diagonal
-    (-pi^2/3), the derivative of the trace term by term is
-
-        Tr'(h) = sum_k [ 2 D2 (1/h + k tau) u / h^2 + k W'(kh) ],
-        W'(t)  = -(1/2) u tau + 3 u^2 tau + V'(sinh t) c,
-
-    W' the derivative of W/cosh^2. Each term is even in k, and the k = 0 term
-    is 2 D2 / h^3, so Tr'(h) = 2 D2 / h^3 + 2 sum_(k=1..N) t_k with
-
-        t_k = u (2 D2 / h^3 + k tau (2 D2 / h^2 + 3u - 1/2)) + k V'(sinh kh) c.
-
-    Far out the terms overflow to +inf, and the kinetic part is -inf where
-    1/h^2 overflows, without a warning; mixed infinities give NaN.
-    """
-    check_half_width(half_width)
-    terms, kinetic = _slope_terms(potential, check_mesh_size(h), np.arange(1.0, half_width + 1))
-    slope = np.add.reduce(terms, -1)
-    slope *= 2.0
-    slope += kinetic
-    return float(slope) if slope.ndim == 0 else slope
-
-
 def _slope_passes(potential: EvenPolynomialPotential, requests) -> list:
     """The slopes Tr'(h) of every request (N, grids), a list of 1-D grids at
     one truncation: per request, one list of Python floats per grid. One
@@ -388,8 +361,23 @@ def _slope_passes(potential: EvenPolynomialPotential, requests) -> list:
 
 
 def _slope_terms(potential: EvenPolynomialPotential, h: np.ndarray, k: np.ndarray):
-    """The terms t_k on a new last axis of ``h``, and 2 D2 / h^3; call with
-    overflow and invalid ignored."""
+    """The terms t_k of dTr/dh on a new last axis of ``h``, and 2 D2 / h^3;
+    call with overflow and invalid ignored.
+
+    With c = cosh kh, tau = tanh kh, u = sech^2 kh and D2 the delta2 diagonal
+    (-pi^2/3), the derivative of the trace term by term is
+
+        Tr'(h) = sum_k [ 2 D2 (1/h + k tau) u / h^2 + k W'(kh) ],
+        W'(t)  = -(1/2) u tau + 3 u^2 tau + V'(sinh t) c,
+
+    W' the derivative of W/cosh^2. Each term is even in k, and the k = 0 term
+    is 2 D2 / h^3, so Tr'(h) = 2 D2 / h^3 + 2 sum_(k=1..N) t_k with
+
+        t_k = u (2 D2 / h^3 + k tau (2 D2 / h^2 + 3u - 1/2)) + k V'(sinh kh) c.
+
+    Far out the terms overflow to +inf, and the kinetic part is -inf where
+    1/h^2 overflows; mixed infinities give NaN.
+    """
     inverse = 1.0 / h
     kinetic = (2.0 * D2_DIAGONAL) * inverse * inverse  # 2 D2 / h^2
     points = np.multiply.outer(h, k)
@@ -637,7 +625,7 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
 
     A scanned trace of -inf raises :class:`CollocationOverflowError`, and an
     undefined (NaN) trace ranks as +inf. This is the lockstep search of a
-    sweep's planned block (``mesh_size_for`` over several N) with one N.
+    sweep's planned block (``mesh_size_for``) with one N.
     """
     (h,) = _lockstep(potential, (half_width,))
     if isinstance(h, Exception):
@@ -645,23 +633,14 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
     return h
 
 
-def mesh_size_for(potential: EvenPolynomialPotential, half_width: int | Sequence[int],
-                  strategy: MeshStrategy):
-    """Dispatch the mesh size according to the strategy.
-
-    ``half_width`` may also be a sequence of truncations that a sweep plans
-    together. Then a list comes back with, per N, its mesh size or the
-    exception its choice raised, for the caller to raise when it solves that
-    N; trace-minimized sizes come from one lockstep search of them all.
-    """
-    if not isinstance(half_width, (int, np.integer)):
-        if strategy.kind == "optimal":
-            return [optimal_mesh_size(potential, n) for n in half_width]
-        if strategy.kind == "trace-min":
-            return _lockstep(potential, half_width)
-        return [float(strategy.fixed_h)] * len(half_width)
+def mesh_size_for(potential: EvenPolynomialPotential, half_widths: Sequence[int],
+                  strategy: MeshStrategy) -> list:
+    """Per truncation N of ``half_widths``, its mesh size by the strategy or
+    the exception its choice raised, for the caller to raise when it solves
+    that N: a sweep asks for the block it plans, a plain solve for its one
+    N. Trace-minimized sizes come from one lockstep search of them all."""
     if strategy.kind == "optimal":
-        return optimal_mesh_size(potential, half_width)
+        return [optimal_mesh_size(potential, n) for n in half_widths]
     if strategy.kind == "trace-min":
-        return trace_minimized_mesh_size(potential, half_width)
-    return float(strategy.fixed_h)
+        return _lockstep(potential, half_widths)
+    return [float(strategy.fixed_h)] * len(half_widths)

@@ -28,9 +28,9 @@ for all of them (``collocation_slabs``). Each ``solve`` then gets its h and
 read-only views of its slab and diagonal. Its overflow check stays its
 own, and a mesh choice that failed is raised only when the sweep reaches
 its truncation, so a truncation past the stop never raises or warns. The
-plan lives in the ``converge`` call alone. A plain ``solve`` picks its h
-alone and builds its slabs as a block of one through the same slab
-function.
+plan lives in the ``converge`` call alone. A plain ``solve`` is a block of
+one: ``mesh_size_for`` picks the h of its one N, and the assembly builds
+its slabs through ``collocation_slabs`` as well.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from numpy.linalg import _umath_linalg
 from .assembly import (
     assemble_collocation_matrix,
     check_half_width,
+    check_integer,
     collocation_slabs,
     parity_blocks,
 )
@@ -200,10 +201,12 @@ def solve(
             f"eigenvalues exist at N = {half_width}"
         )
     start = time.perf_counter()
-    if _planned is None:
-        h, slabs = mesh_size_for(problem.potential, half_width, problem.strategy), None
-    else:
-        h, slabs = _planned
+    if _planned is None:  # a block of one
+        (h,) = mesh_size_for(problem.potential, (half_width,), problem.strategy)
+        if isinstance(h, Exception):
+            raise h
+        _planned = h, None
+    h, slabs = _planned
     matrix = assemble_collocation_matrix(problem.potential, half_width, h, parity, slabs)
     if parity is None:
         blocks = [eigen_symmetric(matrix.block(p), want_vectors) for p in parities]
@@ -288,6 +291,8 @@ def converge(
     it neither raises nor warns."""
     if not (0.0 < tolerance < math.inf):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    for name, value in dict(level=level, n_start=n_start, n_step=n_step, n_max=n_max).items():
+        check_integer(name, value)
     if n_step < 1:
         raise ValueError("n_step must be >= 1")
     if n_start < 1:

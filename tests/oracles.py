@@ -39,8 +39,8 @@ import numpy as np
 from descm.assembly import (_SQRT_TWO, CollocationOverflowError, _parity_numerators,
                             check_half_width, check_mesh_size, parity_blocks,
                             transformed_potential_scaled)
-from descm.mesh import (_BRACKET, _FIRST_GRID, _FIRST_WINDOW, _SCAN_POINTS, collocation_trace,
-                        collocation_trace_slope)
+from descm.mesh import (_BRACKET, _FIRST_GRID, _FIRST_WINDOW, _SCAN_POINTS, _slope_terms,
+                        collocation_trace)
 from descm.potential import ChebyshevWell, EvenPolynomialPotential, _horner_in_square
 from descm.sinc_basis import D2_DIAGONAL, SincWeights
 from descm.solver import ConvergenceRecord, DescmProblem, solve
@@ -279,6 +279,23 @@ def golden_section_mesh_size(potential: EvenPolynomialPotential, half_width: int
             d = a + _INV_PHI * (b - a)
             fd = collocation_trace(potential, half_width, d)
     return 0.5 * (a + b)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def collocation_trace_slope(potential: EvenPolynomialPotential, half_width: int,
+                            h: float | np.ndarray) -> float | np.ndarray:
+    """dTr/dh in closed form, 2 D2 / h^3 + 2 sum_(k=1..N) t_k over the terms
+    of ``descm.mesh._slope_terms`` (which derives them), summed as the
+    search's slope passes sum them; ``h`` may be an array, as for
+    ``collocation_trace``. Far out the slope is +inf, and -inf where 1/h^2
+    overflows, without a warning; mixed infinities give NaN.
+    """
+    check_half_width(half_width)
+    terms, kinetic = _slope_terms(potential, check_mesh_size(h), np.arange(1.0, half_width + 1))
+    slope = np.add.reduce(terms, -1)
+    slope *= 2.0
+    slope += kinetic
+    return float(slope) if slope.ndim == 0 else slope
 
 
 def _lockstep_best_trace(grid: np.ndarray, traces: np.ndarray) -> int:

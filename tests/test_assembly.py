@@ -19,9 +19,9 @@ from descm import (
     parse_potential,
     solve,
     solver,
-    mesh_size_for,
     trace_minimized_mesh_size,
 )
+from descm.mesh import mesh_size_for
 from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
 from oracles import (assemble_generalized_pair, fd_second_derivative, full_collocation_matrix,
                      full_slab_collocation_matrix, lockstep_trace_minimized_mesh_size,
@@ -510,6 +510,32 @@ class TestOverflowGuards:
             assemble_collocation_matrix(QUARTIC, 3, 1e308, -1)
         assert str(info.value) == ("non-finite matrix entry at collocation point "
                                    "t = kh = inf (k = 3, h = 1e+308)")
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None],
+                             ids=repr)
+    def test_truncation_that_is_not_an_integer_gets_the_shared_rule(self, n):
+        # 2.5 once raised a TypeError from the mesh choice in solve, and the
+        # trace, the closed form and a solve at N = True answered
+        with pytest.raises(ValueError) as shared:
+            assembly.check_half_width(n)
+        assert str(shared.value) == f"truncation half-width must be an integer, got {n!r}"
+        for call in (lambda: assemble_collocation_matrix(QUARTIC, n, 0.3),
+                     lambda: collocation_trace(QUARTIC, n, 0.3),
+                     lambda: optimal_mesh_size(QUARTIC, n),
+                     lambda: trace_minimized_mesh_size(QUARTIC, n),
+                     lambda: solve(DescmProblem(QUARTIC), n)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == str(shared.value)
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.int32(3)], ids=repr)
+    def test_numpy_integer_truncation_solves_as_the_int(self, n):
+        for strategy in (MeshStrategy.optimal(), MeshStrategy.trace_minimized()):
+            got = solve(DescmProblem(QUARTIC, strategy), n, want_vectors=True)
+            expected = solve(DescmProblem(QUARTIC, strategy), 3, want_vectors=True)
+            assert got.h_used.hex() == expected.h_used.hex()
+            assert got.spectrum.tobytes() == expected.spectrum.tobytes()
+            assert got.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

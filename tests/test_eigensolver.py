@@ -19,7 +19,7 @@ STRATEGIES = (MeshStrategy.optimal(), MeshStrategy.trace_minimized())
 def solve_blocks(p, n, strategy):
     """Every block ``solve`` hands the eigensolver at N = n: each parity of a
     two-slab assembly and of a one-slab one, the odd block a strided view."""
-    h = mesh_size_for(p, n, strategy)
+    (h,) = mesh_size_for(p, (n,), strategy)
     for parity in (None, 1, -1):
         matrix = assemble_collocation_matrix(p, n, h, parity)
         for block_parity in matrix.parities:

@@ -17,7 +17,6 @@ from descm import (
     chebyshev_well,
     collocation_trace,
     lambert_w0,
-    mesh_size_for,
     optimal_mesh_size,
     parse_potential,
     solve,
@@ -25,13 +24,13 @@ from descm import (
 )
 from descm import CollocationOverflowError, assembly, mesh, solver
 from descm.mesh import (
-    _FIRST_GRID, _FIRST_WINDOW, _best_trace, _half_diagonal, _interpolated_zero,
-    collocation_trace_slope,
+    _FIRST_GRID, _FIRST_WINDOW, _best_trace, _half_diagonal, _interpolated_zero, mesh_size_for,
 )
 from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
 import oracles
-from oracles import (_RESOLUTION, full_collocation_matrix, full_grid_collocation_trace,
-                     golden_section_mesh_size, lockstep_trace_minimized_mesh_size)
+from oracles import (_RESOLUTION, collocation_trace_slope, full_collocation_matrix,
+                     full_grid_collocation_trace, golden_section_mesh_size,
+                     lockstep_trace_minimized_mesh_size)
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
 TRIPLE_WELL = EvenPolynomialPotential((4.0, -6.0, 1.0))
@@ -1109,11 +1108,12 @@ class TestPythonFloatSteps:
 
 class TestMeshStrategy:
     def test_dispatch(self):
-        assert mesh_size_for(QUARTIC, 12, MeshStrategy.optimal()) == optimal_mesh_size(QUARTIC, 12)
-        assert mesh_size_for(QUARTIC, 12, MeshStrategy.fixed(0.25)) == 0.25
-        assert mesh_size_for(QUARTIC, 12, MeshStrategy.trace_minimized()) == pytest.approx(
+        assert mesh_size_for(QUARTIC, (12,), MeshStrategy.optimal()) == [
+            optimal_mesh_size(QUARTIC, 12)]
+        assert mesh_size_for(QUARTIC, (12,), MeshStrategy.fixed(0.25)) == [0.25]
+        assert mesh_size_for(QUARTIC, (12,), MeshStrategy.trace_minimized()) == [pytest.approx(
             trace_minimized_mesh_size(QUARTIC, 12), rel=1e-12
-        )
+        )]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Every module-level private name of the package is used somewhere in it."""
+"""Every module-level private name of the package is used somewhere in it,
+and every public one is exported or used elsewhere in it."""
 
 import ast
 from pathlib import Path
@@ -13,10 +14,10 @@ def module_trees():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def private_definitions(tree):
-    """(name, first line, last line) of each module-level private name, a
-    leading underscore but not a dunder, bound by a def, class, assignment
-    or import."""
+def definitions(tree, imports=True):
+    """(name, first line, last line) of each module-level name that is not a
+    dunder, bound by a def, class or assignment, or by an import if
+    ``imports``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -24,13 +25,29 @@ def private_definitions(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [name.id for target in targets for name in ast.walk(target)
                      if isinstance(name, ast.Name)]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.asname or alias.name for alias in node.names]
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node.lineno, node.end_lineno
+
+
+def private_definitions(tree):
+    """(name, first line, last line) of each module-level private name, a
+    leading underscore but not a dunder, bound by a def, class, assignment
+    or import."""
+    return ((name, first, last) for name, first, last in definitions(tree)
+            if name.startswith("_"))
+
+
+def public_definitions(tree):
+    """(name, first line, last line) of each module-level public name bound
+    by a def, class or assignment; an imported name is defined where it
+    comes from."""
+    return ((name, first, last) for name, first, last in definitions(tree, imports=False)
+            if not name.startswith("_"))
 
 
 def references(tree):
@@ -45,18 +62,25 @@ def references(tree):
             yield from ((alias.name, node.lineno) for alias in node.names)
 
 
-def test_no_private_name_is_orphaned():
-    trees = module_trees()
+def orphans(trees, defined, exported=()):
+    """``module:line name`` of each name ``defined`` yields that is neither
+    in ``exported`` nor read anywhere in ``trees`` but inside its own
+    definition, such as a recursive call."""
     used = {(module, name, line) for module, tree in trees.items()
             for name, line in references(tree)}
-    orphans = []
-    for module, tree in trees.items():
-        for name, first, last in private_definitions(tree):
-            # a use inside the definition itself, such as a recursive call, does not count
-            if not any(ref == name and (where != module or not first <= line <= last)
-                       for where, ref, line in used):
-                orphans.append(f"{module}:{first} {name}")
-    assert orphans == []
+    return [f"{module}:{first} {name}" for module, tree in trees.items()
+            for name, first, last in defined(tree)
+            if name not in exported
+            and not any(ref == name and (where != module or not first <= line <= last)
+                        for where, ref, line in used)]
+
+
+def test_no_private_name_is_orphaned():
+    assert orphans(module_trees(), private_definitions) == []
+
+
+def test_every_public_name_is_exported_or_used():
+    assert orphans(module_trees(), public_definitions, descm.__all__) == []
 
 
 def test_the_guard_sees_an_orphan():
@@ -66,3 +90,10 @@ def test_the_guard_sees_an_orphan():
     assert defined == ["_m", "_a", "_b", "_c", "_f"]
     read = {name for name, _ in references(tree)}
     assert {"_a", "_f"} <= read and not {"_m", "_b", "_c"} & read
+
+
+def test_the_public_guard_sees_an_unused_name():
+    trees = {"m.py": ast.parse("import math\nA = 1\nB = A\ndef f(n):\n    return f(n - 1)\n"
+                               "def g():\n    pass\n")}
+    assert [name for name, _, _ in public_definitions(trees["m.py"])] == ["A", "B", "f", "g"]
+    assert orphans(trees, public_definitions, ("g",)) == ["m.py:3 B", "m.py:4 f"]

@@ -22,7 +22,6 @@ from descm import (
     chebyshev_well,
     converge,
     mesh,
-    mesh_size_for,
     parse_potential,
     reconstruct_wavefunction,
     solve,
@@ -30,6 +29,7 @@ from descm import (
     trace_minimized_mesh_size,
 )
 from descm.cli import _TABLE_ROWS
+from descm.mesh import mesh_size_for
 from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
 from oracles import CHEB40_E0_AT_300, TEN_WELL_E0_LIMIT, two_block_converge
 
@@ -380,6 +380,23 @@ class TestConverge:
             converge(DescmProblem(QUARTIC), n_step=0)
         with pytest.raises(ValueError):
             converge(DescmProblem(QUARTIC), level=-1)
+
+    @pytest.mark.parametrize("name, value", [("level", 2.0), ("level", True), ("n_start", 2.5),
+                                             ("n_step", 1.5), ("n_step", True), ("n_max", 30.0),
+                                             ("n_max", "30")])
+    def test_rejects_bounds_that_are_not_integers(self, name, value):
+        # level 2.0 once read "parity must be None, +1 or -1, got 1.0", and
+        # n_step 1.5 raised a bare TypeError
+        with pytest.raises(ValueError) as info:
+            converge(DescmProblem(QUARTIC), **{name: value})
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_numpy_integer_bounds_sweep_as_the_ints(self):
+        bounds = dict(level=1, n_start=3, n_step=2, n_max=40)
+        expected = converge(DescmProblem(QUARTIC), **bounds)
+        got = converge(DescmProblem(QUARTIC), **{k: np.int64(v) for k, v in bounds.items()})
+        assert hex_records(got.records) == hex_records(expected.records)
+        assert got.converged == expected.converged
 
     @pytest.mark.parametrize("n_start", [0, -5])
     def test_rejects_start_below_one(self, n_start):
