@@ -90,6 +90,12 @@ case "$err" in "descm: numerical failure:"*) ;; *) exit 1 ;; esac
 # of 3 (stop at N = 86), under warnings as errors: JSON on stdout, exit 0
 PYTHONWARNINGS=error descm converge --potential 'cheb:20;shift=-1' --mesh trace-min --N-step 3 \
     --format json | python -m json.tool > /dev/null
+# the first passes of a block's searches are one round, each distinct
+# first-scan cell evaluated once at the largest N asking for it: the
+# blocks N = 1..8, 9..16, ..., 33..40 sit in 7, 5, 4, 3 and 2 cells, and the
+# sweep stops at N = 36; exit 0
+PYTHONWARNINGS=error descm converge --potential 'cheb:10;shift=-1' --mesh trace-min --N-start 1 \
+    --format json | python -m json.tool > /dev/null
 descm solve --potential 'poly:1,1' --N 17 --levels 3 --format json | python -m json.tool > /dev/null
 # a spec read from a CRLF file ends in \r, which JSON must escape
 descm solve --potential $'poly:1,1\r' --N 17 --format json | python -m json.tool > /dev/null
@@ -114,14 +120,14 @@ descm solve --potential poly:1e10,1e10 --mesh trace-min --N 100 --format json | 
 descm trace-scan --potential 'cheb:20;shift=-1' --N 1 --format json \
     | python -c 'import json, sys; h = json.load(sys.stdin)["h_trace_min"]; assert type(h) is float, h'
 # ... a widened window is scanned twice, and its first slope pass runs
-# afresh over a np.linspace cell, off the table, ...
+# over a np.linspace cell of its own, not a shared first-pass cell, ...
 descm solve --potential poly:1e10,1e10 --N 400 --mesh trace-min > /dev/null
 # ... and no slice shows the rise alone, so the full last cell is evaluated
 descm solve --potential 'cheb:40;shift=-1' --N 13 --mesh trace-min > /dev/null
 # m = 1, where V' = 2 c1 x is a one-term stage of the shared Horner routine
 descm converge --potential poly:1 --mesh trace-min --format json | python -m json.tool > /dev/null
 descm trace-scan --potential 'poly:1,-4,1' --N 20 --format json | python -m json.tool > /dev/null
-# a large truncation: the first slope pass's table grows to N + 4 columns
+# a large truncation: the first slope pass sums 5000 columns of its cell's terms
 descm trace-scan --potential 'cheb:20;shift=-1' --N 5000 --points 2 --format json \
     | python -m json.tool > /dev/null
 descm validate --format json | python -m json.tool > /dev/null

@@ -19,10 +19,8 @@ built once per process, and widens toward an edge holding its minimum. The
 diagonal over that grid does not depend on N, so the scan sums columns
 k = -N..N of a mirrored table kept for the last potential and grown once
 per sweep, not once per truncation. The first slope pass after such a scan
-runs on one of 62 grids, fixed by the scan's best point (its cell), whose
-terms do not depend on N either: it sums the first N columns of a table of
-them, kept for the last cell of that potential and grown a few columns past
-N, since a sweep's cell changes every few truncations.
+runs on one of 62 grids built once per process, fixed by the scan's best
+point (its cell); a sweep's cell changes every few truncations.
 Inside the scan's best triple the minimizer is a zero of Tr'(h), which has a
 closed form as well (:func:`_slope_terms`), so the search does
 not narrow the trace itself: vectorized slope passes across the triple
@@ -37,7 +35,7 @@ rise: the pass before predicts where the rise lies, and the last pass
 evaluates a slice of its 64-point cell there, six points formed alone as
 Python floats by the cell's own arithmetic, the same floats with the same
 slopes; the slice's cubic zero is read on Python floats too. So a mesh
-choice from the first window costs one trace call, one tabled slope pass
+choice from the first window costs one trace call, one full slope pass
 and one 6-point slice (a second slice where the first misses the rise),
 against eight trace calls for grid refinement, and the trace-minimized h
 depends on the potential and N alone.
@@ -52,26 +50,26 @@ N <= 2, widened windows) make several cells, and every one of them is
 refined again until every bracket is 1e-4 relative wide.
 
 The search is written once, as a generator (:func:`_search`) that runs
-its scans and reads its tabled first pass itself, and yields every other
-slope pass it needs: a widened window's first cell, the cells of a pass,
-a slice or a moved slice. :func:`_lockstep` runs the searches of several
-truncations, such as the block a sweep plans, in rounds. Each round
-advances every search still running to the pass it asks for next, and one
-:func:`_slope_passes` call evaluates all of those passes: one set of
-slope terms over a padded (rows, S) grid, S the largest N, each row
-summed over its own N columns, so every slope is bit for bit the one its
-pass alone gives. The per-pass cost that does not grow with N is then paid
-once a round. The scans and the tabled first passes all run in the first
-round, in N order, so the tables grow as in searches made one after the
-other. A search that raises is held, for the caller to raise when it
-solves that N, and the others run on. :func:`trace_minimized_mesh_size`
-is that driver with one N.
+its scans itself and yields every slope pass it needs: the first cell, the
+cells of a pass, a slice or a moved slice. :func:`_lockstep` runs the
+searches of several truncations, such as the block a sweep plans, in
+rounds. Each round advances every search still running to the pass it
+asks for next, and one :func:`_slope_passes` call evaluates all of those
+passes: one set of slope terms over a padded (rows, S) grid, S the largest
+N, with one set of rows per distinct grid object, so the searches whose
+first scans share a cell share its rows. Each request sums its own N
+columns of them, so every slope is bit for bit the one its pass alone
+gives. The per-pass cost that does not grow with N is then paid once a
+round, first passes included. The scans all run in the first round, in N
+order, so the table grows as in searches made one after the other. A
+search that raises is held, for the caller to raise when it solves that
+N, and the others run on. :func:`trace_minimized_mesh_size` is that
+driver with one N.
 
-The search reads its first slope pass from the table by the cell's
-number. The one identity check left is the trace's ``h is _FIRST_GRID``:
-the search hands the public :func:`collocation_trace` that grid, so that
-a wrapper of the public name (as the benchmark's timing layers are) sees
-every trace call.
+Past the slope's sharing of rows, the one identity check is the trace's
+``h is _FIRST_GRID``: the search hands the public :func:`collocation_trace`
+that grid, so that a wrapper of the public name (as the benchmark's timing
+layers are) sees every trace call.
 """
 
 from __future__ import annotations
@@ -96,30 +94,19 @@ _LAST_CELL = (_SCAN_POINTS - 1) * _BRACKET  # relative width of a bracket whose 
 _SLICE = 6  # points of the last cell evaluated around its predicted zero
 _FIRST_GRID = np.exp(np.linspace(*map(math.log, _FIRST_WINDOW), _SCAN_POINTS))
 _FIRST_GRID.setflags(write=False)
-# Columns a first-pass slope table grows beyond N. A build or extension
-# costs about 25 us whatever its width, plus about 0.8 us per column (one
-# Xeon core), and the first scan keeps one cell for only 2.5-4 truncations
-# in a row. Over sweeps N = 2..60 of the 14 multiwell benchmark wells,
-# growing to N, N + 2, N + 4 and N + 8 takes 826, 402, 328 and 283 builds
-# (283 is one per cell visited) and 6024, 6404, 6838 and 7745 columns: past
-# 4 the builds saved are paid back in columns.
-_SLOPE_LOOKAHEAD = 4
 
 
 def _first_pass_grids():
     """The first slope pass's grid for each best point i = 1..62 of the first
     scan, np.linspace(_FIRST_GRID[i - 1], _FIRST_GRID[i + 1], 64) as a
-    read-only 1-D cell, and each grid's 2 D2 / h^3 as the slope forms it."""
+    read-only 1-D cell."""
     grids = np.ascontiguousarray(
         np.linspace(_FIRST_GRID[:-2], _FIRST_GRID[2:], _SCAN_POINTS, axis=1))
-    inverse = 1.0 / grids
-    kinetic = (2.0 * D2_DIAGONAL) * inverse * inverse * inverse
     grids.setflags(write=False)
-    kinetic.setflags(write=False)
-    return tuple(grids), kinetic
+    return tuple(grids)
 
 
-_FIRST_PASS, _FIRST_PASS_KINETIC = _first_pass_grids()  # built once
+_FIRST_PASS = _first_pass_grids()  # built once
 
 
 @dataclass(frozen=True)
@@ -266,95 +253,77 @@ def _half_diagonal(potential: EvenPolynomialPotential, half_width: int, h: np.nd
     return half
 
 
-# What depends on the potential alone, not on N, is kept in one record for
-# the last potential, keyed by identity (potentials are frozen):
-# - ``scan``: the diagonal over _FIRST_GRID at k = -M..M, mirrored from
-#   k = 0..M as the trace mirrors it, so every first scan sums its columns
-#   k = -N..N in place. A larger N extends it on both sides to at least twice
-#   its half width M + 1.
-# - ``slope``: the slope terms t_k at k = 1..M over the first-pass grid of
-#   one first-scan ``cell`` (the last one asked for), so a first slope pass
-#   sums its columns k = 1..N. A larger N extends it to N + _SLOPE_LOOKAHEAD.
-# Only new columns are evaluated, each element by the same steps as in a
-# fresh call. Each table read takes the record once and swaps in a whole new
-# one, so a racing thread may replace it but never pairs one potential's
-# table with another's.
+# The diagonal over _FIRST_GRID does not depend on N, so it is kept in one
+# record for the last potential, keyed by identity (potentials are frozen):
+# ``scan`` holds it at k = -M..M, mirrored from k = 0..M as the trace mirrors
+# it, so every first scan sums its columns k = -N..N in place. A larger N
+# extends it on both sides to at least twice its half width M + 1; only new
+# columns are evaluated, each element by the same steps as in a fresh call.
+# Each read takes the record once and swaps in a whole new one, so a racing
+# thread may replace it but never pairs one potential's table with another's.
 class _Tables(NamedTuple):
     potential: EvenPolynomialPotential | None
     scan: np.ndarray
-    cell: int
-    slope: np.ndarray
 
 
 _NO_TABLE = np.empty((_SCAN_POINTS, 0))
 _NO_TABLE.setflags(write=False)
-_tables = _Tables(None, _NO_TABLE, 0, _NO_TABLE)
-
-
-def _tables_of(potential: EvenPolynomialPotential) -> _Tables:
-    """The held record if it is the potential's, else an empty one for it."""
-    tables = _tables  # one read: a racing thread may swap in another
-    return tables if tables.potential is potential else _Tables(potential, _NO_TABLE, 0, _NO_TABLE)
+_tables = _Tables(None, _NO_TABLE)
 
 
 def _first_window_diagonal(potential: EvenPolynomialPotential, half_width: int):
     """Columns k = -N..N of the first window's mirrored diagonal, a read-only
     view; call with overflow ignored."""
     global _tables
-    tables = _tables_of(potential)
-    table = tables.scan
+    tables = _tables  # one read: a racing thread may swap in another
+    table = tables.scan if tables.potential is potential else _NO_TABLE
     reach = (table.shape[1] + 1) // 2  # columns k = 0..reach - 1
     if reach <= half_width:
         width = max(half_width + 1, 2 * reach)
         new = _half_diagonal(potential, width - 1, _FIRST_GRID, reach)
         table = np.concatenate([new[:, ::-1] if reach else new[:, :0:-1], table, new], axis=1)
         table.setflags(write=False)
-        _tables = tables._replace(scan=table)
+        _tables = _Tables(potential, table)
         reach = width
     return table[:, reach - 1 - half_width : reach + half_width]
-
-
-def _first_pass_slope(potential: EvenPolynomialPotential, half_width: int, cell: int):
-    """Tr'(h) over ``cell``'s first-pass grid _FIRST_PASS[cell - 1], summed from
-    the first N columns of its table of terms t_k; call with overflow and
-    invalid ignored."""
-    global _tables
-    tables = _tables_of(potential)
-    table = tables.slope if tables.cell == cell else _NO_TABLE
-    if table.shape[1] < half_width:
-        k = np.arange(table.shape[1] + 1.0, half_width + _SLOPE_LOOKAHEAD + 1)
-        table = np.concatenate(
-            [table, _slope_terms(potential, _FIRST_PASS[cell - 1], k)[0]], axis=1)
-        table.setflags(write=False)
-        _tables = tables._replace(cell=cell, slope=table)
-    slope = np.add.reduce(table[:, :half_width], -1)
-    slope *= 2.0
-    slope += _FIRST_PASS_KINETIC[cell - 1]
-    return slope
 
 
 def _slope_passes(potential: EvenPolynomialPotential, requests) -> list:
     """The slopes Tr'(h) of every request (N, grids), a list of 1-D grids at
     one truncation: per request, one list of Python floats per grid. One
-    :func:`_slope_terms` call evaluates the terms of all their points on a
-    padded (rows, S) grid, S the largest N, and each request's rows sum
-    their first N columns, as a pass over that grid alone sums its terms, so
-    every slope is that pass's bit for bit. Call with overflow and invalid
-    ignored."""
-    h = np.concatenate([grid for _, grids in requests for grid in grids])
-    terms, kinetic = _slope_terms(potential, h, np.arange(1.0, max(n for n, _ in requests) + 1))
-    slope = np.empty_like(kinetic)
+    :func:`_slope_terms` call evaluates the terms of each distinct grid
+    object once, on a padded (rows, S) grid, S the largest N, so a first-pass
+    cell that several searches ask for costs one set of rows. Each request
+    sums the first N columns of its grids' rows, as a pass over that grid
+    alone sums its terms, so every slope is that pass's bit for bit. Call
+    with overflow and invalid ignored."""
+    rows, grids, spans, height = {}, [], [], 0  # first row by grid id; runs of rows
+    for n, request in requests:
+        for grid in request:
+            start = rows.get(id(grid))
+            if start is None:
+                start = rows[id(grid)] = height
+                height += len(grid)
+                grids.append(grid)
+            end = start + len(grid)
+            if spans and spans[-1][0] == n and spans[-1][2] == start:
+                start = spans.pop()[1]  # one run of rows summed over the same N
+            spans.append((n, start, end))
+    terms, kinetic = _slope_terms(potential, np.concatenate(grids),
+                                  np.arange(1.0, max(n for n, _ in requests) + 1))
+    slope = np.empty(sum(end - start for _, start, end in spans))
     row = 0
-    for n, grids in requests:
-        end = row + sum(map(len, grids))
-        np.add.reduce(terms[row:end, :n], -1, out=slope[row:end])
-        row = end
+    for n, start, end in spans:
+        np.add.reduce(terms[start:end, :n], -1, out=slope[row : row + end - start])
+        row += end - start
     slope *= 2.0
+    if len(slope) > height:  # a shared grid's rows serve several requests
+        kinetic = np.concatenate([kinetic[start:end] for _, start, end in spans])
     slope += kinetic
     values, row, slopes = slope.tolist(), 0, []
-    for _, grids in requests:
+    for _, request in requests:
         slopes.append([])
-        for grid in grids:
+        for grid in request:
             slopes[-1].append(values[row : row + len(grid)])
             row += len(grid)
     return slopes
@@ -511,9 +480,9 @@ def _sliced_last_pass(a: float, b: float, guess: float):
 
 def _search(potential: EvenPolynomialPotential, half_width: int):
     """The search of :func:`trace_minimized_mesh_size` at one N, as a
-    generator that returns h. It makes its scans and reads the tabled first
-    slope pass itself; every other slope pass (a widened window's first
-    cell, the cells of a pass, a slice or a moved slice) it yields as a list
+    generator that returns h. It makes its scans itself; every slope pass
+    (the first cell, which after the first window is a shared _FIRST_PASS
+    grid, the cells of a pass, a slice or a moved slice) it yields as a list
     of 1-D grids, and it is sent their slopes, one list of Python floats per
     grid. Run it through :func:`_lockstep`."""
     lo, hi = _FIRST_WINDOW
@@ -529,10 +498,9 @@ def _search(potential: EvenPolynomialPotential, half_width: int):
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
     if grid is _FIRST_GRID:
         cells = [_FIRST_PASS[best - 1]]
-        slopes = [_first_pass_slope(potential, half_width, best).tolist()]
     else:
         cells = [np.linspace(grid.item(best - 1), grid.item(best + 1), _SCAN_POINTS)]
-        slopes = yield cells
+    slopes = yield cells
     # every cell here lies inside a scanned window, so none needs checking
     while True:
         rises = [(cell, slope, i) for cell, slope in zip(cells, slopes) for i in _rises(slope)]
@@ -568,8 +536,9 @@ def _lockstep(potential: EvenPolynomialPotential, half_widths) -> list:
     Each round advances every search still running, in N order, to the
     slope pass it asks for next, and one :func:`_slope_passes` call
     evaluates all of those passes. The first round runs each search's scans
-    and its tabled first pass in N order, so the tables grow as in searches
-    made one by one. A search that raises leaves the others running."""
+    in N order, so the table grows as in searches made one by one, and
+    evaluates their first passes together. A search that raises leaves the
+    others running."""
     outcomes = [None] * len(half_widths)
     running = [(i, n, _search(potential, n), None) for i, n in enumerate(half_widths)]
     while running:

@@ -63,6 +63,7 @@ class DescmProblem:
     levels_requested: int = 1
 
     def __post_init__(self):
+        check_integer("levels_requested", self.levels_requested)
         if self.levels_requested < 1:
             raise ValueError("at least one level must be requested")
 

@@ -360,16 +360,15 @@ class TestTraceSlope:
 class SearchLog(list):
     """The trace calls and slope passes of the searches run while it is
     installed, in the order made, as (name, N, a copy of the grid): "trace"
-    for a call of the public trace, "slope" for a tabled first pass (its
-    cell's grid) and for each grid of every request that the batched slope
-    evaluation gets. ``rounds`` holds, per batched evaluation, the N of each
-    request it serves."""
+    for a call of the public trace, "slope" for each grid of every request
+    that the batched slope evaluation gets, first passes included.
+    ``rounds`` holds, per batched evaluation, the N of each request it
+    serves."""
 
     def __init__(self, monkeypatch):
         super().__init__()
         self.rounds = []
         raw_trace, raw_passes = mesh.collocation_trace, mesh._slope_passes
-        raw_read = mesh._first_pass_slope
 
         def trace(potential, half_width, h):
             self.append(("trace", half_width, np.array(h, copy=True)))
@@ -381,13 +380,8 @@ class SearchLog(list):
                         for n, grids in requests for grid in grids)
             return raw_passes(potential, requests)
 
-        def read(potential, half_width, cell):
-            self.append(("slope", half_width, mesh._FIRST_PASS[cell - 1].copy()))
-            return raw_read(potential, half_width, cell)
-
         monkeypatch.setattr(mesh, "collocation_trace", trace)
         monkeypatch.setattr(mesh, "_slope_passes", passes)
-        monkeypatch.setattr(mesh, "_first_pass_slope", read)
 
     def grids(self, name):
         """The grids of the calls named ``name``, in order."""
@@ -545,7 +539,7 @@ class TestTraceMinimized:
     @pytest.mark.parametrize("spec,n", [("poly:1,1", 5), ("poly:1,-4,1", 40),
                                         ("cheb:20;shift=-1", 1), ("cheb:40;shift=-1", 100)])
     def test_first_window_costs_two_trace_and_two_slope_calls(self, monkeypatch, spec, n):
-        # one scan, the tabled first slope pass and a 6-point slice of the last
+        # one scan, the first slope pass and a 6-point slice of the last
         # cell, whose one rise gives h as the slope's zero; the slice is moved
         # once where it misses the rise (cheb:40 at N = 100). Where the first
         # pass sees several dips (cheb:20 at N = 1), the second evaluates one
@@ -583,10 +577,10 @@ class TestTraceMinimized:
             assert cell[1] - cell[0] <= mesh._BRACKET * cell[0]
         depths = {sum(cell[0] <= zero <= cell[-1] for cell in cells) for zero in zeros}
         assert len(depths) == 1 and depths.pop() >= 2, depths
-        # every pass after the tabled first one is one request, all its
-        # cells evaluated together
+        # every pass is one request, the first pass's one cell a round of
+        # its own, and all the cells of a later pass evaluated together
         passes = (len(cells) - 1) // len(zeros) + 1
-        assert log.rounds == [[n]] * (passes - 1)
+        assert log.rounds == [[n]] * passes
         assert len(cells) == 1 + (passes - 1) * len(zeros)
 
     @pytest.mark.parametrize("potential,tolerance", SLOPE_ZERO_TOLERANCES)
@@ -675,8 +669,6 @@ class TestTraceMinimized:
         monkeypatch.setattr(mesh, "collocation_trace", record)
         monkeypatch.setattr(mesh, "_slope_passes", lambda potential, requests: [
             [[1.0] * len(grid) for grid in grids] for _, grids in requests])
-        monkeypatch.setattr(mesh, "_first_pass_slope",
-                            lambda potential, half_width, cell: np.ones(64))
         h_hat = trace_minimized_mesh_size(TRIPLE_WELL, 20)
         (scan, scanned), (grid, traces) = picked
         best = _best_trace(scan, scanned)
@@ -715,7 +707,7 @@ TABLE_WELLS = [case.potential for case in analytic_catalog()] + [
                  "poly:1e308")
 ]
 TABLE_SIZES = list(range(1, 121))
-NO_TABLES = mesh._Tables(None, mesh._NO_TABLE, 0, mesh._NO_TABLE)  # as at import
+NO_TABLES = mesh._Tables(None, mesh._NO_TABLE)  # as at import
 
 
 @pytest.fixture(scope="module")
@@ -814,12 +806,39 @@ PASS_WELLS = [parse_potential(spec) for spec in PASS_SPECS]
 PASS_CELLS = (1, 30, 62)
 
 
-def assert_table_read_is_fresh(potential, n, cell):
-    with np.errstate(over="ignore", invalid="ignore"):  # as the search calls the reader
-        read = mesh._first_pass_slope(potential, n, cell)
-    fresh = collocation_trace_slope(potential, n, mesh._FIRST_PASS[cell - 1])
-    assert read.shape == (64,)
-    assert read.tobytes() == fresh.tobytes(), (potential, n, cell)
+@pytest.fixture
+def terms_calls(monkeypatch):
+    """The (grid, k) of each mesh._slope_terms call made while the test runs."""
+    calls, raw = [], mesh._slope_terms
+    monkeypatch.setattr(mesh, "_slope_terms", lambda potential, h, k: (
+        calls.append((h.copy(), k.copy())) or raw(potential, h, k)))
+    return calls
+
+
+def assert_pass_is_fresh(terms_calls, potential, requests):
+    """One _slope_passes call over ``requests``, each (N, grids): every slope
+    is the oracle's over its grid alone at its N, byte for byte, and the one
+    _slope_terms call gets each distinct grid object's rows once, in the
+    order first asked for, at k = 1..S, S the largest N. Returns how many
+    rows the sharing saved."""
+    terms_calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):  # as the search calls it
+        got = mesh._slope_passes(potential, requests)
+    distinct = list({id(grid): grid for _, grids in requests for grid in grids}.values())
+    ((h, k),) = terms_calls
+    assert h.tobytes() == np.concatenate(distinct).tobytes()
+    assert k.tolist() == list(range(1, max(n for n, _ in requests) + 1))
+    assert [len(slopes) for slopes in got] == [len(grids) for _, grids in requests]
+    for (n, grids), slopes in zip(requests, got):
+        for grid, slope in zip(grids, slopes):
+            fresh = collocation_trace_slope(potential, n, grid)
+            assert np.array(slope).tobytes() == fresh.tobytes(), (potential, n, len(grid))
+    return sum(len(grid) for _, grids in requests for grid in grids) - len(h)
+
+
+def slice_of(cell, start):
+    """A 6-point slice of the linear cell over [cell[1], cell[2]], as the last pass forms it."""
+    return np.array(mesh._slice_points(cell.item(1), cell.item(2), start))
 
 
 class TestFirstPassTable:
@@ -831,41 +850,54 @@ class TestFirstPassTable:
             assert grid.tobytes() == expected.tobytes(), cell
 
     @pytest.mark.parametrize("potential", PASS_WELLS, ids=PASS_SPECS)
-    def test_reads_equal_fresh_slopes_as_n_rises_and_falls(self, monkeypatch, potential):
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+    def test_reads_equal_fresh_slopes_as_n_rises_and_falls(self, terms_calls, potential):
+        # rounds of eight searches whose first scans share a cell, at N
+        # rising, falling and mixed: the cell's rows are evaluated once, at
+        # the largest N, and each search sums its own first N columns
+        sizes = list(range(1, 121))
+        orders = [sizes, sizes[::-1], np.random.default_rng(3).permutation(sizes).tolist()]
         for cell in PASS_CELLS:
-            width = 0
-            for n in list(range(1, 121)) + list(range(120, 0, -1)):
-                assert_table_read_is_fresh(potential, n, cell)
-                tables = mesh._tables
-                assert tables.potential is potential and tables.cell == cell
-                if n > width:  # grown by the new columns and a few more
-                    width = n + mesh._SLOPE_LOOKAHEAD
-                assert tables.slope.shape == (64, width) and not tables.slope.flags.writeable
+            grid = mesh._FIRST_PASS[cell - 1]
+            for order in orders:
+                for i in range(0, len(order), 8):
+                    saved = assert_pass_is_fresh(terms_calls, potential,
+                                                 [(n, [grid]) for n in order[i : i + 8]])
+                    assert saved == 7 * 64
 
-    def test_reads_equal_fresh_slopes_switching_potentials_and_cells(self, monkeypatch):
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
-        for n in range(1, 121):
-            for i, potential in enumerate(PASS_WELLS):
-                assert_table_read_is_fresh(potential, n, PASS_CELLS[(n + i) % len(PASS_CELLS)])
-        for n in range(120, 0, -1):  # one potential, a new cell at every call
-            assert_table_read_is_fresh(PASS_WELLS[0], n, PASS_CELLS[n % len(PASS_CELLS)])
+    def test_reads_equal_fresh_slopes_switching_potentials_and_cells(self, terms_calls):
+        # each round holds searches at several shared cells; some ask for a
+        # shared cell and a 6-point slice, a slice alone, two cells, or the
+        # same cell twice, and neighbouring requests at one N run on
+        rng = np.random.default_rng(11)
+        cells = [mesh._FIRST_PASS[cell - 1] for cell in PASS_CELLS]
+        shapes = [lambda c: [c], lambda c: [c, slice_of(c, int(rng.integers(59)))],
+                  lambda c: [slice_of(c, int(rng.integers(59)))], lambda c: [c, cells[0]],
+                  lambda c: [c, c]]
+        saved = 0
+        for step in range(120):
+            potential = PASS_WELLS[step % len(PASS_WELLS)]
+            sizes = rng.integers(1, 121, size=int(rng.integers(1, 9))).tolist()
+            if step % 3 == 0:  # the same N twice in a row
+                sizes[-1:] = sizes[-1:] * 2
+            saved += assert_pass_is_fresh(terms_calls, potential, [
+                (n, shapes[int(rng.integers(len(shapes)))](cells[int(rng.integers(len(cells)))]))
+                for n in sizes])
+        assert saved > 0
 
-    def test_scan_and_first_pass_share_one_record(self, monkeypatch):
+    def test_record_holds_the_first_scan_only(self, monkeypatch):
         monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         trace_minimized_mesh_size(TRIPLE_WELL, 20)
         tables = mesh._tables
-        assert tables.potential is TRIPLE_WELL
-        assert tables.scan.shape == (64, 41) and tables.slope.shape[1] > 20
-        collocation_trace(QUARTIC, 3, _FIRST_GRID)  # a new potential drops both tables
-        assert mesh._tables.potential is QUARTIC and mesh._tables.slope.shape == (64, 0)
+        assert tables._fields == ("potential", "scan")
+        assert tables.potential is TRIPLE_WELL and tables.scan.shape == (64, 41)
+        collocation_trace(QUARTIC, 3, _FIRST_GRID)  # a new potential drops the table
+        assert mesh._tables.potential is QUARTIC and mesh._tables.scan.shape == (64, 7)
 
-    def test_derivative_runs_once_per_second_pass_and_per_table_growth(self, monkeypatch):
+    def test_derivative_runs_once_per_round(self, monkeypatch):
         potential = parse_potential("cheb:10;shift=-1")
         monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         calls, passes, rounds = [], [], []
-        raw_derivative = type(potential).derivative
-        raw_passes, raw_read = mesh._slope_passes, mesh._first_pass_slope
+        raw_derivative, raw_passes = type(potential).derivative, mesh._slope_passes
 
         def derivative(self, x):
             calls.append(x.shape)
@@ -873,41 +905,37 @@ class TestFirstPassTable:
 
         def slope_passes(p, requests):
             rounds.append([n for n, _ in requests])
-            passes.extend((None, n) for n, grids in requests for _ in grids)
+            passes.append([grid for _, grids in requests for grid in grids])
             return raw_passes(p, requests)
-
-        def read(p, n, cell):
-            passes.append((cell, n))
-            return raw_read(p, n, cell)
 
         monkeypatch.setattr(type(potential), "derivative", derivative)
         monkeypatch.setattr(mesh, "_slope_passes", slope_passes)
-        monkeypatch.setattr(mesh, "_first_pass_slope", read)
         problem = DescmProblem(potential, strategy=MeshStrategy.trace_minimized())
         records = solver.converge(problem, level=0, tolerance=5e-12, n_max=60).records
         # every truncation of the blocks begun is searched, in blocks of
-        # _SWEEP_BLOCK: one first pass from the table and one second pass per
-        # truncation, the second passes of a block in one evaluation
+        # _SWEEP_BLOCK: one round of the block's first passes, each a shared
+        # first-pass cell, and one round of its second passes
         block = solver._SWEEP_BLOCK
         planned = list(range(2, 61))[: -(-len(records) // block) * block]
         blocks = [planned[i : i + block] for i in range(0, len(planned), block)]
-        assert [(cell is not None, n) for cell, n in passes] == [
-            (read, n) for ns in blocks for read in (True, False) for n in ns]
-        assert rounds == blocks
-        held, width, growths = None, 0, 0
-        for cell, n in passes:
-            if cell is not None and (cell != held or n > width):
-                held, width, growths = cell, n + mesh._SLOPE_LOOKAHEAD, growths + 1
-        # V' once per evaluation of second passes, and once per table growth
-        assert len(calls) == len(rounds) + growths
-        assert growths < len(planned) / 2
-        # a repeated choice at a covered N evaluates V' for the second pass only
+        assert rounds == [ns for ns in blocks for _ in range(2)]
+        first, second = passes[0::2], passes[1::2]
+        shared = {id(cell) for cell in mesh._FIRST_PASS}
+        assert all(id(grid) in shared for grids in first for grid in grids)
+        assert not any(id(grid) in shared for grids in second for grid in grids)
+        # V' once per round, over each distinct cell of a first round once
+        # and at the largest N of the round
+        assert len(calls) == len(rounds)
+        assert calls[0::2] == [(64 * len({id(grid) for grid in grids}), ns[-1])
+                               for grids, ns in zip(first, blocks)]
+        assert sum(len({id(grid) for grid in grids}) for grids in first) < len(planned) / 2
+        # a repeated choice evaluates V' once per round of its search
         calls.clear()
         trace_minimized_mesh_size(potential, planned[-1])
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_threads_sweeping_different_potentials_match_serial_calls(self):
-        # each thread's table read swaps the record under the others
+        # each thread's first scan swaps the record under the others
         wells = [parse_potential(spec) for spec in ("cheb:20;shift=-1", "poly:-20,1", "poly:1,1",
                                                     "cheb:10;shift=-1")]
         sizes = (list(range(1, 61)) + list(range(60, 0, -3))) * 2
@@ -994,8 +1022,9 @@ class TestLockstepReference:
             widened += scans > 1
             overflows += expected.startswith("CollocationOverflowError")
         assert mismatches == []
-        # every pass the search makes, a table read included, is one 1-D cell
-        # or a slice of one, however many cells the lockstep search's pass held
+        # every pass the search makes, a shared first-pass cell included, is
+        # one 1-D cell or a slice of one, however many cells the lockstep
+        # search's pass held
         assert shapes == {(64,), (6,)}, shapes
         # so that the cases cannot pass vacuously: lockstep cells, widened
         # windows and a -inf trace all occur, and the last pass is read from

@@ -116,6 +116,20 @@ class TestSolve:
         assert np.array_equal(result.eigenvalues, result.spectrum[:2])
         assert np.all(np.diff(result.spectrum) >= 0.0)
 
+    @pytest.mark.parametrize("levels", [2.5, 2.0, True])
+    def test_levels_requested_that_is_not_an_integer_rejected(self, levels):
+        # 2.5 and 2.0 once raised a bare TypeError from the spectrum slice,
+        # and True was taken as 1
+        with pytest.raises(ValueError) as info:
+            DescmProblem(QUARTIC, levels_requested=levels)
+        assert str(info.value) == f"levels_requested must be an integer, got {levels!r}"
+
+    def test_numpy_integer_levels_requested_solves_as_the_int(self):
+        expected = solve(DescmProblem(QUARTIC, levels_requested=2), 9)
+        got = solve(DescmProblem(QUARTIC, levels_requested=np.int64(2)), 9)
+        assert got.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+        assert len(got.eigenvalues) == 2
+
     def test_levels_requested_checked_against_the_block_solved(self):
         solve(DescmProblem(QUARTIC, levels_requested=6), 5, parity=1)
         solve(DescmProblem(QUARTIC, levels_requested=5), 5, parity=-1)
