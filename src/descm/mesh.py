@@ -17,8 +17,9 @@ exists for every truncation N >= 1. Each point evaluates cosh once, for the
 kinetic term and W/cosh^2 alike. The first scan covers [1e-3, 5] on a grid
 built once per process, and widens toward an edge holding its minimum. The
 diagonal over that grid does not depend on N, so the scan sums columns
-k = -N..N of a mirrored table kept for the last potential and grown once
-per sweep, not once per truncation. The first slope pass after such a scan
+k = -N..N of a mirrored table (:class:`_ScanTable`) that a sweep keeps
+across its blocks and grows a few times, not once per truncation; a plain
+choice builds its own. The first slope pass after such a scan
 runs on one of 62 grids built once per process, fixed by the scan's best
 point (its cell); a sweep's cell changes every few truncations.
 Inside the scan's best triple the minimizer is a zero of Tr'(h), which has a
@@ -61,15 +62,15 @@ first scans share a cell share its rows. Each request sums its own N
 columns of them, so every slope is bit for bit the one its pass alone
 gives. The per-pass cost that does not grow with N is then paid once a
 round, first passes included. The scans all run in the first round, in N
-order, so the table grows as in searches made one after the other. A
-search that raises is held, for the caller to raise when it solves that
+order, so the sweep's table grows as in searches made one after the other.
+A search that raises is held, for the caller to raise when it solves that
 N, and the others run on. :func:`trace_minimized_mesh_size` is that
 driver with one N.
 
-Past the slope's sharing of rows, the one identity check is the trace's
-``h is _FIRST_GRID``: the search hands the public :func:`collocation_trace`
-that grid, so that a wrapper of the public name (as the benchmark's timing
-layers are) sees every trace call.
+Every scan goes through the public :func:`collocation_trace`, the first
+window's with the sweep's table as a private keyword, so that a wrapper of
+the public name (as the benchmark's timing layers are) sees every trace
+call.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def optimal_mesh_size(potential: EvenPolynomialPotential, half_width: int) -> fl
 # a decorator, like every error state here, it costs half a with block's
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
-                      h: float | np.ndarray) -> float | np.ndarray:
+                      h: float | np.ndarray, *, _scan=None) -> float | np.ndarray:
     """Trace of the reduced collocation matrix, without assembling it.
 
     ``h`` may be an array of mesh sizes, each trace bit for bit the scalar
@@ -224,21 +224,22 @@ def collocation_trace(potential: EvenPolynomialPotential, half_width: int,
     grid, and equal ``np.trace`` of the full (2N+1)x(2N+1) matrix bit for
     bit. The parity blocks hold the same trace, summed in another order.
 
-    Called with the first window's grid ``_FIRST_GRID`` itself (not a copy),
-    the mirrored diagonal is read from the first-scan table, which is built
-    by the same steps and holds the same bits in the same order, and each
-    row is summed in place; that read-only grid is valid by construction, so
-    its mesh sizes are not checked again. Every other ``h`` is.
+    ``_scan``, private to the trace-min search, is its sweep's first-scan
+    table (:class:`_ScanTable`), and ``h`` is then the first window's grid
+    ``_FIRST_GRID``. The mirrored diagonal is read from the table, which is
+    built by the same steps and holds the same bits in the same order, and
+    each row is summed in place; that grid is valid by construction, so its
+    mesh sizes are not checked again. Every other ``h`` is.
 
     Where V(sinh kh) is -inf at some points and +inf at others, the trace is
     undefined and comes back as NaN, without a warning.
     """
     check_half_width(half_width)
-    if h is _FIRST_GRID:
-        diagonal = _first_window_diagonal(potential, half_width)
-    else:
+    if _scan is None:
         half = _half_diagonal(potential, half_width, check_mesh_size(h))
         diagonal = np.concatenate([half[..., :0:-1], half], axis=-1)
+    else:
+        diagonal = _scan.columns(potential, half_width)
     trace = np.add.reduce(diagonal, -1)
     return float(trace) if trace.ndim == 0 else trace
 
@@ -253,39 +254,29 @@ def _half_diagonal(potential: EvenPolynomialPotential, half_width: int, h: np.nd
     return half
 
 
-# The diagonal over _FIRST_GRID does not depend on N, so it is kept in one
-# record for the last potential, keyed by identity (potentials are frozen):
-# ``scan`` holds it at k = -M..M, mirrored from k = 0..M as the trace mirrors
-# it, so every first scan sums its columns k = -N..N in place. A larger N
-# extends it on both sides to at least twice its half width M + 1; only new
-# columns are evaluated, each element by the same steps as in a fresh call.
-# Each read takes the record once and swaps in a whole new one, so a racing
-# thread may replace it but never pairs one potential's table with another's.
-class _Tables(NamedTuple):
-    potential: EvenPolynomialPotential | None
-    scan: np.ndarray
+class _ScanTable:
+    """The diagonal over _FIRST_GRID for the first scans of one sweep of one
+    potential. It does not depend on N, so ``scan`` holds it at k = -M..M,
+    mirrored from k = 0..M as the trace mirrors it, and every first scan
+    sums its columns k = -N..N in place. A larger N extends it on both sides
+    to at least twice its half width M + 1; only new columns are evaluated,
+    each element by the same steps as in a fresh call."""
 
+    __slots__ = ("scan",)
 
-_NO_TABLE = np.empty((_SCAN_POINTS, 0))
-_NO_TABLE.setflags(write=False)
-_tables = _Tables(None, _NO_TABLE)
+    def __init__(self):
+        self.scan = np.empty((_SCAN_POINTS, 0))
 
-
-def _first_window_diagonal(potential: EvenPolynomialPotential, half_width: int):
-    """Columns k = -N..N of the first window's mirrored diagonal, a read-only
-    view; call with overflow ignored."""
-    global _tables
-    tables = _tables  # one read: a racing thread may swap in another
-    table = tables.scan if tables.potential is potential else _NO_TABLE
-    reach = (table.shape[1] + 1) // 2  # columns k = 0..reach - 1
-    if reach <= half_width:
-        width = max(half_width + 1, 2 * reach)
-        new = _half_diagonal(potential, width - 1, _FIRST_GRID, reach)
-        table = np.concatenate([new[:, ::-1] if reach else new[:, :0:-1], table, new], axis=1)
-        table.setflags(write=False)
-        _tables = _Tables(potential, table)
-        reach = width
-    return table[:, reach - 1 - half_width : reach + half_width]
+    def columns(self, potential: EvenPolynomialPotential, half_width: int):
+        """Columns k = -N..N of the mirrored diagonal, a view; call with overflow ignored."""
+        reach = (self.scan.shape[1] + 1) // 2  # columns k = 0..reach - 1
+        if reach <= half_width:
+            width = max(half_width + 1, 2 * reach)
+            new = _half_diagonal(potential, width - 1, _FIRST_GRID, reach)
+            left = new[:, ::-1] if reach else new[:, :0:-1]  # k = 0 once only
+            self.scan = np.concatenate([left, self.scan, new], axis=1)
+            reach = width
+        return self.scan[:, reach - 1 - half_width : reach + half_width]
 
 
 def _slope_passes(potential: EvenPolynomialPotential, requests) -> list:
@@ -478,24 +469,25 @@ def _sliced_last_pass(a: float, b: float, guess: float):
     return None
 
 
-def _search(potential: EvenPolynomialPotential, half_width: int):
+def _search(potential: EvenPolynomialPotential, half_width: int, scan: _ScanTable):
     """The search of :func:`trace_minimized_mesh_size` at one N, as a
-    generator that returns h. It makes its scans itself; every slope pass
+    generator that returns h. It makes its scans itself, the first one from
+    the sweep's table ``scan``; every slope pass
     (the first cell, which after the first window is a shared _FIRST_PASS
     grid, the cells of a pass, a slice or a moved slice) it yields as a list
     of 1-D grids, and it is sent their slopes, one list of Python floats per
     grid. Run it through :func:`_lockstep`."""
     lo, hi = _FIRST_WINDOW
-    grid = _FIRST_GRID
+    grid, table = _FIRST_GRID, scan
     while True:
-        best = _best_trace(grid, collocation_trace(potential, half_width, grid))
+        best = _best_trace(grid, collocation_trace(potential, half_width, grid, _scan=table))
         if best == 0:
             lo = lo * lo / hi
         elif best == _SCAN_POINTS - 1:
             hi = hi * hi / lo
         else:
             break
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS))
+        grid, table = np.exp(np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS)), None
     if grid is _FIRST_GRID:
         cells = [_FIRST_PASS[best - 1]]
     else:
@@ -528,10 +520,11 @@ def _search(potential: EvenPolynomialPotential, half_width: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # for the slope passes
-def _lockstep(potential: EvenPolynomialPotential, half_widths) -> list:
+def _lockstep(potential: EvenPolynomialPotential, half_widths, _scan=None) -> list:
     """The searches (:func:`_search`) of every truncation of ``half_widths``,
     run in lockstep: per N, its trace-minimized h or the exception its search
-    raised, held for the caller to raise when it solves that N.
+    raised, held for the caller to raise when it solves that N. ``_scan`` is
+    the sweep's first-scan table; without it the call builds its own.
 
     Each round advances every search still running, in N order, to the
     slope pass it asks for next, and one :func:`_slope_passes` call
@@ -539,8 +532,9 @@ def _lockstep(potential: EvenPolynomialPotential, half_widths) -> list:
     in N order, so the table grows as in searches made one by one, and
     evaluates their first passes together. A search that raises leaves the
     others running."""
+    scan = _ScanTable() if _scan is None else _scan
     outcomes = [None] * len(half_widths)
-    running = [(i, n, _search(potential, n), None) for i, n in enumerate(half_widths)]
+    running = [(i, n, _search(potential, n, scan), None) for i, n in enumerate(half_widths)]
     while running:
         asked = []
         for i, n, search, slopes in running:
@@ -603,13 +597,14 @@ def trace_minimized_mesh_size(potential: EvenPolynomialPotential, half_width: in
 
 
 def mesh_size_for(potential: EvenPolynomialPotential, half_widths: Sequence[int],
-                  strategy: MeshStrategy) -> list:
+                  strategy: MeshStrategy, _scan=None) -> list:
     """Per truncation N of ``half_widths``, its mesh size by the strategy or
     the exception its choice raised, for the caller to raise when it solves
     that N: a sweep asks for the block it plans, a plain solve for its one
-    N. Trace-minimized sizes come from one lockstep search of them all."""
+    N. Trace-minimized sizes come from one lockstep search of them all;
+    ``_scan``, private to ``converge``, is the sweep's first-scan table."""
     if strategy.kind == "optimal":
         return [optimal_mesh_size(potential, n) for n in half_widths]
     if strategy.kind == "trace-min":
-        return _lockstep(potential, half_widths)
+        return _lockstep(potential, half_widths, _scan)
     return [float(strategy.fixed_h)] * len(half_widths)

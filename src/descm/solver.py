@@ -50,7 +50,7 @@ from .assembly import (
     collocation_slabs,
     parity_blocks,
 )
-from .mesh import MeshStrategy, mesh_size_for
+from .mesh import MeshStrategy, _ScanTable, mesh_size_for
 from .potential import EvenPolynomialPotential
 
 
@@ -255,14 +255,15 @@ def _swept_slabs(problem: DescmProblem, half_widths: range, parity: int):
     up to ``_SWEEP_BLOCK`` truncations picked by one ``mesh_size_for`` call
     and their slabs built in one pass when the last block runs out. A
     generator, so a sweep that stops plans no further block; a mesh choice
-    that failed raises here when the sweep reaches its truncation."""
-    potential, strategy = problem.potential, problem.strategy
+    that failed raises here when the sweep reaches its truncation. Every
+    block's trace-min search reads the sweep's one first-scan table."""
+    potential, strategy, scan = problem.potential, problem.strategy, _ScanTable()
     start = 0
     while start < len(half_widths):
         block = half_widths[start : start + _SWEEP_BLOCK]
         while len(block) > 1 and len(block) * (block[-1] + 1) ** 2 > _SWEEP_BLOCK_VALUES:
             block = block[:-1]
-        mesh_sizes = mesh_size_for(potential, block, strategy)
+        mesh_sizes = mesh_size_for(potential, block, strategy, _scan=scan)
         # a failed choice, an exception, gets a slab built on NaN, never read
         sizes = [h if isinstance(h, float) else math.nan for h in mesh_sizes]
         for h, size, slabs in zip(mesh_sizes, sizes,
@@ -342,6 +343,7 @@ def reconstruct_wavefunction(result: SpectrumResult, level: int, x):
     """
     if result.eigenvectors is None:
         raise ValueError("solve(..., want_vectors=True) is required for reconstruction")
+    check_integer("level", level)
     if not 0 <= level < result.size:
         raise ValueError(f"level must lie in [0, {result.size - 1}], got {level}")
     n = result.half_width

@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -41,3 +43,20 @@ MULTIWELL_SPECS = (
 # V' lies below the double range, so its trace-min slope rises from -inf and
 # places no zero, and the scanned traces reach -inf: every search raises
 MINUS_INF_RISE = "poly:3.32e-266,-8.74e-62,-8.99e-93,5.07e-249"
+
+
+def run_in_threads(work, count):
+    """Run work(0), ..., work(count - 1) in as many threads, switching every
+    microsecond so that they interleave finely; every thread must end within
+    a minute."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)

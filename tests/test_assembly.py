@@ -22,7 +22,7 @@ from descm import (
     trace_minimized_mesh_size,
 )
 from descm.mesh import mesh_size_for
-from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
+from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential, run_in_threads
 from oracles import (assemble_generalized_pair, fd_second_derivative, full_collocation_matrix,
                      full_slab_collocation_matrix, lockstep_trace_minimized_mesh_size,
                      mp_block_eigenvalues, parity_blocks_by_index, sinc_basis)
@@ -167,6 +167,26 @@ class TestParityBlocks:
             assert assembly._numerators.shape == (2, width, width)
             assert n + 1 <= width <= max(n + 1, 2 * previous)
             assert not assembly._numerators.flags.writeable
+
+    def test_threads_switching_potentials_read_their_own_numerators(self, monkeypatch):
+        # each thread alternates its potential and N, so the numerator table,
+        # shared by all potentials, grows under the others; every block must
+        # still be its own
+        wells = [parse_potential(spec) for spec in MULTIWELL_SPECS[:6]]
+        expected = {(i, n): assemble_collocation_matrix(p, n, 0.3).entries.tobytes()
+                    for i, p in enumerate(wells) for n in range(1, 41)}
+        monkeypatch.setattr(assembly, "_numerators", np.empty((2, 0, 0)))
+        mismatches = []
+
+        def work(offset):
+            for step in range(240):
+                i, n = (offset + step) % len(wells), 1 + (7 * step + offset) % 40
+                got = assemble_collocation_matrix(wells[i], n, 0.3).entries.tobytes()
+                if got != expected[i, n]:
+                    mismatches.append((i, n))
+
+        run_in_threads(work, 4)
+        assert mismatches == []
 
     @pytest.mark.parametrize("strategy", [MeshStrategy.optimal(), MeshStrategy.trace_minimized()],
                              ids=["optimal", "trace-min"])

@@ -16,9 +16,10 @@ call over all B * S points, and picks the block's h by one
 block; ``de_map.points`` then counts the padding and the points of a last
 block's truncations that the sweep never solves. A trace-min sweep plans
 its blocks the same way: that one call runs a lockstep search of the
-block, which scans each truncation through ``mesh.collocation_trace``, so
-the trace layer sees one scan per planned N, those past the stop
-included. That pass runs in ``converge``, outside
+block, which scans each truncation through ``mesh.collocation_trace``, the
+first window's scan reading the sweep's own table through a private
+keyword, so the trace layer sees one scan per planned N, those past the
+stop included. That pass runs in ``converge``, outside
 ``assemble_collocation_matrix``, so for a sweep the traced ``assembly``
 layer times each truncation's diagonal check alone and the slab work reads
 as ``solver.converge``. The
@@ -117,8 +118,8 @@ def test_trace_and_assembly_each_call_the_scaled_potential_once(monkeypatch, cap
     block = solver._SWEEP_BLOCK
     planned = list(range(2, 101))[: -(-len(records) // block) * block]
     assert counts["trace"] == len(planned)
-    # the scan reads the first window's table, which evaluates W/cosh^2 only
-    # when it grows (to max(N + 1, twice its width), from empty at a new potential)
+    # the scan reads the sweep's first-window table, which evaluates W/cosh^2
+    # only when it grows (to max(N + 1, twice its width), from empty)
     width = growths = 0
     for n in planned:
         if n >= width:
@@ -139,8 +140,8 @@ def test_closed_form_sweep_evaluates_its_points_once_per_block(monkeypatch, caps
                         lambda potential, x, *args: points.append(np.size(x)) or raw_scaled(
                             potential, x, *args))
     monkeypatch.setattr(solver, "mesh_size_for",
-                        lambda potential, block, strategy: meshes.append(list(block)) or raw_mesh(
-                            potential, block, strategy))
+                        lambda potential, block, strategy, _scan: meshes.append(list(block))
+                        or raw_mesh(potential, block, strategy, _scan=_scan))
     block, unsolved = solver._SWEEP_BLOCK, 0
     for spec in ("poly:1,1", "poly:0.1,0.1", "poly:1,1,1"):
         points.clear()
@@ -167,12 +168,13 @@ def test_a_covered_first_scan_evaluates_the_scaled_potential_only_for_the_last_p
     raw, calls = mesh.transformed_potential_scaled, []
     monkeypatch.setattr(mesh, "transformed_potential_scaled",
                         lambda *args: calls.append(args) or raw(*args))
+    strategy = MeshStrategy.trace_minimized()
     for spec, picks in (("cheb:10;shift=-1", (0, 0, 0)), ("cheb:20;shift=-1", (0, 0, 1))):
-        potential = parse_potential(spec)
-        mesh.trace_minimized_mesh_size(potential, 30)  # the first-scan table now covers N <= 30
+        potential, table = parse_potential(spec), mesh._ScanTable()  # as one sweep keeps it
+        mesh.mesh_size_for(potential, [30], strategy, _scan=table)  # the table now covers N <= 30
         for n, expected in zip((30, 12, 1), picks):
             calls.clear()
-            mesh.trace_minimized_mesh_size(potential, n)
+            mesh.mesh_size_for(potential, [n], strategy, _scan=table)
             assert len(calls) == expected, (spec, n)
 
 

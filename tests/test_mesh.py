@@ -1,7 +1,4 @@
-import copy
 import math
-import sys
-import threading
 import warnings
 
 import mpmath
@@ -22,11 +19,11 @@ from descm import (
     solve,
     trace_minimized_mesh_size,
 )
-from descm import CollocationOverflowError, assembly, mesh, solver
+from descm import CollocationOverflowError, mesh, solver
 from descm.mesh import (
     _FIRST_GRID, _FIRST_WINDOW, _best_trace, _half_diagonal, _interpolated_zero, mesh_size_for,
 )
-from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
+from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential, run_in_threads
 import oracles
 from oracles import (_RESOLUTION, collocation_trace_slope, full_collocation_matrix,
                      full_grid_collocation_trace, golden_section_mesh_size,
@@ -370,9 +367,9 @@ class SearchLog(list):
         self.rounds = []
         raw_trace, raw_passes = mesh.collocation_trace, mesh._slope_passes
 
-        def trace(potential, half_width, h):
+        def trace(potential, half_width, h, **scan):
             self.append(("trace", half_width, np.array(h, copy=True)))
-            return raw_trace(potential, half_width, h)
+            return raw_trace(potential, half_width, h, **scan)
 
         def passes(potential, requests):
             self.rounds.append([n for n, _ in requests])
@@ -432,9 +429,9 @@ class TestTraceMinimized:
     def test_first_scan_is_the_log_spaced_first_window(self, monkeypatch):
         grids = []
 
-        def record(potential, n, h):
+        def record(potential, n, h, **scan):
             grids.append(np.array(h, copy=True))
-            return collocation_trace(potential, n, h)
+            return collocation_trace(potential, n, h, **scan)
 
         monkeypatch.setattr(mesh, "collocation_trace", record)
         trace_minimized_mesh_size(TRIPLE_WELL, 20)
@@ -632,7 +629,7 @@ class TestTraceMinimized:
 
             monkeypatch.setattr(mesh, "_slope_passes", slope_passes)
             monkeypatch.setattr(mesh, "_search",
-                                lambda potential, n: mesh._sliced_last_pass(lo, hi, guess))
+                                lambda potential, n, scan: mesh._sliced_last_pass(lo, hi, guess))
             (zero,) = mesh._lockstep(QUARTIC, [5])
             return zero
 
@@ -661,8 +658,8 @@ class TestTraceMinimized:
     def test_slope_that_resolves_no_dip_leaves_the_pick_to_the_trace(self, monkeypatch):
         picked = []
 
-        def record(potential, half_width, h):
-            traces = collocation_trace(potential, half_width, h)
+        def record(potential, half_width, h, **scan):
+            traces = collocation_trace(potential, half_width, h, **scan)
             picked.append((np.array(h, copy=True), traces))
             return traces
 
@@ -707,14 +704,14 @@ TABLE_WELLS = [case.potential for case in analytic_catalog()] + [
                  "poly:1e308")
 ]
 TABLE_SIZES = list(range(1, 121))
-NO_TABLES = mesh._Tables(None, mesh._NO_TABLE)  # as at import
+TRACE_MIN = MeshStrategy.trace_minimized()
 
 
 @pytest.fixture(scope="module")
 def fresh_table_mesh_sizes():
-    """Trace-minimized h of every table well and N, each from a fresh first-scan
-    table: a copy of the potential is a new key, so its table is built at N."""
-    return {(i, n): trace_minimized_mesh_size(copy.copy(p), n)
+    """Trace-minimized h of every table well and N, each choice building its
+    own first-scan table at N."""
+    return {(i, n): trace_minimized_mesh_size(p, n)
             for i, p in enumerate(TABLE_WELLS) for n in TABLE_SIZES}
 
 
@@ -725,78 +722,33 @@ def table_calls(order):
         return [(i, n) for i in wells for n in TABLE_SIZES]
     if order == "descending":
         return [(i, n) for i in wells for n in reversed(TABLE_SIZES)]
-    # A, B, ..., A: every call switches potential, so each replaces the table
+    # A, B, ..., A: every call switches potential, and with it the table read
     return [(i, n) for n in TABLE_SIZES for i in wells]
 
 
-class TestFirstScanTable:
+class TestSweepScanTable:
     @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
     def test_trace_and_mesh_size_equal_the_uncached_ones_bit_for_bit(
-            self, monkeypatch, fresh_table_mesh_sizes, order):
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+            self, fresh_table_mesh_sizes, order):
+        tables = [mesh._ScanTable() for _ in TABLE_WELLS]  # one sweep's table per well
         for i, n in table_calls(order):
-            p = TABLE_WELLS[i]
-            owner, table = mesh._tables.potential, mesh._tables.scan
-            previous = (table.shape[1] + 1) // 2 if owner is p else 0  # columns k >= 0
-            cached = collocation_trace(p, n, _FIRST_GRID)
-            assert cached.tobytes() == collocation_trace(p, n, _FIRST_GRID.copy()).tobytes(), (i, n)
-            owner, table = mesh._tables.potential, mesh._tables.scan
-            assert owner is p
+            p, table = TABLE_WELLS[i], tables[i]
+            previous = (table.scan.shape[1] + 1) // 2  # columns k >= 0
+            cached = collocation_trace(p, n, _FIRST_GRID, _scan=table)
+            assert cached.tobytes() == collocation_trace(p, n, _FIRST_GRID).tobytes(), (i, n)
             # mirrored: columns k = -M..M, M + 1 at least N + 1 and at most double
-            assert table.shape[1] % 2 == 1
-            assert n + 1 <= (table.shape[1] + 1) // 2 <= max(n + 1, 2 * previous), (i, n)
-            assert table.shape[0] == 64 and not table.flags.writeable
-            h = trace_minimized_mesh_size(p, n)
+            assert table.scan.shape[1] % 2 == 1
+            assert n + 1 <= (table.scan.shape[1] + 1) // 2 <= max(n + 1, 2 * previous), (i, n)
+            assert table.scan.shape[0] == 64
+            (h,) = mesh_size_for(p, [n], TRACE_MIN, _scan=table)
             assert h.hex() == fresh_table_mesh_sizes[i, n].hex(), (i, n)
 
-    def test_table_grows_to_at_least_double_and_never_shrinks(self, monkeypatch):
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
+    def test_table_grows_to_at_least_double_and_never_shrinks(self):
+        table = mesh._ScanTable()
         # the columns k = 0..M, mirrored to k = -M..M
         for n, width in [(3, 4), (4, 8), (2, 8), (7, 8), (8, 16), (40, 41), (1, 41)]:
-            collocation_trace(QUARTIC, n, _FIRST_GRID)
-            assert mesh._tables.scan.shape == (64, 2 * width - 1)
-        collocation_trace(TRIPLE_WELL, 2, _FIRST_GRID)  # a new potential starts afresh
-        assert mesh._tables.potential is TRIPLE_WELL
-        assert mesh._tables.scan.shape == (64, 5)
-
-    def test_threads_switching_potentials_read_their_own_tables(self, monkeypatch):
-        # each thread alternates its potential and N, so the held table is
-        # swapped under the others; every scan must still be its own
-        wells = TABLE_WELLS[:6]
-        expected = {(i, n): (collocation_trace(p, n, _FIRST_GRID.copy()).tobytes(),
-                             assemble_collocation_matrix(p, n, 0.3).entries.tobytes())
-                    for i, p in enumerate(wells) for n in range(1, 41)}
-        # the numerator table, shared by all potentials, grows under them too
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
-        monkeypatch.setattr(assembly, "_numerators", np.empty((2, 0, 0)))
-        mismatches = []
-
-        def work(offset):
-            for step in range(240):
-                i, n = (offset + step) % len(wells), 1 + (7 * step + offset) % 40
-                got = (collocation_trace(wells[i], n, _FIRST_GRID).tobytes(),
-                       assemble_collocation_matrix(wells[i], n, 0.3).entries.tobytes())
-                if got != expected[i, n]:
-                    mismatches.append((i, n))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert mismatches == []
-
-    def test_only_the_first_grid_object_reads_the_table(self, monkeypatch):
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
-        collocation_trace(QUARTIC, 5, _FIRST_GRID.copy())
-        collocation_trace(QUARTIC, 5, _FIRST_GRID[:10])
-        assert mesh._tables.potential is None
+            collocation_trace(QUARTIC, n, _FIRST_GRID, _scan=table)
+            assert table.scan.shape == (64, 2 * width - 1)
 
 
 # a Chebyshev well of twenty minima, a deep double well, the harmonic well
@@ -884,18 +836,14 @@ class TestFirstPassTable:
                 for n in sizes])
         assert saved > 0
 
-    def test_record_holds_the_first_scan_only(self, monkeypatch):
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
-        trace_minimized_mesh_size(TRIPLE_WELL, 20)
-        tables = mesh._tables
-        assert tables._fields == ("potential", "scan")
-        assert tables.potential is TRIPLE_WELL and tables.scan.shape == (64, 41)
-        collocation_trace(QUARTIC, 3, _FIRST_GRID)  # a new potential drops the table
-        assert mesh._tables.potential is QUARTIC and mesh._tables.scan.shape == (64, 7)
+    def test_record_holds_the_first_scan_only(self):
+        table = mesh._ScanTable()
+        assert table.__slots__ == ("scan",)
+        mesh_size_for(TRIPLE_WELL, [20], TRACE_MIN, _scan=table)
+        assert table.scan.shape == (64, 41)
 
     def test_derivative_runs_once_per_round(self, monkeypatch):
         potential = parse_potential("cheb:10;shift=-1")
-        monkeypatch.setattr(mesh, "_tables", NO_TABLES)
         calls, passes, rounds = [], [], []
         raw_derivative, raw_passes = type(potential).derivative, mesh._slope_passes
 
@@ -935,28 +883,16 @@ class TestFirstPassTable:
         assert len(calls) == 2
 
     def test_threads_sweeping_different_potentials_match_serial_calls(self):
-        # each thread's first scan swaps the record under the others
         wells = [parse_potential(spec) for spec in ("cheb:20;shift=-1", "poly:-20,1", "poly:1,1",
                                                     "cheb:10;shift=-1")]
         sizes = (list(range(1, 61)) + list(range(60, 0, -3))) * 2
-        expected = [[trace_minimized_mesh_size(copy.copy(p), n).hex() for n in sizes[:80]] * 2
-                    for p in wells]
+        expected = [[trace_minimized_mesh_size(p, n).hex() for n in sizes[:80]] * 2 for p in wells]
         got = [None] * len(wells)
 
         def work(i):
             got[i] = [trace_minimized_mesh_size(wells[i], n).hex() for n in sizes]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(wells))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_in_threads(work, len(wells))
         assert got == expected
 
 

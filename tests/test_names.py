@@ -97,3 +97,12 @@ def test_the_public_guard_sees_an_unused_name():
                                "def g():\n    pass\n")}
     assert [name for name, _, _ in public_definitions(trees["m.py"])] == ["A", "B", "f", "g"]
     assert orphans(trees, public_definitions, ("g",)) == ["m.py:3 B", "m.py:4 f"]
+
+
+def test_only_the_two_shared_tables_are_rebound_globals():
+    # README's process-wide table rule covers these two; mesh keeps none, as
+    # each trace-min sweep owns its first-scan table
+    bound = sorted((module, name) for module, tree in module_trees().items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Global)
+                   for name in node.names)
+    assert bound == [("assembly.py", "_numerators"), ("solver.py", "_labels")]

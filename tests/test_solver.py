@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from descm import (
 )
 from descm.cli import _TABLE_ROWS
 from descm.mesh import mesh_size_for
-from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential
+from conftest import MINUS_INF_RISE, MULTIWELL_SPECS, random_potential, run_in_threads
 from oracles import CHEB40_E0_AT_300, TEN_WELL_E0_LIMIT, two_block_converge
 
 QUARTIC = EvenPolynomialPotential((1.0, 1.0))
@@ -233,17 +232,7 @@ class TestOneBlockResult:
                 first.setdefault((t, parity), result)
                 failures.extend((t, n, parity, f) for f in self.problems(result, parity))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
-            for thread in pool:
-                thread.start()
-            for thread in pool:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in pool)
+        run_in_threads(work, threads)
         assert failures == []
         # a grown table replaces the old one, so earlier labels never change
         for (_, parity), result in first.items():
@@ -395,15 +384,22 @@ class TestConverge:
         with pytest.raises(ValueError):
             converge(DescmProblem(QUARTIC), level=-1)
 
-    @pytest.mark.parametrize("name, value", [("level", 2.0), ("level", True), ("n_start", 2.5),
-                                             ("n_step", 1.5), ("n_step", True), ("n_max", 30.0),
-                                             ("n_max", "30")])
+    @pytest.mark.parametrize("name, value", [("level", 2.0), ("level", 1.5), ("level", True),
+                                             ("n_start", 2.5), ("n_step", 1.5), ("n_step", True),
+                                             ("n_max", 30.0), ("n_max", "30")])
     def test_rejects_bounds_that_are_not_integers(self, name, value):
         # level 2.0 once read "parity must be None, +1 or -1, got 1.0", and
         # n_step 1.5 raised a bare TypeError
         with pytest.raises(ValueError) as info:
             converge(DescmProblem(QUARTIC), **{name: value})
         assert str(info.value) == f"{name} must be an integer, got {value!r}"
+        if name == "level":
+            # reconstruction once raised a bare IndexError at 1.5, and at True
+            # "index 76 is out of bounds" on this 13-row result
+            result = solve(DescmProblem(QUARTIC), 6, want_vectors=True)
+            with pytest.raises(ValueError) as info:
+                reconstruct_wavefunction(result, value, 0.0)
+            assert str(info.value) == f"level must be an integer, got {value!r}"
 
     def test_numpy_integer_bounds_sweep_as_the_ints(self):
         bounds = dict(level=1, n_start=3, n_step=2, n_max=40)
@@ -564,9 +560,9 @@ class TestSweptBlocks:
         once, as a scan of -inf does, or after one slope pass of its round."""
         raw = mesh._search
 
-        def search(potential, n):
+        def search(potential, n, scan):
             if n != fail_at:
-                return (yield from raw(potential, n))
+                return (yield from raw(potential, n, scan))
             if not early:
                 yield [mesh._FIRST_PASS[30]]
             raise CollocationOverflowError(f"made-up failure at N = {n}")
@@ -604,6 +600,47 @@ class TestSweptBlocks:
             converge(problem, tolerance=1e-300)
         assert str(raised.value) == f"made-up failure at N = {fail_at}"
         assert solved == list(range(2, fail_at))
+
+    def test_sweeps_share_no_state(self, monkeypatch):
+        # each sweep keeps its own first-scan table: two wells' sweeps
+        # advanced in turn, or run in two threads, give the bits of each
+        # sweep alone and evaluate the scaled potential as often as the two
+        # alone, and no sweep or plain choice reads a table an earlier one built
+        scaled, raw = [], mesh.transformed_potential_scaled
+        monkeypatch.setattr(mesh, "transformed_potential_scaled",
+                            lambda *args: scaled.append(1) or raw(*args))
+        problems = [DescmProblem(parse_potential(spec), strategy=MeshStrategy.trace_minimized())
+                    for spec in ("poly:4,-6,1", "cheb:10;shift=-1")]
+
+        def plan(problem):
+            return solver._swept_slabs(problem, range(2, 101), -1)
+
+        def hex_plan(steps):
+            return [(h.hex(), entries.tobytes(), diagonal.tobytes())
+                    for h, (entries, diagonal) in steps]
+
+        def sweep(problem):
+            return hex_records(converge(problem, level=1).records)
+
+        def counted(run, *args):
+            scaled.clear()
+            return run(*args), len(scaled)
+
+        plans = [counted(hex_plan, plan(p)) for p in problems]
+        sweeps = [counted(sweep, p) for p in problems]
+        # run again, each makes the same calls: no table outlives its sweep
+        assert [counted(hex_plan, plan(p)) for p in problems] == plans
+        assert [counted(sweep, p) for p in problems] == sweeps
+        assert counted(trace_minimized_mesh_size, problems[1].potential, 2)[1] > 0
+        scaled.clear()
+        turns = list(zip(*[plan(p) for p in problems]))  # one step of each plan in turn
+        assert [hex_plan(steps) for steps in zip(*turns)] == [got for got, _ in plans]
+        assert len(scaled) == sum(calls for _, calls in plans)
+        scaled.clear()
+        got = [None] * len(problems)
+        run_in_threads(lambda i: got.__setitem__(i, sweep(problems[i])), len(problems))
+        assert got == [records for records, _ in sweeps]
+        assert len(scaled) == sum(calls for _, calls in sweeps)
 
     def test_trace_min_sweep_of_a_minus_inf_trace_raises_at_its_first_truncation(self):
         potential = parse_potential(MINUS_INF_RISE)
